@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .extension import coextend, extend
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, independent_vectors
 from .matroid import Matroid, dual, make_matroid
 
 # D blocks of the displayed standard-form matrices [I_r | D].
@@ -83,18 +83,7 @@ def graphic_matroid(edges: list[tuple[int, int]], nvertices: int) -> Matroid:
     for v in range(1, nvertices + 1):
         rows.append(sum((1 << j) for j, (a, b) in enumerate(edges) if v in (a, b)))
     # The incidence matrix has rank nvertices - 1; drop dependent rows.
-    pivots: dict[int, int] = {}
-    keep = []
-    for row in rows:
-        red = row
-        while red:
-            top = red.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = red
-                keep.append(row)
-                break
-            red ^= p
+    keep = independent_vectors(rows)
     return make_matroid(BitMatrix(len(keep), len(edges), tuple(keep)))
 
 

@@ -198,13 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="binmat", description="binary matroid structure toolkit"
     )
     parser.add_argument("--version", action="version", version=f"binmat {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; all computations are deterministic "
-        "and single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="list catalog matroids")

@@ -9,27 +9,9 @@ by one.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 from .gf2 import BitMatrix, BitVector
-from .iso import IsoClass, partition_into_classes
-from .matroid import Matroid, cocircuits, simplicity
-
-
-class RowKind(enum.Enum):
-    APPENDED_PARENT_ROW = "appended_parent_row"
-    IDENTITY_ROW = "identity_row"
-    IN_SERIES_ROW = "in_series_row"
-
-
-@dataclass(frozen=True)
-class GrowthStep:
-    kind: str  # "extension" or "coextension"
-    vector: BitVector
-    parent: Matroid
-    child: Matroid
-    new_label: int
+from .iso import IsoClass, canonical_key, partition_into_classes
+from .matroid import Matroid, simplicity
 
 
 def d_columns(m: Matroid) -> list[BitVector]:
@@ -153,16 +135,6 @@ def _check_coextension_cocircuit(parent: Matroid, child: Matroid, row: BitVector
             raise AssertionError("coextension cocircuit is not minimal")
 
 
-def growth_step(m: Matroid, kind: str, vector: BitVector) -> GrowthStep:
-    if kind == "extension":
-        child = extend(m, vector)
-        return GrowthStep(kind, vector, m, child, child.labels[-1])
-    if kind == "coextension":
-        child = coextend(m, vector)
-        return GrowthStep(kind, vector, m, child, m.rank + 1)
-    raise ValueError(f"unknown growth kind {kind!r}")
-
-
 def enumerate_growth_classes(m: Matroid, kind: str, excluded=None) -> list[IsoClass]:
     """All growth candidates grouped into isomorphism classes.
 
@@ -171,60 +143,22 @@ def enumerate_growth_classes(m: Matroid, kind: str, excluded=None) -> list[IsoCl
     once per distinct child up to isomorphism.
     """
     if kind == "extension":
-        cands = extension_candidates(m)
+        pairs = [(v, extend(m, v)) for v in extension_candidates(m)]
     elif kind == "coextension":
-        cands = coextension_candidates(m)
+        pairs = [(v, coextend(m, v)) for v in coextension_candidates(m)]
     else:
         raise ValueError(f"unknown growth kind {kind!r}")
-    pairs = [(v, growth_step(m, kind, v).child) for v in cands]
     if excluded:
-        from .structure import has_minor
-        from .iso import canonical_key
+        from .structure import in_class
 
         verdicts: dict[bytes, bool] = {}
         kept = []
         for v, child in pairs:
             key = canonical_key(child)
             if key not in verdicts:
-                verdicts[key] = any(has_minor(child, x)[0] for x in excluded)
-            if not verdicts[key]:
+                verdicts[key] = in_class(child, excluded)
+            if verdicts[key]:
                 kept.append((v, child))
         pairs = kept
     return partition_into_classes(pairs)
 
-
-def classify_second_step_row(
-    type_i: Matroid, parent: Matroid, e_label: int, row: BitVector
-) -> RowKind | None:
-    """Tag a coextension row of a one-step extension by its three-kind shape.
-
-    The coordinate of ``row`` corresponding to the extension element
-    ``e_label`` is split off; the remainder is matched against the
-    parent's coextension candidates, unit vectors, and D rows.  Returns
-    None for rows outside all three kinds (the taxonomy is asserted, not
-    proved, to be exhaustive, so the caller can detect gaps).
-    """
-    if e_label not in type_i.labels:
-        raise ValueError(f"{e_label} is not an element of the extension")
-    width = type_i.size - type_i.rank
-    if row.length != width:
-        raise ValueError("row length must match the extension's corank")
-    # Position of e among the D columns of the one-step extension.
-    d_labels = list(type_i.labels[type_i.rank :])
-    e_idx = d_labels.index(e_label)  # 0-based among D columns
-    rest_bits = 0
-    k = 0
-    for j in range(width):
-        if j == e_idx:
-            continue
-        rest_bits |= ((row.bits >> j) & 1) << k
-        k += 1
-    rest = BitVector(width - 1, rest_bits)
-    parent_rows = {v.bits for v in d_rows(parent)}
-    if rest.weight >= 2 and rest.bits not in parent_rows:
-        return RowKind.APPENDED_PARENT_ROW
-    if rest.weight == 1 and row.coord(e_idx + 1) == 1:
-        return RowKind.IDENTITY_ROW
-    if rest.bits in parent_rows:
-        return RowKind.IN_SERIES_ROW
-    return None

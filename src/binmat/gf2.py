@@ -141,20 +141,29 @@ class BitMatrix:
         return out
 
 
-def rank_of_columns(cols: Iterable[int]) -> int:
-    """GF(2) rank of a collection of bit-packed column vectors."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for c in cols:
+def independent_vectors(vectors: Iterable[int]) -> list[int]:
+    """The bit-packed vectors outside the span of those kept before them.
+
+    The kept vectors, in input order, are a basis of the input's span.
+    """
+    pivots: dict[int, int] = {}  # top bit -> reduced kept vector
+    kept = []
+    for v in vectors:
+        c = v
         while c:
             top = c.bit_length() - 1
             p = pivots.get(top)
             if p is None:
                 pivots[top] = c
-                rank += 1
+                kept.append(v)
                 break
             c ^= p
-    return rank
+    return kept
+
+
+def rank_of_columns(cols: Iterable[int]) -> int:
+    """GF(2) rank of a collection of bit-packed column vectors."""
+    return len(independent_vectors(cols))
 
 
 def rank(m: BitMatrix) -> int:

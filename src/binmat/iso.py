@@ -45,27 +45,6 @@ def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
     return coords
 
 
-def _row_major_cmp(a: tuple[int, ...], ta: int, b: tuple[int, ...], tb: int) -> int:
-    """Compare two sorted prefix tuples in row-major reading order.
-
-    ``a`` holds depth-``ta`` prefixes of the sorted columns (first chosen
-    row in the most significant bit), likewise ``b``.  The row-major
-    string of a matrix is read one row at a time, so the order compares
-    the depth-1 projections first, then depth-2, and so on; this is the
-    order that sorted-prefix branch-and-bound can prune soundly (plain
-    lexicographic order on sorted column tuples cannot: a low-order bit
-    of an early column may outweigh a later prefix difference).
-    Comparison runs to the shorter depth; equal there means equal-so-far.
-    """
-    depth = min(ta, tb)
-    for s in range(1, depth + 1):
-        pa = tuple(x >> (ta - s) for x in a)
-        pb = tuple(x >> (tb - s) for x in b)
-        if pa != pb:
-            return -1 if pa < pb else 1
-    return 0
-
-
 def _projections(t: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
     """Per-depth prefix projections of a sorted depth-``depth`` tuple."""
     return [tuple(x >> (depth - s) for x in t) for s in range(1, depth + 1)]

@@ -9,7 +9,7 @@ ranks, cycle spaces and circuits internally.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, RankDeficientError, rank_of_columns, standard_form
+from .gf2 import BitMatrix, RankDeficientError, independent_vectors, rank_of_columns, standard_form
 
 
 class Matroid:
@@ -36,6 +36,7 @@ class Matroid:
         self._circuits: list[frozenset[int]] | None = None
         self._cocircuits: list[frozenset[int]] | None = None
         self._canonical_key: bytes | None = None
+        self._in_class_memo: dict[frozenset[bytes], bool] | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
 
@@ -96,9 +97,21 @@ class Matroid:
             self._cocycle_masks = out
         return self._cocycle_masks
 
-    def cycle_key(self) -> frozenset[tuple[int, ...]]:
-        """The cycle space as label sets; equal iff equal labeled matroids."""
-        return frozenset(tuple(sorted(self.labels_of(m))) for m in self.cycle_masks())
+    def cycle_key(self) -> frozenset[int]:
+        """The cycle space as masks over label values (bit l = label l);
+        equal iff equal labeled matroids on the same ground set."""
+        label_bits = [1 << lab for lab in self.labels]
+        out = set()
+        for mask in self.cycle_masks():
+            acc = 0
+            p = 0
+            while mask:
+                if mask & 1:
+                    acc |= label_bits[p]
+                mask >>= 1
+                p += 1
+            out.add(acc)
+        return frozenset(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):
@@ -187,25 +200,8 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
         row = rows[i]
         new_rows.append(sum(((row >> p) & 1) << q for q, p in enumerate(keep_positions)))
     # Drop dependent rows before standardizing (deletion may lower the rank).
-    raw = BitMatrix(len(new_rows), len(survivors), tuple(new_rows))
-    kept = _independent_rows(raw)
-    return make_matroid(kept, survivors)
-
-
-def _independent_rows(m: BitMatrix) -> BitMatrix:
-    pivots: dict[int, int] = {}
-    keep = []
-    for row in m.rows:
-        red = row
-        while red:
-            top = red.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = red
-                keep.append(row)
-                break
-            red ^= p
-    return BitMatrix(len(keep), m.ncols, tuple(keep))
+    kept = independent_vectors(new_rows)
+    return make_matroid(BitMatrix(len(kept), len(survivors), tuple(kept)), survivors)
 
 
 def _minimal_supports(masks: list[int]) -> list[int]:

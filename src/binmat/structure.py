@@ -1,13 +1,16 @@
 """Minor detection, excluded-minor classes, splitters, and the
 decomposer verification engine.
 
-The engine follows the published two-phase workflow: first every
-in-class one-step extension and coextension must move or keep the
-separation (lambda(A) = k-1 directly, or after adding the new element);
-if every one-step check succeeds directly, the one-element check
-suffices and the two-step phase is skipped.  Otherwise every in-class
-two-step matroid (a cosimple coextension of a one-step extension, plus
-the dual orientation) is classified good, bad, or bridging per side.
+One engine, `_decompose`, checks one orientation of the decomposer
+argument for a list of one or two separation sides; `theorem21_check`
+(one side) and `corollary22_check` (two sides) are its entry points,
+and each re-runs itself on the dual for the other orientation.  First
+every in-class one-step extension and coextension must move or keep
+each separation (lambda(A) = k-1 directly, or after adding the new
+element); if every one-step check succeeds directly, the one-element
+check suffices and the two-step phase is skipped.  Otherwise every
+in-class two-step matroid (a cosimple coextension of a one-step
+extension) is classified good, bad, or bridging per side.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .connectivity import bridging_value, classify_separation, lam
 from .extension import (
-    classify_second_step_row,
     coextend,
     coextension_candidates,
     extend,
@@ -58,7 +60,7 @@ class Verdict(enum.Enum):
 # Minor search
 
 
-def has_minor(m: Matroid, target: Matroid, find_witness: bool = True):
+def has_minor(m: Matroid, target: Matroid):
     """Whether some deletion/contraction pair yields a minor isomorphic
     to `target`; returns (flag, (deletions, contractions) or None).
 
@@ -114,7 +116,7 @@ def has_any_minor(m: Matroid, targets):
                     minor = remove(m, dels, cons_set)
                     if minor.rank not in ranks:
                         continue
-                    label_key = (minor.ground_set(), _label_cycle_key(minor))
+                    label_key = (minor.ground_set(), minor.cycle_key())
                     if label_key in seen:
                         continue
                     seen.add(label_key)
@@ -130,22 +132,6 @@ def has_any_minor(m: Matroid, targets):
     return None
 
 
-def _label_cycle_key(m: Matroid) -> frozenset[int]:
-    # Cycle space as masks over label values; canonical for labeled matroids.
-    label_bits = [1 << lab for lab in m.labels]
-    out = set()
-    for mask in m.cycle_masks():
-        acc = 0
-        p = 0
-        while mask:
-            if mask & 1:
-                acc |= label_bits[p]
-            mask >>= 1
-            p += 1
-        out.add(acc)
-    return frozenset(out)
-
-
 def in_class(m: Matroid, excluded) -> bool:
     """True iff m has no minor isomorphic to any matroid in `excluded`.
 
@@ -155,7 +141,7 @@ def in_class(m: Matroid, excluded) -> bool:
     """
     excluded = list(excluded)
     key = frozenset(canonical_key(x) for x in excluded)
-    memo = getattr(m, "_in_class_memo", None)
+    memo = m._in_class_memo
     if memo is None:
         memo = m._in_class_memo = {}
     if key not in memo:
@@ -215,14 +201,12 @@ class SideOutcome:
     condition: str | None = None  # which of (a)-(d) succeeded
     witness_set: frozenset[int] | None = None  # the set with lambda = k-1
     triangle_witness: frozenset[int] | None = None
-    lam_ef_ok: bool | None = None  # bad rows: lambda(A u {e,f}) = k-1
 
 
 @dataclass
 class TwoStepRecord:
     parent_vector: BitVector  # generator of the one-step extension
     row: BitVector
-    row_kind: object  # RowKind or None
     in_class: bool
     deferred: bool = False
     sides: list[SideOutcome] = field(default_factory=list)
@@ -370,8 +354,7 @@ def _classify_built(type_i, child, row, side, k, excluded, defer):
     b_side = child.ground_set() - side_s - {e, f}
     if bridging_value(child, side_s, b_side) >= k:
         return SideOutcome(Verdict.BRIDGING)
-    lam_ef_ok = lam(child, side_s | {e, f}) == target
-    return SideOutcome(Verdict.BAD, lam_ef_ok=lam_ef_ok)
+    return SideOutcome(Verdict.BAD)
 
 
 def _triangle_escape(child, e, f, side_s):
@@ -401,12 +384,10 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
             outcomes = [
                 _classify_built(type_i, child, row, a, k, excluded, defer) for a in sides
             ]
-            kind = classify_second_step_row(type_i, n, type_i.labels[-1], row)
             records.append(
                 TwoStepRecord(
                     parent_vector=v,
                     row=row,
-                    row_kind=kind,
                     in_class=outcomes[0].verdict
                     not in (Verdict.EXCLUDED_MINOR, Verdict.DEFERRED),
                     deferred=outcomes[0].verdict is Verdict.DEFERRED,
@@ -417,80 +398,38 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
 
 
 # ---------------------------------------------------------------------------
-# Top-level checks
+# The engine and its two entry points
 
 
-def theorem21_check(n: Matroid, a, k: int, excluded, defer=(), check_dual: bool = True):
-    """Verify that the exact k-separation (a, E - a) is induced in every
-    in-class matroid with this minor, per the sufficient conditions."""
-    a = frozenset(a)
-    _check_hypotheses(n, [a], k, require_self_dual=False)
-    report = DecomposerReport(target=n, sides=[a], order=k, overall="induced")
+def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
+    """One orientation of the decomposer argument for one or two sides.
 
-    report.one_step = _one_step_phase(n, [a], k, excluded, defer)
-    active = [r for r in report.one_step if r.in_class and not r.deferred]
-    if not all(r.sides[0].satisfied for r in active):
-        report.overall = "failed"
-    all_direct = all(r.sides[0].direct for r in active)
-    if all_direct:
-        report.notes.append("one-element check: every one-step candidate keeps lambda(A) = k-1")
-    elif report.overall != "failed":
-        report.two_step = _two_step_phase(n, [a], k, excluded, defer, report.one_step)
-        bad = [
-            r
-            for r in report.two_step
-            if r.in_class and not r.deferred and r.sides[0].verdict is not Verdict.GOOD
-        ]
-        if bad:
-            report.overall = "failed"
-
-    if check_dual:
-        # Extensions of one-step coextensions are handled by duality: the
-        # printed statement has no separate clause for them (its numbering
-        # stops at (iii)), so the engine re-runs the analysis on the dual.
-        report.dual_report = theorem21_check(
-            dual(n), a, k, [dual(x) for x in excluded], [dual(x) for x in defer], check_dual=False
-        )
-        report.notes.append("dual-orientation check performed explicitly")
-        if report.dual_report.overall == "failed":
-            report.overall = "failed"
-    return report
-
-
-def corollary22_check(
-    n: Matroid, a1, a2, k: int, excluded, defer=(), check_dual: bool = True
-):
-    """The two-separation variant: at least one of (a1, .) / (a2, .) is
-    induced in every in-class matroid with this minor.
-
-    Success requires the one-step coupling (whenever a side relies on
-    lambda(A_i u x) = k-1 the other side must satisfy lambda(A_j) = k-1),
-    every in-class two-step candidate good for at least one side, and, per
-    one-step extension, disjoint bad-row sets for the two sides.
-    Candidates with a minor in `defer` are left to a separate splitter
-    argument and recorded as deferred.
+    One acceptance rule serves both statements: every side of every
+    active one-step candidate is satisfied; a side that relies on
+    lambda(A u x) = k-1 needs every other side to be direct; and every
+    in-class, non-deferred two-step candidate is good for at least one
+    side and bridging for none.  With a single side this is exactly
+    Theorem 2.1; with two it is Corollary 2.2, whose base must also be
+    self-dual.
     """
-    sides = [frozenset(a1), frozenset(a2)]
-    _check_hypotheses(n, sides, k, require_self_dual=True)
-    report = DecomposerReport(target=n, sides=sides, order=k, overall="induced-one-of-two")
+    _check_hypotheses(n, sides, k, require_self_dual=len(sides) > 1)
+    success = "induced" if len(sides) == 1 else "induced-one-of-two"
+    report = DecomposerReport(target=n, sides=sides, order=k, overall=success)
+
+    def fail(note):
+        report.overall = "failed"
+        report.notes.append(note)
 
     report.one_step = _one_step_phase(n, sides, k, excluded, defer)
     active = [r for r in report.one_step if r.in_class and not r.deferred]
     for rec in active:
         for i, side in enumerate(rec.sides):
             if not side.satisfied:
-                report.overall = "failed"
-                report.notes.append(
-                    f"one-step {rec.kind} {rec.vector} fails condition (i)/(ii) on side {i + 1}"
-                )
-            elif not side.direct and not rec.sides[1 - i].direct:
-                report.overall = "failed"
-                report.notes.append(
-                    f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}"
-                )
+                fail(f"one-step {rec.kind} {rec.vector} fails condition (i)/(ii) on side {i + 1}")
+            elif not side.direct and any(not o.direct for o in rec.sides if o is not side):
+                fail(f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}")
 
-    all_direct = all(s.direct for rec in active for s in rec.sides)
-    if all_direct:
+    if all(s.direct for rec in active for s in rec.sides):
         report.notes.append("one-element check: every one-step candidate keeps lambda = k-1")
     elif report.overall != "failed":
         report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step)
@@ -499,20 +438,54 @@ def corollary22_check(
                 continue
             verdicts = [s.verdict for s in rec.sides]
             if Verdict.BRIDGING in verdicts:
-                report.overall = "failed"
-                report.notes.append(f"bridging candidate {rec.parent_vector}/{rec.row}")
+                fail(f"bridging candidate {rec.parent_vector}/{rec.row}")
             elif Verdict.GOOD not in verdicts:
-                report.overall = "failed"
-                report.notes.append(
-                    f"candidate {rec.parent_vector}/{rec.row} is bad for both sides"
-                )
+                fail(f"candidate {rec.parent_vector}/{rec.row} is good for no side")
+    return report
 
+
+def _add_dual(report: DecomposerReport, dual_report: DecomposerReport) -> None:
+    # Extensions of one-step coextensions are handled by duality: the
+    # printed statement has no separate clause for them (its numbering
+    # stops at (iii)), so the engine re-runs the analysis on the dual.
+    report.dual_report = dual_report
+    report.notes.append("dual-orientation check performed explicitly")
+    if dual_report.overall == "failed":
+        report.overall = "failed"
+
+
+def _duals(excluded, defer):
+    """The excluded and deferred families of the dual orientation."""
+    return [dual(x) for x in excluded], [dual(x) for x in defer]
+
+
+def theorem21_check(n: Matroid, a, k: int, excluded, defer=(), check_dual: bool = True):
+    """Verify that the exact k-separation (a, E - a) is induced in every
+    in-class matroid with this minor, per the sufficient conditions.
+
+    Candidates with a minor in `defer` are left to a separate splitter
+    argument and recorded as deferred.
+    """
+    report = _decompose(n, [frozenset(a)], k, excluded, defer)
     if check_dual:
-        report.dual_report = corollary22_check(
-            dual(n), a1, a2, k, [dual(x) for x in excluded], [dual(x) for x in defer],
-            check_dual=False,
+        _add_dual(report, theorem21_check(dual(n), a, k, *_duals(excluded, defer), check_dual=False))
+    return report
+
+
+def corollary22_check(
+    n: Matroid, a1, a2, k: int, excluded, defer=(), check_dual: bool = True
+):
+    """The two-separation variant: at least one of (a1, .) / (a2, .) is
+    induced in every in-class matroid with this self-dual minor.
+
+    Whenever a side relies on lambda(A_i u x) = k-1 the other side must
+    satisfy lambda(A_j) = k-1, and a two-step candidate bad for one side
+    must be good for the other, so per one-step extension the two sides'
+    bad-row sets are disjoint.  `defer` works as in `theorem21_check`.
+    """
+    report = _decompose(n, [frozenset(a1), frozenset(a2)], k, excluded, defer)
+    if check_dual:
+        _add_dual(
+            report, corollary22_check(dual(n), a1, a2, k, *_duals(excluded, defer), check_dual=False)
         )
-        report.notes.append("dual-orientation check performed explicitly")
-        if report.dual_report.overall == "failed":
-            report.overall = "failed"
     return report

@@ -1,14 +1,9 @@
 """Unit and property tests for single-element growth steps."""
 
-import random
-from collections import Counter
-
 import pytest
 
 from binmat.catalog import get
 from binmat.extension import (
-    RowKind,
-    classify_second_step_row,
     coextend,
     coextension_candidates,
     d_columns,
@@ -16,7 +11,6 @@ from binmat.extension import (
     enumerate_growth_classes,
     extend,
     extension_candidates,
-    growth_step,
     shift_label,
     shift_labels,
 )
@@ -142,15 +136,6 @@ class TestCoextend:
 
 
 class TestGrowthClasses:
-    def test_growth_step_records(self):
-        m = M("S8")
-        step = growth_step(m, "extension", BitVector.parse("1110"))
-        assert step.kind == "extension"
-        assert step.parent is m and step.new_label == 9
-        assert step.child.size == 9
-        with pytest.raises(ValueError):
-            growth_step(m, "sideways", BitVector.parse("1110"))
-
     def test_f7star_extension_classes(self):
         classes = enumerate_growth_classes(M("F7*"), "extension")
         assert sorted(len(c.members) for c in classes) == [1, 7]
@@ -172,28 +157,3 @@ class TestGrowthClasses:
         for cls in kept:
             assert in_class(cls.representative, excluded)
 
-
-class TestSecondStepRows:
-    def test_three_kind_taxonomy_is_exhaustive_for_a1(self):
-        e4 = M("E4")
-        a1 = extend(e4, BitVector.parse("00110"))
-        e_label = a1.labels[-1]
-        counts = Counter()
-        for row in coextension_candidates(a1):
-            kind = classify_second_step_row(a1, e4, e_label, row)
-            assert kind is not None
-            counts[kind] += 1
-        assert counts == {
-            RowKind.APPENDED_PARENT_ROW: 42,
-            RowKind.IDENTITY_ROW: 5,
-            RowKind.IN_SERIES_ROW: 5,
-        }
-        assert sum(counts.values()) == len(coextension_candidates(a1))
-
-    def test_validation(self):
-        e4 = M("E4")
-        a1 = extend(e4, BitVector.parse("00110"))
-        with pytest.raises(ValueError):
-            classify_second_step_row(a1, e4, 99, coextension_candidates(a1)[0])
-        with pytest.raises(ValueError):
-            classify_second_step_row(a1, e4, a1.labels[-1], BitVector.parse("11"))

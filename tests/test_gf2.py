@@ -9,6 +9,7 @@ from binmat.gf2 import (
     RankDeficientError,
     cycle_space_basis,
     cycle_space_masks,
+    independent_vectors,
     rank,
     rank_of_columns,
     rank_subset,
@@ -98,6 +99,10 @@ class TestBitMatrix:
         # rank = log2 |row span| = log2 |column span|.
         assert 1 << rank(m) == span_size(m.rows)
         assert 1 << rank(m) == span_size(m.columns())
+        # The kept rows are input rows, independent, and span the input.
+        kept = independent_vectors(m.rows)
+        assert all(v in m.rows for v in kept)
+        assert span_size(kept) == 1 << len(kept) == span_size(m.rows)
 
     @given(small_matrices(), st.randoms(use_true_random=False))
     def test_rank_invariant_under_row_operations(self, m, rng):

@@ -1,5 +1,7 @@
 """Tests for minor search, splitter testing, and the decomposer engine."""
 
+from collections import Counter
+
 import pytest
 
 from binmat.catalog import get
@@ -23,6 +25,11 @@ from conftest import fresh
 
 def M(name):
     return get(name).matroid
+
+
+# E4's two candidate 3-separation sides.
+SIDE_A1 = frozenset({1, 2, 5, 6, 7, 10})
+SIDE_A2 = frozenset({1, 2, 3, 4, 8, 9})
 
 
 class TestHasMinor:
@@ -127,6 +134,29 @@ class TestTheorem21:
         with pytest.raises(HypothesisError):
             theorem21_check(M("S10"), frozenset({1, 2, 3, 4}), 3, [M("T12")])
 
+    def test_one_step_failure_skips_the_two_step_phase(self):
+        # In EX[S10, S10*] some one-step growth of S8 keeps neither
+        # lambda(A) nor lambda(A u x) at k-1, so the check stops there.
+        report = theorem21_check(
+            M("S8"), frozenset({1, 2, 5, 6}), 3, [M("S10"), M("S10*")], check_dual=False
+        )
+        assert report.overall == "failed"
+        assert report.two_step == []
+
+    def test_two_step_failure_on_one_e4_side(self):
+        # The A1 side of E4 alone is not induced: 12 in-class rows are bad.
+        report = theorem21_check(
+            M("E4"),
+            SIDE_A1,
+            3,
+            [M("S10"), M("S10*")],
+            defer=[M("T12/e"), M("T12\\e")],
+            check_dual=False,
+        )
+        assert report.overall == "failed"
+        verdicts = Counter(rec.sides[0].verdict for rec in report.two_step)
+        assert verdicts == {Verdict.EXCLUDED_MINOR: 192, Verdict.GOOD: 56, Verdict.BAD: 12}
+
 
 class TestCorollary22:
     def test_requires_self_dual_base(self):
@@ -139,6 +169,19 @@ class TestCorollary22:
                 [M("S10"), M("S10*")],
             )
         assert exc.value.reason == "not-self-dual"
+
+    def test_undeferred_t12_branches_fail_both_sides(self):
+        # Without `defer`, the growths towards T12 must keep a separation
+        # themselves, and neither side is kept by them.
+        report = corollary22_check(
+            M("E4"), SIDE_A1, SIDE_A2, 3, [M("S10"), M("S10*")], check_dual=False
+        )
+        assert report.overall == "failed"
+        assert report.notes == [
+            f"one-step {kind} {vec} fails condition (i)/(ii) on side {side}"
+            for kind, vec in (("extension", "[11011]"), ("coextension", "[01010]"))
+            for side in (1, 2)
+        ]
 
     def test_classify_candidate_verdicts(self):
         # Second-step rows over A1 = E4 + [00110] against side {1,2,5,6,7,10}.
@@ -158,8 +201,8 @@ class TestCorollary22:
     def test_bad_rows_reported_by_side(self):
         report = corollary22_check(
             M("E4"),
-            frozenset({1, 2, 5, 6, 7, 10}),
-            frozenset({1, 2, 3, 4, 8, 9}),
+            SIDE_A1,
+            SIDE_A2,
             3,
             [M("S10"), M("S10*")],
             defer=[M("T12/e"), M("T12\\e")],
