@@ -45,22 +45,26 @@ def classify_separation(m: Matroid, a, k: int) -> Separation:
     return Separation(side_a, side_b, k, lv, exact, minimal)
 
 
+def _bipartitions(size: int, k: int):
+    """One side's mask of each bipartition of ``size`` positions, taken
+    once, with both sides of at least ``k`` elements."""
+    # Fix position 0 on side A to take each partition once.
+    for sub in range(1 << (size - 1)):
+        mask = (sub << 1) | 1
+        na = mask.bit_count()
+        if na >= k and size - na >= k:
+            yield mask
+
+
 def is_n_connected(m: Matroid, n: int) -> bool:
     """True iff m has no k-separation for any k <= n - 1."""
     if n < 2:
         raise ValueError("n-connectivity is defined for n >= 2")
-    size = m.size
     for k in range(1, n):
-        if 2 * k > size:
+        if 2 * k > m.size:
             continue
-        # Fix position 0 on side A to take each partition once.
-        for sub in range(1 << (size - 1)):
-            mask = (sub << 1) | 1
-            na = mask.bit_count()
-            if na < k or size - na < k:
-                continue
-            if _lam_mask(m, mask) <= k - 1:
-                return False
+        if any(_lam_mask(m, mask) <= k - 1 for mask in _bipartitions(m.size, k)):
+            return False
     return True
 
 
@@ -68,15 +72,7 @@ def is_internally_4_connected(m: Matroid) -> bool:
     """3-connected with lambda(A) >= 3 whenever both sides have >= 4 elements."""
     if not is_n_connected(m, 3):
         return False
-    size = m.size
-    for sub in range(1 << (size - 1)):
-        mask = (sub << 1) | 1
-        na = mask.bit_count()
-        if na < 4 or size - na < 4:
-            continue
-        if _lam_mask(m, mask) < 3:
-            return False
-    return True
+    return all(_lam_mask(m, mask) >= 3 for mask in _bipartitions(m.size, 4))
 
 
 def bridging_value(m: Matroid, a, b) -> int:
@@ -107,14 +103,9 @@ def nonminimal_exact_3seps(m: Matroid, require_unions: bool = False) -> list[Sep
     ``require_unions`` only sides that are both a union of circuits and a
     union of cocircuits survive (applied to the reported side).
     """
-    size = m.size
     seen = set()
     out = []
-    for sub in range(1 << (size - 1)):
-        mask = (sub << 1) | 1
-        na = mask.bit_count()
-        if na < 4 or size - na < 4:
-            continue
+    for mask in _bipartitions(m.size, 4):
         if _lam_mask(m, mask) != 2:
             continue
         comp = m.full_mask & ~mask

@@ -10,7 +10,7 @@ by one.
 from __future__ import annotations
 
 from .gf2 import BitMatrix, BitVector
-from .iso import IsoClass, canonical_key, partition_into_classes
+from .iso import IsoClass, partition_into_classes
 from .matroid import Matroid, simplicity
 
 
@@ -138,9 +138,9 @@ def _check_coextension_cocircuit(parent: Matroid, child: Matroid, row: BitVector
 def enumerate_growth_classes(m: Matroid, kind: str, excluded=None) -> list[IsoClass]:
     """All growth candidates grouped into isomorphism classes.
 
-    With ``excluded`` (a list of matroids), children containing one of
-    them as a minor are discarded before grouping; the minor test runs
-    once per distinct child up to isomorphism.
+    With ``excluded`` (a list of matroids), the classes whose
+    representative has one of them as a minor are discarded; the minor
+    test runs once per class.
     """
     if kind == "extension":
         pairs = [(v, extend(m, v)) for v in extension_candidates(m)]
@@ -148,17 +148,9 @@ def enumerate_growth_classes(m: Matroid, kind: str, excluded=None) -> list[IsoCl
         pairs = [(v, coextend(m, v)) for v in coextension_candidates(m)]
     else:
         raise ValueError(f"unknown growth kind {kind!r}")
+    classes = partition_into_classes(pairs)
     if excluded:
         from .structure import in_class
 
-        verdicts: dict[bytes, bool] = {}
-        kept = []
-        for v, child in pairs:
-            key = canonical_key(child)
-            if key not in verdicts:
-                verdicts[key] = in_class(child, excluded)
-            if verdicts[key]:
-                kept.append((v, child))
-        pairs = kept
-    return partition_into_classes(pairs)
-
+        classes = [c for c in classes if in_class(c.representative, excluded)]
+    return classes

@@ -180,6 +180,39 @@ def rank_subset(m: BitMatrix, cols: Iterable[int]) -> int:
     return rank_of_columns(sel)
 
 
+def reduce_rows(rows: list[int], columns: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place over ``columns``.
+
+    Columns are 0-based bit positions, visited in the given order; a
+    column in the span of the earlier ones gets no pivot.  Afterwards
+    row k has a 1 in the k-th pivot column and a 0 in every other pivot
+    column, and the rows past the last pivot are zero on all visited
+    columns.  For a fixed, ordered pivot set the reduced rows are unique.
+    Returns the pivot columns in order.
+    """
+    r = len(rows)
+    pivots: list[int] = []
+    k = 0
+    for j in columns:
+        if k == r:
+            break
+        bit = 1 << j
+        for src in range(k, r):
+            if rows[src] & bit:
+                break
+        else:
+            continue
+        p = rows[src]
+        rows[src] = rows[k]
+        for i in range(r):
+            if rows[i] & bit:
+                rows[i] ^= p
+        rows[k] = p
+        pivots.append(j)
+        k += 1
+    return pivots
+
+
 def standard_form(m: BitMatrix, basis: Iterable[int] | None = None) -> tuple[BitMatrix, tuple[int, ...]]:
     """Row-reduce ``m`` to [I_r | D] form, permuting columns as needed.
 
@@ -190,65 +223,48 @@ def standard_form(m: BitMatrix, basis: Iterable[int] | None = None) -> tuple[Bit
     are moved to the front in ascending order.
     """
     r, n = m.nrows, m.ncols
-    rows = list(m.rows)
     if basis is not None:
-        basis_order = sorted(set(basis))
-        if len(basis_order) != r:
+        order = sorted(set(basis))
+        if len(order) != r:
             raise ValueError(f"basis must have {r} columns")
-        for j in basis_order:
+        for j in order:
             if not 1 <= j <= n:
                 raise ValueError(f"column index {j} out of range")
     else:
-        basis_order = None
-
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    candidates = basis_order if basis_order is not None else range(1, n + 1)
-    for j in candidates:
-        bit = 1 << (j - 1)
-        src = next((i for i in range(pivot_row, r) if rows[i] & bit), None)
-        if src is None:
-            if basis_order is not None:
-                raise ValueError(f"basis columns are dependent at column {j}")
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        for i in range(r):
-            if i != pivot_row and rows[i] & bit:
-                rows[i] ^= rows[pivot_row]
-        pivot_cols.append(j)
-        pivot_row += 1
-        if pivot_row == r:
-            break
-    if pivot_row < r:
+        order = range(1, n + 1)
+    rows = list(m.rows)
+    pivots = [j + 1 for j in reduce_rows(rows, [j - 1 for j in order])]
+    if len(pivots) < r:
+        if basis is not None:
+            j = next(j for j in order if j not in pivots)
+            raise ValueError(f"basis columns are dependent at column {j}")
         raise RankDeficientError("matrix does not have full row rank")
 
-    perm = tuple(pivot_cols) + tuple(j for j in range(1, n + 1) if j not in set(pivot_cols))
-    new_rows = []
-    for i in range(r):
-        row = rows[i]
-        new_rows.append(sum(((row >> (orig - 1)) & 1) << p for p, orig in enumerate(perm)))
-    return BitMatrix(r, n, tuple(new_rows)), perm
+    pivot_set = set(pivots)
+    perm = tuple(pivots) + tuple(j for j in range(1, n + 1) if j not in pivot_set)
+    new_rows = tuple(sum(((row >> (orig - 1)) & 1) << p for p, orig in enumerate(perm)) for row in rows)
+    return BitMatrix(r, n, new_rows), perm
 
 
 def cycle_space_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the null space {v : m v = 0}; returns n - rank(m) vectors."""
+    """A basis of the null space {v : m v = 0}; returns n - rank(m) vectors.
+
+    Each vector is the fundamental circuit of one column outside the
+    first-come basis, in column order.
+    """
     n = m.ncols
-    # Reduce columns, tracking which original columns combine into each reduced one.
-    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced col, combo mask)
+    rows = list(m.rows)
+    pivots = reduce_rows(rows, range(n))
+    pivot_set = set(pivots)
     basis = []
     for j in range(n):
-        c = m.column(j + 1)
-        combo = 1 << j
-        while c:
-            top = c.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = (c, combo)
-                break
-            c ^= p[0]
-            combo ^= p[1]
-        else:
-            basis.append(BitVector(n, combo))
+        if j in pivot_set:
+            continue
+        bits = 1 << j
+        for row, p in zip(rows, pivots):
+            if (row >> j) & 1:
+                bits |= 1 << p
+        basis.append(BitVector(n, bits))
     return basis
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import BitVector
+from .gf2 import BitVector, reduce_rows
 from .matroid import Matroid, dual
 
 
@@ -25,24 +25,16 @@ def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
     basis column k in column j, or None when the chosen columns are
     dependent.
     """
-    r, n = m.rank, m.size
+    r = m.rank
     rows = list(m.matrix.rows)
-    for k, bpos in enumerate(basis_positions):
-        bit = 1 << bpos
-        src = next((i for i in range(k, r) if rows[i] & bit), None)
-        if src is None:
-            return None
-        rows[k], rows[src] = rows[src], rows[k]
-        for i in range(r):
-            if i != k and rows[i] & bit:
-                rows[i] ^= rows[k]
+    if len(reduce_rows(rows, basis_positions)) < r:
+        return None
     basis_set = set(basis_positions)
-    coords = []
-    for j in range(n):
-        if j in basis_set:
-            continue
-        coords.append(sum(((rows[k] >> j) & 1) << k for k in range(r)))
-    return coords
+    return [
+        sum(((rows[k] >> j) & 1) << k for k in range(r))
+        for j in range(m.size)
+        if j not in basis_set
+    ]
 
 
 def _projections(t: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:

@@ -9,7 +9,7 @@ ranks, cycle spaces and circuits internally.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, RankDeficientError, independent_vectors, rank_of_columns, standard_form
+from .gf2 import BitMatrix, cycle_space_masks, rank_of_columns, reduce_rows, standard_form
 
 
 class Matroid:
@@ -83,8 +83,6 @@ class Matroid:
     def cycle_masks(self) -> list[int]:
         """All vectors of the cycle space (null space) as position masks."""
         if self._cycle_masks is None:
-            from .gf2 import cycle_space_masks
-
             self._cycle_masks = cycle_space_masks(self.matrix)
         return self._cycle_masks
 
@@ -160,10 +158,13 @@ def dual(m: Matroid) -> Matroid:
 def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     """The minor m \\ deletions / contractions, labels retained.
 
-    Contraction of a dependent set is allowed: a maximal independent part
-    is contracted and the rest of the set is simply removed, per the
-    standard identity M/X = (M/B_X) \\ (X - B_X).  Loops and parallel
-    pairs created by contraction are preserved.
+    One row reduction, over the contracted positions (whose pivot rows
+    are then dropped) and then over the survivors in label order, gives
+    the minor's [I_r | D] form: the one `make_matroid` gives its columns
+    in survivor order.  Contraction of a dependent set is allowed: the
+    members in the span of the earlier ones take no pivot and are simply
+    removed, per M/X = (M/B_X) \\ (X - B_X).  Loops and parallel pairs
+    created by contraction are preserved.
     """
     dels = frozenset(deletions)
     cons = frozenset(contractions)
@@ -172,36 +173,20 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     for e in dels | cons:
         if e not in m._pos:
             raise ValueError(f"unknown element label {e}")
-    survivors = [lab for lab in m.labels if lab not in dels and lab not in cons]
-    if not survivors:
+    keep = [p for p, lab in enumerate(m.labels) if lab not in dels and lab not in cons]
+    if not keep:
         raise ValueError("minor would be empty")
 
     rows = list(m.matrix.rows)
-    r = m.rank
-    used_rows: set[int] = set()
-    # Pivot on an independent subset of the contraction set; dependent
-    # members of `cons` contribute nothing and are just removed.
-    for e in sorted(cons, key=m.labels.index):
-        j = m._pos[e]
-        bit = 1 << j
-        src = next((i for i in range(r) if i not in used_rows and rows[i] & bit), None)
-        if src is None:
-            continue
-        for i in range(r):
-            if i != src and rows[i] & bit:
-                rows[i] ^= rows[src]
-        used_rows.add(src)
-
-    keep_positions = [m._pos[lab] for lab in survivors]
-    new_rows = []
-    for i in range(r):
-        if i in used_rows:
-            continue
-        row = rows[i]
-        new_rows.append(sum(((row >> p) & 1) << q for q, p in enumerate(keep_positions)))
-    # Drop dependent rows before standardizing (deletion may lower the rank).
-    kept = independent_vectors(new_rows)
-    return make_matroid(BitMatrix(len(kept), len(survivors), tuple(kept)), survivors)
+    contracted = len(reduce_rows(rows, sorted(m._pos[e] for e in cons)))
+    rows = rows[contracted:]
+    pivots = reduce_rows(rows, keep)
+    pivot_set = set(pivots)
+    order = pivots + [p for p in keep if p not in pivot_set]
+    new_rows = tuple(
+        sum(((row >> p) & 1) << q for q, p in enumerate(order)) for row in rows[: len(pivots)]
+    )
+    return Matroid(BitMatrix(len(pivots), len(order), new_rows), tuple(m.labels[p] for p in order))
 
 
 def _minimal_supports(masks: list[int]) -> list[int]:
@@ -255,12 +240,14 @@ def triangles_and_triads(m: Matroid) -> tuple[list[frozenset[int]], list[frozens
 
 
 def simplicity(m: Matroid) -> tuple[bool, bool]:
-    """(is_simple, is_cosimple): no loops/parallel pairs, dually likewise."""
-    cols = m._cols
-    is_simple = 0 not in cols and len(set(cols)) == m.size
-    # Dual columns of [I_{n-r} | D^T] are the unit vectors plus the rows of D.
-    r, n = m.rank, m.size
-    d_rows = [sum((((m.matrix.rows[i] >> j) & 1)) << (j - r) for j in range(r, n)) for i in range(r)]
-    dual_cols = [1 << i for i in range(n - r)] + d_rows
-    is_cosimple = 0 not in dual_cols and len(set(dual_cols)) == n
-    return is_simple, is_cosimple
+    """(is_simple, is_cosimple): no loops/parallel pairs, dually likewise.
+
+    [I_r | D] is simple iff the columns of D have weight >= 2 and are
+    distinct, and cosimple iff the rows of D do.
+    """
+    r = m.rank
+    return _distinct_heavy(m._cols[r:]), _distinct_heavy([row >> r for row in m.matrix.rows])
+
+
+def _distinct_heavy(vectors) -> bool:
+    return all(v.bit_count() >= 2 for v in vectors) and len(set(vectors)) == len(vectors)

@@ -198,7 +198,6 @@ class OneStepRecord:
 @dataclass
 class SideOutcome:
     verdict: Verdict
-    condition: str | None = None  # which of (a)-(d) succeeded
     witness_set: frozenset[int] | None = None  # the set with lambda = k-1
     triangle_witness: frozenset[int] | None = None
 
@@ -301,18 +300,13 @@ def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
 # Phase 2: two-step matroids (coextensions of one-step extensions)
 
 
-def classify_candidate(type_i: Matroid, row: BitVector, side, k: int, excluded, defer=()):
-    """Classify one coextension row of a one-step extension for one side.
+def _classify_built(type_i, child, side, k, excluded, defer):
+    """Classify `child`, a coextension of `type_i`, for one side.
 
-    `side` is given in the labels of the base matroid N (which the
-    extension retains).  Returns a SideOutcome; the child matroid's
-    labels follow the coextension shift rule.
+    `side` is given in the labels of the base matroid N, which the
+    extension retains; the child's labels follow the coextension shift
+    rule.  The GOOD branches below are conditions (a)-(d) in order.
     """
-    child = coextend(type_i, row)
-    return _classify_built(type_i, child, row, side, k, excluded, defer)
-
-
-def _classify_built(type_i, child, row, side, k, excluded, defer):
     if not in_class(child, excluded):
         return SideOutcome(Verdict.EXCLUDED_MINOR)
     if defer and not in_class(child, defer):
@@ -336,19 +330,19 @@ def _classify_built(type_i, child, row, side, k, excluded, defer):
     tri = _triangle_escape(child, e, f, side_s)
 
     if pa and pb:
-        return SideOutcome(Verdict.GOOD, condition="a", witness_set=side_s)
+        return SideOutcome(Verdict.GOOD, witness_set=side_s)
     if pa and qb:
         if lam_child_af == target:
-            return SideOutcome(Verdict.GOOD, condition="b", witness_set=side_s | {f})
+            return SideOutcome(Verdict.GOOD, witness_set=side_s | {f})
         if tri:
-            return SideOutcome(Verdict.GOOD, condition="b", triangle_witness=tri)
+            return SideOutcome(Verdict.GOOD, triangle_witness=tri)
     if qa and pb:
         if lam_child_ae == target:
-            return SideOutcome(Verdict.GOOD, condition="c", witness_set=side_s | {e})
+            return SideOutcome(Verdict.GOOD, witness_set=side_s | {e})
         if tri:
-            return SideOutcome(Verdict.GOOD, condition="c", triangle_witness=tri)
+            return SideOutcome(Verdict.GOOD, triangle_witness=tri)
     if qa and qb and tri:
-        return SideOutcome(Verdict.GOOD, condition="d", triangle_witness=tri)
+        return SideOutcome(Verdict.GOOD, triangle_witness=tri)
 
     # Not good: bridging if no sandwiched set has lambda < k.
     b_side = child.ground_set() - side_s - {e, f}
@@ -371,22 +365,16 @@ def _triangle_escape(child, e, f, side_s):
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every in-class extension."""
     records = []
-    ext_records = {
-        rec.vector.value: rec for rec in one_step if rec.kind == "extension"
-    }
-    for v in extension_candidates(n):
-        rec = ext_records[v.value]
-        if not rec.in_class or rec.deferred:
+    for rec in one_step:
+        if rec.kind != "extension" or not rec.in_class or rec.deferred:
             continue
-        type_i = extend(n, v)
+        type_i = extend(n, rec.vector)
         for row in coextension_candidates(type_i):
             child = coextend(type_i, row)
-            outcomes = [
-                _classify_built(type_i, child, row, a, k, excluded, defer) for a in sides
-            ]
+            outcomes = [_classify_built(type_i, child, a, k, excluded, defer) for a in sides]
             records.append(
                 TwoStepRecord(
-                    parent_vector=v,
+                    parent_vector=rec.vector,
                     row=row,
                     in_class=outcomes[0].verdict
                     not in (Verdict.EXCLUDED_MINOR, Verdict.DEFERRED),

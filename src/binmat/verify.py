@@ -123,14 +123,6 @@ class _Context:
         return enumerate_growth_classes(self.e5_working, "extension")
 
     @cached_property
-    def e5_splitter(self):
-        return is_splitter(self.m("E5"), self.excluded_s10)
-
-    @cached_property
-    def t12_splitter(self):
-        return is_splitter(self.m("T12"), self.excluded_s10)
-
-    @cached_property
     def e4_ext_classes(self):
         return enumerate_growth_classes(self.m("E4"), "extension", excluded=self.excluded_s10)
 
@@ -157,8 +149,12 @@ class _Context:
 SIDE_S8 = frozenset({1, 2, 5, 6})
 
 
+def _members(c) -> list[str] | None:
+    return sorted(str(v) for v in c.members) if c else None
+
+
 def _class_members(classes) -> list[list[str]]:
-    return sorted(sorted(str(v) for v in c.members) for c in classes)
+    return sorted(_members(c) for c in classes)
 
 
 def _class_with(classes, bits: str):
@@ -174,10 +170,14 @@ def _named_classes(ctx, classes, names: list[str], first_gens: list[str]) -> dic
     out = {}
     for name, bits in zip(names, first_gens):
         c = _class_with(classes, bits)
-        members = sorted(str(v) for v in c.members) if c else None
         iso = bool(c) and are_isomorphic(c.representative, ctx.m(name))
-        out[name] = {"generators": members, "isomorphic": iso}
+        out[name] = {"generators": _members(c), "isomorphic": iso}
     return out
+
+
+def _bullet_classes(classes, bullets: dict[str, list[str]]) -> dict:
+    """Each bullet name's computed members: the class holding its first bullet."""
+    return {name: _members(_class_with(classes, gens[0])) for name, gens in bullets.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +190,13 @@ def _c_f7star_class_count(ctx):
 
 def _c_f7star_ag32(ctx):
     expected = {"generators": ["[1110]"], "isomorphic": True}
-    c = _class_with(ctx.f7star_classes, "1110")
-    computed = {
-        "generators": sorted(str(v) for v in c.members) if c else None,
-        "isomorphic": bool(c) and are_isomorphic(c.representative, ctx.m("AG(3,2)")),
-    }
-    return expected, computed
+    return expected, _named_classes(ctx, ctx.f7star_classes, ["AG(3,2)"], ["1110"])["AG(3,2)"]
 
 
 def _c_f7star_s8(ctx):
     printed = ["[0011]", "[0101]", "[0110]", "[1001]", "[1100]", "[1111]"]
     expected = {"generators": printed, "isomorphic": True}
-    c = _class_with(ctx.f7star_classes, "0011")
-    computed = {
-        "generators": sorted(str(v) for v in c.members) if c else None,
-        "isomorphic": bool(c) and are_isomorphic(c.representative, ctx.m("S8")),
-    }
-    return expected, computed
+    return expected, _named_classes(ctx, ctx.f7star_classes, ["S8"], ["0011"])["S8"]
 
 
 def _c_claim1_sep_lambda(ctx):
@@ -409,11 +399,7 @@ _CLAIM3_BULLETS = {
 
 def _c_claim3_classes(ctx):
     expected = {name: [_vs(b) for b in sorted(bullets)] for name, bullets in _CLAIM3_BULLETS.items()}
-    computed = {}
-    for name, bullets in _CLAIM3_BULLETS.items():
-        c = _class_with(ctx.e5_working_classes, bullets[0])
-        computed[name] = sorted(str(v) for v in c.members) if c else None
-    return expected, computed
+    return expected, _bullet_classes(ctx.e5_working_classes, _CLAIM3_BULLETS)
 
 
 def _c_claim3_s10_minor(ctx):
@@ -423,12 +409,15 @@ def _c_claim3_s10_minor(ctx):
     return True, computed
 
 
-def _c_claim3_splitter(ctx):
-    flag, counterexamples = ctx.e5_splitter
-    return (
-        {"splitter": True, "counterexamples": 0},
-        {"splitter": flag, "counterexamples": len(counterexamples)},
-    )
+def _c_splitter(name):
+    def check(ctx):
+        flag, counterexamples = is_splitter(ctx.m(name), ctx.excluded_s10)
+        return (
+            {"splitter": True, "counterexamples": 0},
+            {"splitter": flag, "counterexamples": len(counterexamples)},
+        )
+
+    return check
 
 
 _E4_EXT_BULLETS = {
@@ -449,10 +438,7 @@ def _e4_growth(ctx, classes, bullets, iso_name, kind):
     expected = {name: [_vs(b) for b in sorted(gens)] for name, gens in bullets.items()}
     expected["escalation-isomorphic"] = True
     expected["all-others-have-s10-minor"] = True
-    computed = {}
-    for name, gens in bullets.items():
-        c = _class_with(classes, gens[0])
-        computed[name] = sorted(str(v) for v in c.members) if c else None
+    computed = _bullet_classes(classes, bullets)
     esc = _class_with(classes, bullets[iso_name][0])
     computed["escalation-isomorphic"] = bool(esc) and are_isomorphic(
         esc.representative, ctx.m(iso_name)
@@ -506,14 +492,6 @@ def _c_e4_sep_unions(ctx):
         expected.append({"side": name, "covers": True, "uniform-kind": True})
         computed.append({"side": name, "covers": union_ok, "uniform-kind": uniform})
     return expected, computed
-
-
-def _c_t12_splitter(ctx):
-    flag, counterexamples = ctx.t12_splitter
-    return (
-        {"splitter": True, "counterexamples": 0},
-        {"splitter": flag, "counterexamples": len(counterexamples)},
-    )
 
 
 def _c_mk33star(ctx):
@@ -733,12 +711,12 @@ def _registry():
         ("claim3.e5-extension-class-count", "printed", "Claim 3, seven extension groups", _c_claim3_class_count),
         ("claim3.e5-extension-classes", "printed", "Claim 3, ext1..ext7 bullets", _c_claim3_classes),
         ("claim3.e5-extensions-s10-minor", "printed", "Claim 3, every extension has S10 minor", _c_claim3_s10_minor),
-        ("claim3.e5-splitter", "strict", "Claim 3, conclusion", _c_claim3_splitter),
+        ("claim3.e5-splitter", "strict", "Claim 3, conclusion", _c_splitter("E5")),
         ("e4.extension-generators", "printed", "Theorem 1.1 proof, E4 extensions A/B/C/T12-e", _c_e4_extensions),
         ("e4.coextension-generators", "printed", "Theorem 1.1 proof, E4 coextensions", _c_e4_coextensions),
         ("e4.nonminimal-3seps", "printed", "Theorem 1.1 proof, (A1,B1) and (A2,B2)", _c_e4_3seps),
         ("e4.separation-unions", "printed", "Theorem 1.1 proof, circuit/cocircuit covers", _c_e4_sep_unions),
-        ("t12.splitter", "strict", "Theorem 1.1 proof, T12 splitter escalation", _c_t12_splitter),
+        ("t12.splitter", "strict", "Theorem 1.1 proof, T12 splitter escalation", _c_splitter("T12")),
         ("t12.4-connected", "printed", "Introduction, 'self-dual 4-connected matroid'", _c_t12_4connected),
         ("mk33star.extension-classes", "printed", "Introduction, S10 the only extension of M*(K3,3)", _c_mk33star),
         ("connectivity.internally-4-connected.S10", "printed", "Introduction, S10 internally 4-connected family", _c_i4c("S10", True)),

@@ -5,13 +5,11 @@ from collections import Counter
 import pytest
 
 from binmat.catalog import get
-from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic
 from binmat.matroid import dual, remove
 from binmat.structure import (
     HypothesisError,
     Verdict,
-    classify_candidate,
     corollary22_check,
     has_any_minor,
     has_minor,
@@ -182,21 +180,6 @@ class TestCorollary22:
             for kind, vec in (("extension", "[11011]"), ("coextension", "[01010]"))
             for side in (1, 2)
         ]
-
-    def test_classify_candidate_verdicts(self):
-        # Second-step rows over A1 = E4 + [00110] against side {1,2,5,6,7,10}.
-        e4 = M("E4")
-        from binmat.extension import coextension_candidates, extend
-
-        a1 = extend(e4, BitVector.parse("00110"))
-        ex = [M("S10"), M("S10*")]
-        side = frozenset({1, 2, 5, 6, 7, 10})
-        seen = set()
-        for row in coextension_candidates(a1)[:8]:
-            outcome = classify_candidate(a1, row, side, 3, ex)
-            seen.add(outcome.verdict)
-            assert isinstance(outcome.verdict, Verdict)
-        assert seen  # at least one verdict produced
 
     def test_bad_rows_reported_by_side(self):
         report = corollary22_check(
