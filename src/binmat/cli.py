@@ -21,7 +21,7 @@ from .connectivity import lam
 from .extension import enumerate_growth_classes
 from .gf2 import BitMatrix
 from .matroid import Matroid, make_matroid
-from .structure import corollary22_check, has_minor, is_splitter, theorem21_check
+from .structure import corollary22_check, has_any_minor, is_splitter, theorem21_check
 from .verify import claim_ids, report_to_json, report_to_text, run_verification
 
 
@@ -137,9 +137,9 @@ def _cmd_exts(args) -> int:
 def _cmd_minor(args) -> int:
     m = _load(args.matroid)
     target = _load(args.target)
-    flag, witness = has_minor(m, target)
-    if flag:
-        dels, cons = witness
+    hit = has_any_minor(m, [target])
+    if hit is not None:
+        _, dels, cons = hit
         print(f"yes  delete {sorted(dels)}  contract {sorted(cons)}")
     else:
         print("no")

@@ -56,10 +56,6 @@ class BitVector:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
     def value(self) -> int:
         """Numeric value reading coordinates as binary digits b1 b2 ... bn."""
         v = 0
@@ -103,16 +99,6 @@ class BitMatrix:
             width = 0
         return cls(len(packed), width, tuple(packed))
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j (both 1-based)."""
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise ValueError(f"entry ({i},{j}) out of range")
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
     def column(self, j: int) -> int:
         """Column j (1-based) packed as an int, bit i = row i."""
         if not 1 <= j <= self.ncols:
@@ -124,21 +110,6 @@ class BitMatrix:
 
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(1, self.ncols + 1)]
-
-    def row_strings(self) -> list[str]:
-        return ["".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows]
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.nrows, tuple(self.columns()))
-
-    def mul_vector(self, v: BitVector) -> int:
-        """Matrix-vector product over GF(2); result packed with bit i = row i."""
-        if v.length != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= ((row & v.bits).bit_count() & 1) << i
-        return out
 
 
 def independent_vectors(vectors: Iterable[int]) -> list[int]:
@@ -164,20 +135,6 @@ def independent_vectors(vectors: Iterable[int]) -> list[int]:
 def rank_of_columns(cols: Iterable[int]) -> int:
     """GF(2) rank of a collection of bit-packed column vectors."""
     return len(independent_vectors(cols))
-
-
-def rank(m: BitMatrix) -> int:
-    return rank_of_columns(m.columns())
-
-
-def rank_subset(m: BitMatrix, cols: Iterable[int]) -> int:
-    """GF(2) rank of the selected columns (1-based indices)."""
-    sel = []
-    for j in cols:
-        if not 1 <= j <= m.ncols:
-            raise ValueError(f"column index {j} out of range")
-        sel.append(m.column(j))
-    return rank_of_columns(sel)
 
 
 def reduce_rows(rows: list[int], columns: Iterable[int]) -> list[int]:

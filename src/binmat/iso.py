@@ -148,7 +148,6 @@ def are_isomorphic(m: Matroid, other: Matroid) -> bool:
 class IsoClass:
     """A group of generator vectors whose children are pairwise isomorphic."""
 
-    canonical_key: bytes
     representative: Matroid
     members: list[BitVector]
 
@@ -165,7 +164,7 @@ def partition_into_classes(candidates) -> list[IsoClass]:
         key = canonical_key(child)
         cls = groups.get(key)
         if cls is None:
-            groups[key] = IsoClass(key, child, [gen])
+            groups[key] = IsoClass(child, [gen])
         else:
             cls.members.append(gen)
     return sorted(groups.values(), key=lambda c: c.members[0].value)

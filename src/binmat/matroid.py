@@ -21,22 +21,20 @@ class Matroid:
             raise ValueError("one label per column required")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        for i in range(r):
-            if matrix.column(i + 1) != 1 << i:
-                raise ValueError("matrix is not in standard form [I_r | D]")
+        self._cols = tuple(matrix.columns())
+        if self._cols[:r] != tuple(1 << i for i in range(r)):
+            raise ValueError("matrix is not in standard form [I_r | D]")
         self.matrix = matrix
         self.labels = tuple(labels)
         self.rank = r
         self.size = n
         self._pos = {lab: p for p, lab in enumerate(self.labels)}
-        self._cols = tuple(matrix.columns())
         self._rank_cache: dict[int, int] = {0: 0}
         self._cycle_masks: list[int] | None = None
         self._cocycle_masks: list[int] | None = None
         self._circuits: list[frozenset[int]] | None = None
         self._cocircuits: list[frozenset[int]] | None = None
         self._canonical_key: bytes | None = None
-        self._in_class_memo: dict[frozenset[bytes], bool] | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
 

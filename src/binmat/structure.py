@@ -1,6 +1,10 @@
 """Minor detection, excluded-minor classes, splitters, and the
 decomposer verification engine.
 
+`in_class` is one `has_any_minor` search.  The engine asks it once per
+one-step or two-step child (`_membership`); only in-class children
+without a deferred minor get per-side records.
+
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
 (one side) and `corollary22_check` (two sides) are its entry points,
@@ -49,8 +53,6 @@ class HypothesisError(ValueError):
 
 
 class Verdict(enum.Enum):
-    EXCLUDED_MINOR = "excluded-minor"
-    DEFERRED = "deferred"
     GOOD = "good"
     BAD = "bad"
     BRIDGING = "bridging"
@@ -60,28 +62,15 @@ class Verdict(enum.Enum):
 # Minor search
 
 
-def has_minor(m: Matroid, target: Matroid):
-    """Whether some deletion/contraction pair yields a minor isomorphic
-    to `target`; returns (flag, (deletions, contractions) or None).
-
-    The search prunes by rank/corank feasibility, deduplicates labeled
-    minors, and filters candidates through cycle/cocycle weight
-    enumerators before comparing canonical keys.
-    """
-    hit = has_any_minor(m, [target])
-    if hit is None:
-        return False, None
-    _, dels, cons = hit
-    return True, (dels, cons)
-
-
 def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
 
     Targets of equal size share one traversal of the removal splits, so
     checking a matroid against a family costs barely more than against
-    one member.
+    one member.  Splits are visited by the number of removed elements,
+    smallest first (gap 0's only split is m itself); each minor passes
+    rank and weight-enumerator filters before canonical keys are compared.
     """
     from itertools import combinations
 
@@ -92,10 +81,6 @@ def has_any_minor(m: Matroid, targets):
             m.size - m.rank
         ):
             continue
-        if gap == 0:
-            if are_isomorphic(m, target):
-                return idx, frozenset(), frozenset()
-            continue
         by_gap.setdefault(gap, []).append(
             (idx, target, weight_profile(target), canonical_key(target))
         )
@@ -103,7 +88,6 @@ def has_any_minor(m: Matroid, targets):
     elements = sorted(m.ground_set())
     for gap, group in sorted(by_gap.items()):
         ranks = {t.rank for _, t, _, _ in group}
-        seen: set = set()
         for removed in combinations(elements, gap):
             removed_set = set(removed)
             for c in range(gap + 1):
@@ -116,10 +100,6 @@ def has_any_minor(m: Matroid, targets):
                     minor = remove(m, dels, cons_set)
                     if minor.rank not in ranks:
                         continue
-                    label_key = (minor.ground_set(), minor.cycle_key())
-                    if label_key in seen:
-                        continue
-                    seen.add(label_key)
                     minor_profile = weight_profile(minor)
                     minor_key = None
                     for idx, target, profile, key in group:
@@ -133,20 +113,8 @@ def has_any_minor(m: Matroid, targets):
 
 
 def in_class(m: Matroid, excluded) -> bool:
-    """True iff m has no minor isomorphic to any matroid in `excluded`.
-
-    Verdicts are memoized on the matroid object (keyed by the excluded
-    family's canonical keys, which are cached and cheap); the same child
-    matroid is routinely re-tested once per separation side.
-    """
-    excluded = list(excluded)
-    key = frozenset(canonical_key(x) for x in excluded)
-    memo = m._in_class_memo
-    if memo is None:
-        memo = m._in_class_memo = {}
-    if key not in memo:
-        memo[key] = has_any_minor(m, excluded) is None
-    return memo[key]
+    """True iff m has no minor isomorphic to any matroid in `excluded`."""
+    return has_any_minor(m, list(excluded)) is None
 
 
 def is_splitter(n: Matroid, excluded):
@@ -191,7 +159,7 @@ class OneStepRecord:
     kind: str  # "extension" or "coextension"
     vector: BitVector
     in_class: bool
-    deferred: bool = False
+    deferred: bool  # in the class, but left to the `defer` splitter argument
     sides: list[OneStepSide] = field(default_factory=list)
 
 
@@ -207,15 +175,12 @@ class TwoStepRecord:
     parent_vector: BitVector  # generator of the one-step extension
     row: BitVector
     in_class: bool
-    deferred: bool = False
+    deferred: bool  # in the class, but left to the `defer` splitter argument
     sides: list[SideOutcome] = field(default_factory=list)
 
 
 @dataclass
 class DecomposerReport:
-    target: Matroid
-    sides: list[frozenset[int]]
-    order: int
     overall: str  # "induced", "induced-one-of-two", or "failed"
     one_step: list[OneStepRecord] = field(default_factory=list)
     two_step: list[TwoStepRecord] = field(default_factory=list)
@@ -281,12 +246,18 @@ def _one_step_phase(n: Matroid, sides, k, excluded, defer):
     return records
 
 
-def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
+def _membership(child, excluded, defer) -> tuple[bool, bool]:
+    """(in the class, deferred): a deferred child is in the class but has
+    a minor in `defer`, so a separate splitter argument covers it."""
     if not in_class(child, excluded):
-        return OneStepRecord(kind, v, in_class=False)
-    if defer and not in_class(child, defer):
-        return OneStepRecord(kind, v, in_class=True, deferred=True)
-    rec = OneStepRecord(kind, v, in_class=True)
+        return False, False
+    return True, bool(defer) and not in_class(child, defer)
+
+
+def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
+    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer))
+    if not rec.in_class or rec.deferred:
+        return rec
     for a in sides:
         la = lam(child, a)
         lax = lam(child, set(a) | {x})
@@ -300,18 +271,13 @@ def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
 # Phase 2: two-step matroids (coextensions of one-step extensions)
 
 
-def _classify_built(type_i, child, side, k, excluded, defer):
-    """Classify `child`, a coextension of `type_i`, for one side.
+def _classify_built(type_i, child, side, k):
+    """Classify `child`, an in-class coextension of `type_i`, for one side.
 
     `side` is given in the labels of the base matroid N, which the
     extension retains; the child's labels follow the coextension shift
     rule.  The GOOD branches below are conditions (a)-(d) in order.
     """
-    if not in_class(child, excluded):
-        return SideOutcome(Verdict.EXCLUDED_MINOR)
-    if defer and not in_class(child, defer):
-        return SideOutcome(Verdict.DEFERRED)
-
     r = type_i.rank
     e_parent = type_i.labels[-1]
     e = shift_label(e_parent, r)
@@ -363,25 +329,19 @@ def _triangle_escape(child, e, f, side_s):
 
 
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
-    """Classify every coextension row over every in-class extension."""
+    """Classify every coextension row over every in-class extension; only
+    in-class, non-deferred rows get per-side outcomes."""
     records = []
-    for rec in one_step:
-        if rec.kind != "extension" or not rec.in_class or rec.deferred:
+    for ext in one_step:
+        if ext.kind != "extension" or not ext.in_class or ext.deferred:
             continue
-        type_i = extend(n, rec.vector)
+        type_i = extend(n, ext.vector)
         for row in coextension_candidates(type_i):
             child = coextend(type_i, row)
-            outcomes = [_classify_built(type_i, child, a, k, excluded, defer) for a in sides]
-            records.append(
-                TwoStepRecord(
-                    parent_vector=rec.vector,
-                    row=row,
-                    in_class=outcomes[0].verdict
-                    not in (Verdict.EXCLUDED_MINOR, Verdict.DEFERRED),
-                    deferred=outcomes[0].verdict is Verdict.DEFERRED,
-                    sides=outcomes,
-                )
-            )
+            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
+            if rec.in_class and not rec.deferred:
+                rec.sides = [_classify_built(type_i, child, a, k) for a in sides]
+            records.append(rec)
     return records
 
 
@@ -402,7 +362,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     """
     _check_hypotheses(n, sides, k, require_self_dual=len(sides) > 1)
     success = "induced" if len(sides) == 1 else "induced-one-of-two"
-    report = DecomposerReport(target=n, sides=sides, order=k, overall=success)
+    report = DecomposerReport(overall=success)
 
     def fail(note):
         report.overall = "failed"

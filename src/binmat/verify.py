@@ -541,22 +541,18 @@ def _growth_cell_claim(cell):
     return check
 
 
-def _verdict_state(outcome):
-    if outcome.verdict is Verdict.EXCLUDED_MINOR:
+def _verdict_state(rec, side_index):
+    if not rec.in_class:
         return {"s10-minor": True}
-    state = {"s10-minor": False}
+    if rec.deferred:
+        return {"s10-minor": False, "row": "deferred"}
+    outcome = rec.sides[side_index]
+    state = {"s10-minor": False, "row": outcome.verdict.value}
     if outcome.verdict is Verdict.GOOD:
-        state["row"] = "good"
         if outcome.witness_set is not None:
             state["witness"] = _els(outcome.witness_set)
         else:
             state["witness"] = {"triangle": _els(outcome.triangle_witness)}
-    elif outcome.verdict is Verdict.BAD:
-        state["row"] = "bad"
-    elif outcome.verdict is Verdict.BRIDGING:
-        state["row"] = "bridging"
-    else:
-        state["row"] = "deferred"
     return state
 
 
@@ -585,7 +581,7 @@ def _row_cell_claim(cell, side_index):
                 # is not a cosimple coextension of it at all.
                 computed[_vs(parent)] = "not-a-candidate"
                 continue
-            state = _verdict_state(rec.sides[side_index])
+            state = _verdict_state(rec, side_index)
             if cell.outcome == "good" and not state["s10-minor"]:
                 state.pop("witness", None)
                 state["witness-valid"] = _printed_witness_valid(

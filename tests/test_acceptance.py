@@ -22,7 +22,7 @@ from binmat.extension import (
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic, canonical_key
 from binmat.matroid import dual, remove
-from binmat.structure import has_minor, is_splitter
+from binmat.structure import has_any_minor, is_splitter
 from binmat.tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B
 from binmat.verify import claim_ids, run_verification
 
@@ -107,7 +107,7 @@ def test_04_e5_extensions_and_splitter():
         e5 = fresh("E5")
         classes = enumerate_growth_classes(e5, "extension")
         s10 = fresh("S10")
-        minors = [has_minor(c.representative, s10)[0] for c in classes]
+        minors = [has_any_minor(c.representative, [s10]) is not None for c in classes]
         splitter, counterexamples = is_splitter(e5, [s10, fresh("S10*")])
         return e5, classes, minors, splitter, counterexamples
 

@@ -46,11 +46,11 @@ class TestCandidates:
         m = M("P9")
         existing = {c.bits for c in d_columns(m)}
         for v in extension_candidates(m):
-            assert v.weight >= 2
+            assert v.bits.bit_count() >= 2
             assert v.bits not in existing
         existing_rows = {v.bits for v in d_rows(m)}
         for v in coextension_candidates(m):
-            assert v.weight >= 2
+            assert v.bits.bit_count() >= 2
             assert v.bits not in existing_rows
 
     def test_candidates_sorted_by_bracket_value(self):
