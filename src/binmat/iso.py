@@ -1,12 +1,21 @@
-"""Isomorphism of binary matroids via canonical representations.
+"""Isomorphism of binary matroids: canonical keys for hashing, a
+first-match search for deciding.
 
 Binary matroids are uniquely GF(2)-representable, so two of them are
-isomorphic iff some choice of basis and column order makes their reduced
-D blocks equal.  The canonical key minimizes the D block over all bases
-and all row orders (columns kept sorted), with branch-and-bound pruning
-on the partial sorted column prefixes.  Keys are deterministic byte
-strings, invariant under relabeling, row operations and column
-permutation.
+isomorphic iff some choice of basis and row order makes their reduced
+D blocks equal up to column order.
+
+`isomorphism` decides one pair: it fixes the target's own [I_r | D],
+tries the other matroid's bases in turn and assigns their rows to the
+target's rows one at a time, pruning as soon as the sorted column
+projections onto the assigned rows differ from the target's.  The first
+complete assignment is returned as an element bijection.
+
+`canonical_key` is for hashing many matroids at once: it minimizes the
+D block over all bases and all row orders (columns kept sorted), with
+branch-and-bound pruning on the partial sorted column prefixes.  Keys
+are deterministic byte strings, invariant under relabeling, row
+operations and column permutation.
 """
 
 from __future__ import annotations
@@ -40,6 +49,71 @@ def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
 def _projections(t: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
     """Per-depth prefix projections of a sorted depth-``depth`` tuple."""
     return [tuple(x >> (depth - s) for x in t) for s in range(1, depth + 1)]
+
+
+def _fixed_form(t: Matroid):
+    """t's D columns in its own [I_r | D], their sorted weights, and for
+    each depth d the sorted projections of the columns onto rows 0..d-1."""
+    cols = t._cols[t.rank :]
+    weights = sorted(c.bit_count() for c in cols)
+    projections = [sorted(c & ((1 << d) - 1) for c in cols) for d in range(t.rank + 1)]
+    return cols, weights, projections
+
+
+def _match_rows(coords: list[int], r: int, projections) -> list[int] | None:
+    """Basis rows for target rows 0..r-1 that give the target's columns.
+
+    ``coords`` holds the non-basis columns in basis coordinates (bit k =
+    row k).  Rows are assigned depth by depth; a branch is pruned as soon
+    as the sorted partial columns differ from the target's projections.
+    """
+    nd = len(coords)
+
+    def recurse(partial: tuple[int, ...], remaining: list[int]):
+        depth = r - len(remaining)
+        if not remaining:
+            return []
+        for idx, p in enumerate(remaining):
+            nxt = tuple(partial[j] | (((coords[j] >> p) & 1) << depth) for j in range(nd))
+            if sorted(nxt) != projections[depth + 1]:
+                continue
+            rest = recurse(nxt, remaining[:idx] + remaining[idx + 1 :])
+            if rest is not None:
+                return [p] + rest
+        return None
+
+    return recurse((0,) * nd, list(range(r)))
+
+
+def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
+    """An isomorphism from m onto t as a label map, or None if there is none.
+
+    The first basis of m (in ``combinations`` order) whose reduced columns
+    can be row-permuted onto t's D block gives the map: basis elements go
+    to t's basis by row, and non-basis elements to the t column of equal
+    value, duplicates taken in order.
+    """
+    r, n = t.rank, t.size
+    if (m.rank, m.size) != (r, n):
+        return None
+    cols, weights, projections = _fixed_form(t)
+    for basis in combinations(range(n), r):
+        coords = _reduced_coords(m, basis)
+        if coords is None or sorted(c.bit_count() for c in coords) != weights:
+            continue
+        order = _match_rows(coords, r, projections)
+        if order is None:
+            continue
+        mapping = {m.labels[basis[p]]: t.labels[i] for i, p in enumerate(order)}
+        slots: dict[int, list[int]] = {}
+        for j, c in enumerate(cols):
+            slots.setdefault(c, []).append(r + j)
+        nonbasis = [j for j in range(n) if j not in basis]
+        for j, c in zip(nonbasis, coords):
+            image = sum(((c >> p) & 1) << i for i, p in enumerate(order))
+            mapping[m.labels[j]] = t.labels[slots[image].pop(0)]
+        return mapping
+    return None
 
 
 def _min_key_for_basis(coords: list[int], r: int, best):
@@ -141,7 +215,7 @@ def are_isomorphic(m: Matroid, other: Matroid) -> bool:
         return False
     if weight_profile(m) != weight_profile(other):
         return False
-    return canonical_key(m) == canonical_key(other)
+    return isomorphism(m, other) is not None
 
 
 @dataclass
@@ -153,18 +227,25 @@ class IsoClass:
 
 
 def partition_into_classes(candidates) -> list[IsoClass]:
-    """Group (generator, matroid) pairs by canonical key.
+    """Group (generator, matroid) pairs into isomorphism classes.
 
-    Each class records all generators in ascending bracket-value order;
-    the representative is the child of the least generator.  Classes are
-    ordered by their least generator.
+    Candidates are walked in ascending bracket-value order and bucketed
+    by rank, size and weight profile; each joins the first class in its
+    bucket whose representative it matches, or opens a new one.  Each
+    class records all generators in ascending order; the representative
+    is the child of the least generator, and classes are ordered by
+    their least generator.
     """
-    groups: dict[bytes, IsoClass] = {}
+    classes: list[IsoClass] = []
+    buckets: dict[tuple, list[IsoClass]] = {}
     for gen, child in sorted(candidates, key=lambda t: t[0].value):
-        key = canonical_key(child)
-        cls = groups.get(key)
-        if cls is None:
-            groups[key] = IsoClass(child, [gen])
+        bucket = buckets.setdefault((child.rank, child.size, weight_profile(child)), [])
+        for cls in bucket:
+            if isomorphism(child, cls.representative) is not None:
+                cls.members.append(gen)
+                break
         else:
-            cls.members.append(gen)
-    return sorted(groups.values(), key=lambda c: c.members[0].value)
+            cls = IsoClass(child, [gen])
+            bucket.append(cls)
+            classes.append(cls)
+    return classes

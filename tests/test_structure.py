@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from binmat import iso
 from binmat.catalog import get
+from binmat.extension import extend, extension_candidates
 from binmat.gf2 import BitMatrix
-from binmat.iso import are_isomorphic
+from binmat.iso import are_isomorphic, partition_into_classes
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     HypothesisError,
@@ -148,6 +150,24 @@ def test_has_any_minor_matches_f7_oracle():
                     assert minor.size == 7
                     assert idx in _fano_kinds(_oracle_cycles(minor), _oracle_cocycles(minor))
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_decisions_compute_no_canonical_form(monkeypatch):
+    # Fresh matroids carry no cached key, so any canonical key asked for
+    # below would have to compute a canonical form.
+    def refuse(m):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(iso, "canonical_form", refuse)
+    hit = has_any_minor(fresh("S10"), [fresh("P9")])
+    assert hit is not None
+    assert are_isomorphic(remove(fresh("S10"), hit[1], hit[2]), fresh("P9"))
+    assert has_any_minor(fresh("E4"), [fresh("S10")]) is None
+    assert are_isomorphic(fresh("S8"), dual(fresh("S8")))
+    assert not are_isomorphic(fresh("S10"), dual(fresh("S10")))
+    f7s = fresh("F7*")
+    classes = partition_into_classes([(v, extend(f7s, v)) for v in extension_candidates(f7s)])
+    assert sorted(len(c.members) for c in classes) == [1, 7]
 
 
 class TestInClass:
