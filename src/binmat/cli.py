@@ -22,7 +22,7 @@ from .extension import enumerate_growth_classes
 from .gf2 import BitMatrix
 from .matroid import Matroid, make_matroid
 from .structure import corollary22_check, has_any_minor, is_splitter, theorem21_check
-from .verify import claim_ids, report_to_json, report_to_text, run_verification
+from .verify import report_to_json, report_to_text, run_verification
 
 
 class InputError(Exception):

@@ -16,10 +16,8 @@ from .matroid import Matroid, is_union_of_circuits_and_cocircuits
 class Separation:
     side_a: frozenset[int]
     side_b: frozenset[int]
-    order: int
     lambda_value: int
     exact: bool
-    minimal: bool
 
 
 def lam(m: Matroid, x) -> int:
@@ -40,9 +38,7 @@ def classify_separation(m: Matroid, a, k: int) -> Separation:
     if len(side_a) < k or len(side_b) < k:
         raise ValueError(f"both sides must have at least {k} elements")
     lv = _lam_mask(m, mask)
-    exact = lv == k - 1
-    minimal = exact and (len(side_a) == k or len(side_b) == k)
-    return Separation(side_a, side_b, k, lv, exact, minimal)
+    return Separation(side_a, side_b, lv, lv == k - 1)
 
 
 def _bipartitions(size: int, k: int):

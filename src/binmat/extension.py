@@ -2,31 +2,23 @@
 
 Extension columns follow the bracket convention [b1 b2 ... br] with b1
 the top row of the displayed matrix; candidates are enumerated in
-ascending order of that numeric reading.  Coextensions relabel: the new
-element takes label r+1 and every parent label greater than r moves up
-by one.
+ascending order of that numeric reading.  Coextensions are duals of
+extensions: a coextension row of m is an extension column of dual(m),
+and the child is the dual of that extension.  Coextensions relabel: the
+new element takes label r+1 and every parent label greater than r moves
+up by one.
 """
 
 from __future__ import annotations
 
 from .gf2 import BitMatrix, BitVector
 from .iso import IsoClass, partition_into_classes
-from .matroid import Matroid, simplicity
+from .matroid import Matroid, dual, simplicity
 
 
 def d_columns(m: Matroid) -> list[BitVector]:
     """The columns of the D block as vectors of length r."""
     return [BitVector(m.rank, m.column_of(lab)) for lab in m.labels[m.rank :]]
-
-
-def d_rows(m: Matroid) -> list[BitVector]:
-    """The rows of the D block as vectors of length n - r."""
-    r, n = m.rank, m.size
-    out = []
-    for i in range(r):
-        row = m.matrix.rows[i] >> r
-        out.append(BitVector(n - r, row))
-    return out
 
 
 def extension_candidates(m: Matroid) -> list[BitVector]:
@@ -52,7 +44,7 @@ def extend(m: Matroid, col: BitVector) -> Matroid:
     """Append `col` as a new element labeled n + 1."""
     if col.length != m.rank:
         raise ValueError("column length must equal the rank")
-    if col.bits == 0 or col.bits in {c for c in m.matrix.columns()}:
+    if col.bits == 0 or col.bits in m._cols:
         raise ValueError("column must be nonzero and distinct from existing columns")
     n = m.size
     new_label = n + 1
@@ -63,22 +55,13 @@ def extend(m: Matroid, col: BitVector) -> Matroid:
 
 
 def coextension_candidates(m: Matroid) -> list[BitVector]:
-    """All rows usable for a cosimple single-element coextension.
-
-    Length n - r, weight >= 2, distinct from the existing rows of D.
-    Ascending bracket order.
+    """All rows usable for a cosimple single-element coextension: the
+    extension columns of the dual, of length n - r.  Ascending bracket
+    order.
     """
     if not simplicity(m)[1]:
         raise ValueError("coextension candidates require a cosimple matroid")
-    existing = {v.bits for v in d_rows(m)}
-    width = m.size - m.rank
-    out = [
-        BitVector(width, bits)
-        for bits in range(1, 1 << width)
-        if bits.bit_count() >= 2 and bits not in existing
-    ]
-    out.sort(key=lambda v: v.value)
-    return out
+    return extension_candidates(dual(m))
 
 
 def shift_label(label: int, r: int) -> int:
@@ -93,28 +76,16 @@ def shift_labels(labels, r: int) -> frozenset[int]:
 def coextend(m: Matroid, row: BitVector) -> Matroid:
     """Add a coextension row; the new element is labeled r + 1.
 
+    The child is dual(extend(dual(m), row)): its matrix is m's with
+    ``row`` appended below D, and the new element sits at position r.
     Parent labels greater than r are shifted up by one.  The new element
     forms a cocircuit with the elements whose D columns carry a 1 in the
     new row; this is verified on the constructed child.
     """
-    r, n = m.rank, m.size
-    if row.length != n - r:
-        raise ValueError("row length must equal n - r")
-    if row.bits == 0 or row.bits in {v.bits for v in d_rows(m)}:
-        raise ValueError("row must be nonzero and distinct from existing rows of D")
-    new_labels = (
-        tuple(shift_label(lab, r) for lab in m.labels[:r])
-        + (r + 1,)
-        + tuple(shift_label(lab, r) for lab in m.labels[r:])
-    )
-    if len(set(new_labels)) != n + 1:
-        raise ValueError("coextension relabeling collides; labels must be 1..n")
-    rows = []
-    for i in range(r):
-        d_part = m.matrix.rows[i] >> r
-        rows.append((1 << i) | (d_part << (r + 1)))
-    rows.append((1 << r) | (row.bits << (r + 1)))
-    child = Matroid(BitMatrix(r + 1, n + 1, tuple(rows)), new_labels)
+    r = m.rank
+    grown = dual(extend(dual(m), row))
+    labels = tuple(r + 1 if p == r else shift_label(lab, r) for p, lab in enumerate(grown.labels))
+    child = Matroid(grown.matrix, labels)
     _check_coextension_cocircuit(m, child, row)
     return child
 

@@ -170,31 +170,17 @@ def reduce_rows(rows: list[int], columns: Iterable[int]) -> list[int]:
     return pivots
 
 
-def standard_form(m: BitMatrix, basis: Iterable[int] | None = None) -> tuple[BitMatrix, tuple[int, ...]]:
+def standard_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Row-reduce ``m`` to [I_r | D] form, permuting columns as needed.
 
     Returns the new matrix together with a permutation record: a tuple
     whose entry at new position p (0-indexed) is the original 1-based
     column index now sitting at position p.  Requires full row rank.
-    If ``basis`` is given its columns (1-based) must be independent and
-    are moved to the front in ascending order.
     """
     r, n = m.nrows, m.ncols
-    if basis is not None:
-        order = sorted(set(basis))
-        if len(order) != r:
-            raise ValueError(f"basis must have {r} columns")
-        for j in order:
-            if not 1 <= j <= n:
-                raise ValueError(f"column index {j} out of range")
-    else:
-        order = range(1, n + 1)
     rows = list(m.rows)
-    pivots = [j + 1 for j in reduce_rows(rows, [j - 1 for j in order])]
+    pivots = [j + 1 for j in reduce_rows(rows, range(n))]
     if len(pivots) < r:
-        if basis is not None:
-            j = next(j for j in order if j not in pivots)
-            raise ValueError(f"basis columns are dependent at column {j}")
         raise RankDeficientError("matrix does not have full row rank")
 
     pivot_set = set(pivots)
@@ -203,17 +189,26 @@ def standard_form(m: BitMatrix, basis: Iterable[int] | None = None) -> tuple[Bit
     return BitMatrix(r, n, new_rows), perm
 
 
-def cycle_space_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the null space {v : m v = 0}; returns n - rank(m) vectors.
+def span(vectors: Iterable[int]) -> list[int]:
+    """All 2^k XOR combinations of k independent bit-packed vectors
+    (Gray-code enumeration), starting with 0."""
+    out = [0]
+    for b in vectors:
+        out.extend([x ^ b for x in out])
+    return out
 
-    Each vector is the fundamental circuit of one column outside the
-    first-come basis, in column order.
+
+def cycle_space_masks(m: BitMatrix) -> list[int]:
+    """All 2^(n-r) null-space vectors {v : m v = 0} as bit masks.
+
+    They are the span of the fundamental circuits of the columns outside
+    the first-come basis, taken in column order.
     """
     n = m.ncols
     rows = list(m.rows)
     pivots = reduce_rows(rows, range(n))
     pivot_set = set(pivots)
-    basis = []
+    circuits = []
     for j in range(n):
         if j in pivot_set:
             continue
@@ -221,14 +216,5 @@ def cycle_space_basis(m: BitMatrix) -> list[BitVector]:
         for row, p in zip(rows, pivots):
             if (row >> j) & 1:
                 bits |= 1 << p
-        basis.append(BitVector(n, bits))
-    return basis
-
-
-def cycle_space_masks(m: BitMatrix) -> list[int]:
-    """All 2^(n-r) null-space vectors as bit masks (Gray-code enumeration)."""
-    basis = [v.bits for v in cycle_space_basis(m)]
-    out = [0]
-    for b in basis:
-        out.extend(x ^ b for x in list(out))
-    return out
+        circuits.append(bits)
+    return span(circuits)

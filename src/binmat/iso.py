@@ -200,13 +200,13 @@ def canonical_key(m: Matroid) -> bytes:
 
 def weight_profile(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Weight enumerators of the cycle and cocycle spaces (iso invariant)."""
-    cyc = [0] * (m.size + 1)
-    for mk in m.cycle_masks():
-        cyc[mk.bit_count()] += 1
-    coc = [0] * (m.size + 1)
-    for mk in m.cocycle_masks():
-        coc[mk.bit_count()] += 1
-    return tuple(cyc), tuple(coc)
+    profile = []
+    for masks in (m.cycle_masks(), m.cocycle_masks()):
+        counts = [0] * (m.size + 1)
+        for mk in masks:
+            counts[mk.bit_count()] += 1
+        profile.append(tuple(counts))
+    return tuple(profile)
 
 
 def are_isomorphic(m: Matroid, other: Matroid) -> bool:

@@ -9,7 +9,7 @@ ranks, cycle spaces and circuits internally.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, cycle_space_masks, rank_of_columns, reduce_rows, standard_form
+from .gf2 import BitMatrix, cycle_space_masks, rank_of_columns, reduce_rows, span, standard_form
 
 
 class Matroid:
@@ -87,10 +87,7 @@ class Matroid:
     def cocycle_masks(self) -> list[int]:
         """All vectors of the cocycle space (row space) as position masks."""
         if self._cocycle_masks is None:
-            out = [0]
-            for row in self.matrix.rows:
-                out.extend(x ^ row for x in list(out))
-            self._cocycle_masks = out
+            self._cocycle_masks = span(self.matrix.rows)
         return self._cocycle_masks
 
     def cycle_key(self) -> frozenset[int]:
@@ -217,24 +214,14 @@ def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:
     iff the cycle-space vectors supported inside it cover all of it.
     """
     mask = m.mask_of(a)
-    covered = 0
-    for mk in m.cycle_masks():
-        if mk & ~mask == 0:
-            covered |= mk
-    circuit_flag = covered == mask
-    covered = 0
-    for mk in m.cocycle_masks():
-        if mk & ~mask == 0:
-            covered |= mk
-    cocircuit_flag = covered == mask
-    return circuit_flag, cocircuit_flag
-
-
-def triangles_and_triads(m: Matroid) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
-    """All 3-element circuits and all 3-element cocircuits."""
-    tri = [c for c in circuits(m) if len(c) == 3]
-    tria = [c for c in cocircuits(m) if len(c) == 3]
-    return tri, tria
+    flags = []
+    for masks in (m.cycle_masks(), m.cocycle_masks()):
+        covered = 0
+        for mk in masks:
+            if mk & ~mask == 0:
+                covered |= mk
+        flags.append(covered == mask)
+    return tuple(flags)
 
 
 def simplicity(m: Matroid) -> tuple[bool, bool]:

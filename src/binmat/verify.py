@@ -18,7 +18,6 @@ failure; failures are reserved for breakage of the mathematics itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import __version__

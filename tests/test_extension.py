@@ -2,12 +2,11 @@
 
 import pytest
 
-from binmat.catalog import get
+from binmat.catalog import get, list_names
 from binmat.extension import (
     coextend,
     coextension_candidates,
     d_columns,
-    d_rows,
     enumerate_growth_classes,
     extend,
     extension_candidates,
@@ -16,7 +15,7 @@ from binmat.extension import (
 )
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic
-from binmat.matroid import circuits, cocircuits, dual, remove
+from binmat.matroid import circuits, cocircuits, dual, remove, simplicity
 
 from conftest import fresh
 
@@ -48,7 +47,7 @@ class TestCandidates:
         for v in extension_candidates(m):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing
-        existing_rows = {v.bits for v in d_rows(m)}
+        existing_rows = {row >> m.rank for row in m.matrix.rows}
         for v in coextension_candidates(m):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing_rows
@@ -114,6 +113,25 @@ class TestCoextend:
                 }
                 assert {frozenset(c) for c in circuits(back)} == shifted
 
+    def test_coextend_presentation(self):
+        # Table 2a/2b rows are vectors over this exact D-column order.
+        for name in list_names():
+            m = M(name)
+            if not simplicity(m)[1]:
+                continue
+            r, n = m.rank, m.size
+            for row in coextension_candidates(m)[:3]:
+                child = coextend(m, row)
+                rows = [(1 << i) | ((m.matrix.rows[i] >> r) << (r + 1)) for i in range(r)]
+                rows.append((1 << r) | (row.bits << (r + 1)))
+                assert (child.rank, child.size) == (r + 1, n + 1), name
+                assert list(child.matrix.rows) == rows, name
+                assert child.labels == (
+                    tuple(shift_label(lab, r) for lab in m.labels[:r])
+                    + (r + 1,)
+                    + tuple(shift_label(lab, r) for lab in m.labels[r:])
+                ), name
+
     def test_coextension_dual_to_extension(self):
         m = M("P9")
         row = coextension_candidates(m)[0]
@@ -132,7 +150,7 @@ class TestCoextend:
     def test_coextend_rejects_existing_row(self):
         m = M("P9")
         with pytest.raises(ValueError):
-            coextend(m, d_rows(m)[0])
+            coextend(m, BitVector(m.size - m.rank, m.matrix.rows[0] >> m.rank))
 
 
 class TestGrowthClasses:

@@ -7,10 +7,10 @@ from binmat.gf2 import (
     BitMatrix,
     BitVector,
     RankDeficientError,
-    cycle_space_basis,
     cycle_space_masks,
     independent_vectors,
     rank_of_columns,
+    span,
     standard_form,
 )
 
@@ -134,34 +134,28 @@ class TestStandardForm:
 
         assert {permute(mk) for mk in before} == after
 
-    def test_explicit_basis_respected(self):
-        m = BitMatrix.from_rows(["110", "011"])
-        sf, perm = standard_form(m, basis=[2, 3])
-        assert perm == (2, 3, 1)
-        assert sf.columns()[:2] == [0b01, 0b10]
-
     def test_rank_deficient_rejected(self):
         m = BitMatrix.from_rows(["110", "110"])
         with pytest.raises(RankDeficientError):
             standard_form(m)
 
-    def test_dependent_basis_rejected(self):
-        m = BitMatrix.from_rows(["1100", "0110"])
-        with pytest.raises(ValueError):
-            standard_form(m, basis=[1, 4])  # column 4 is zero
-
 
 class TestCycleSpace:
     @given(small_matrices())
     def test_basis_spans_the_null_space(self, m):
-        basis = cycle_space_basis(m)
-        for v in basis:
-            # m v = 0: every row meets v in an even number of positions.
-            assert all((row & v.bits).bit_count() % 2 == 0 for row in m.rows)
         masks = cycle_space_masks(m)
-        assert len(masks) == 1 << len(basis)
-        assert span_size(v.bits for v in basis) == len(masks)
-        assert len(basis) == m.ncols - rank_of_columns(m.columns())
+        for v in masks:
+            # m v = 0: every row meets v in an even number of positions.
+            assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
+        # 2^(n - rank) distinct null-space vectors are all of them.
+        assert len(set(masks)) == len(masks) == 1 << (m.ncols - rank_of_columns(m.columns()))
+
+    @given(st.lists(st.integers(0, 255), max_size=6))
+    def test_span_of_independent_vectors(self, vectors):
+        kept = independent_vectors(vectors)
+        out = span(kept)
+        assert out[0] == 0
+        assert len(out) == len(set(out)) == 1 << len(kept) == span_size(vectors)
 
     def test_known_cycle_space(self):
         # [I2 | 11^T]: single dependency 1+2+3 = 0.

@@ -15,7 +15,6 @@ from binmat.matroid import (
     make_matroid,
     remove,
     simplicity,
-    triangles_and_triads,
 )
 
 from conftest import fresh, oracle_rank
@@ -92,13 +91,6 @@ class TestCircuits:
         assert is_union_of_circuits_and_cocircuits(m, full) == (True, True)
         # A single element of a simple matroid is neither.
         assert is_union_of_circuits_and_cocircuits(m, {1}) == (False, False)
-
-    def test_triangles_and_triads(self):
-        m = M("F7")
-        triangles, triads = triangles_and_triads(m)
-        assert all(len(t) == 3 for t in triangles)
-        assert triangles == [c for c in circuits(m) if len(c) == 3]
-        assert triads == [c for c in cocircuits(m) if len(c) == 3]
 
     def test_simplicity_flags(self):
         m = M("S10")
