@@ -16,11 +16,6 @@ from .iso import IsoClass, partition_into_classes
 from .matroid import Matroid, dual, simplicity
 
 
-def d_columns(m: Matroid) -> list[BitVector]:
-    """The columns of the D block as vectors of length r."""
-    return [BitVector(m.rank, m.column_of(lab)) for lab in m.labels[m.rank :]]
-
-
 def extension_candidates(m: Matroid) -> list[BitVector]:
     """All columns usable for a simple single-element extension.
 
@@ -30,7 +25,7 @@ def extension_candidates(m: Matroid) -> list[BitVector]:
     """
     if not simplicity(m)[0]:
         raise ValueError("extension candidates require a simple matroid")
-    existing = {c.bits for c in d_columns(m)}
+    existing = set(m._cols[m.rank :])
     out = [
         BitVector(m.rank, bits)
         for bits in range(1, 1 << m.rank)

@@ -1,9 +1,12 @@
 """Minor detection, excluded-minor classes, splitters, and the
 decomposer verification engine.
 
-`in_class` is one `has_any_minor` search.  The engine asks it once per
-one-step or two-step child (`_membership`); only in-class children
-without a deferred minor get per-side records.
+`in_class` is one `has_any_minor` search.  The search filters every
+deletion/contraction split on its rank and weight enumerators, read off
+the parent's cached cycle and cocycle masks, and builds only the minors
+that pass.  The engine asks it once per one-step or two-step child
+(`_membership`); only in-class children without a deferred minor get
+per-side records.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -64,6 +67,32 @@ class Verdict(enum.Enum):
 # Minor search
 
 
+def _histogram(masks, drop: int, keep: int) -> tuple[int, ...]:
+    """Weight histogram of the distinct {v & keep : v in masks, v & drop = 0}."""
+    counts = [0] * (keep.bit_count() + 1)
+    for v in masks:
+        if not v & drop:
+            counts[(v & keep).bit_count()] += 1
+    kernel = counts[0]  # each vector is hit once per kernel vector
+    return tuple(c // kernel for c in counts)
+
+
+def _split_profile(m: Matroid, dmask: int, cmask: int, ranks):
+    """(rank, weight profile) of m \\ D / C for position masks D and C,
+    read off m's cached masks, or None if the rank is not in `ranks`.
+
+    The minor's cocycles are {c - D : c a cocycle, c & C = 0} and its
+    cycles {c - C : c a cycle, c & D = 0}.  Its rank is log2 of the
+    number of cocycles, so a wrong rank costs only the cocycle pass.
+    """
+    keep = m.full_mask & ~(dmask | cmask)
+    cocycles = _histogram(m.cocycle_masks(), cmask, keep)
+    rank = sum(cocycles).bit_length() - 1
+    if rank not in ranks:
+        return None
+    return rank, (_histogram(m.cycle_masks(), dmask, keep), cocycles)
+
+
 def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
@@ -71,9 +100,11 @@ def has_any_minor(m: Matroid, targets):
     Targets of equal size share one traversal of the removal splits, so
     checking a matroid against a family costs barely more than against
     one member.  Splits are visited by the number of removed elements,
-    smallest first (gap 0's only split is m itself); each minor passes
-    rank and weight-enumerator filters before a first-match isomorphism
-    search onto the target's fixed presentation.
+    smallest first (gap 0's only split is m itself).  Each split's rank
+    and weight enumerators are read off m's cycle and cocycle masks
+    (`_split_profile`); only a split matching a target's is built with
+    `remove` and handed to a first-match isomorphism search onto the
+    target's fixed presentation.
     """
     by_gap: dict[int, list] = {}
     for idx, target in enumerate(targets):
@@ -82,28 +113,20 @@ def has_any_minor(m: Matroid, targets):
             m.size - m.rank
         ):
             continue
-        by_gap.setdefault(gap, []).append((idx, target, weight_profile(target)))
+        by_gap.setdefault(gap, []).append((idx, target, (target.rank, weight_profile(target))))
 
     elements = sorted(m.ground_set())
     for gap, group in sorted(by_gap.items()):
-        ranks = {t.rank for _, t, _ in group}
+        ranks = {rank for _, _, (rank, _) in group}
         for removed in combinations(elements, gap):
             removed_set = set(removed)
             for c in range(gap + 1):
                 for cons in combinations(removed, c):
                     cons_set = frozenset(cons)
                     dels = frozenset(removed_set - cons_set)
-                    # Rank feasibility: the minor's rank is r(E - D) - r(C).
-                    if all(m.rank - m.rank_of(cons_set) < r for r in ranks):
-                        continue
-                    minor = remove(m, dels, cons_set)
-                    if minor.rank not in ranks:
-                        continue
-                    minor_profile = weight_profile(minor)
+                    split = _split_profile(m, m.mask_of(dels), m.mask_of(cons_set), ranks)
                     for idx, target, profile in group:
-                        if minor.rank != target.rank or minor_profile != profile:
-                            continue
-                        if isomorphism(minor, target) is not None:
+                        if split == profile and isomorphism(remove(m, dels, cons_set), target) is not None:
                             return idx, dels, cons_set
     return None
 

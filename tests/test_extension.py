@@ -6,7 +6,6 @@ from binmat.catalog import get, list_names
 from binmat.extension import (
     coextend,
     coextension_candidates,
-    d_columns,
     enumerate_growth_classes,
     extend,
     extension_candidates,
@@ -43,7 +42,7 @@ class TestCandidates:
 
     def test_candidates_exclude_existing_columns_and_units(self):
         m = M("P9")
-        existing = {c.bits for c in d_columns(m)}
+        existing = set(m._cols[m.rank :])
         for v in extension_candidates(m):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing
@@ -77,7 +76,7 @@ class TestExtend:
     def test_extend_rejects_duplicate_column(self):
         m = M("P9")
         with pytest.raises(ValueError):
-            extend(m, d_columns(m)[0])
+            extend(m, BitVector(m.rank, m._cols[m.rank]))
         with pytest.raises(ValueError):
             extend(m, BitVector(m.rank, 0))
 

@@ -10,11 +10,12 @@ from binmat import iso
 from binmat.catalog import get
 from binmat.extension import extend, extension_candidates
 from binmat.gf2 import BitMatrix
-from binmat.iso import are_isomorphic, partition_into_classes
+from binmat.iso import are_isomorphic, partition_into_classes, weight_profile
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     HypothesisError,
     Verdict,
+    _split_profile,
     corollary22_check,
     has_any_minor,
     in_class,
@@ -67,6 +68,22 @@ class TestHasMinor:
         idx, dels, cons = hit
         assert idx in (1, 2)
         assert has_any_minor(M("P9"), [M("S10"), M("T12")]) is None
+
+    def test_witnesses_are_pinned(self):
+        # The split order (gap, removed set, contraction count) and the
+        # target order decide which witness comes first; these must not drift.
+        cases = [
+            ("S10", ["P9"], (0, {1}, set())),
+            ("S10", ["F7"], (0, {1, 7}, {4})),
+            ("S10", ["F7*"], (0, {1, 6, 7}, set())),
+            ("T12", ["P9"], (0, {2}, {1, 3})),
+            ("T12", ["P9*"], (0, {2, 4}, {1})),
+            ("T12", ["F7"], (0, {2, 4}, {1, 3, 11})),
+            ("S10", ["S10", "T12", "P9", "F7"], (0, set(), set())),
+            ("S10", ["T12", "P9", "F7"], (1, {1}, set())),
+        ]
+        for big, smalls, witness in cases:
+            assert has_any_minor(M(big), [M(s) for s in smalls]) == witness, (big, smalls)
 
 
 def _random_simple_cosimple(rng, n, r):
@@ -150,6 +167,32 @@ def test_has_any_minor_matches_f7_oracle():
                     assert minor.size == 7
                     assert idx in _fano_kinds(_oracle_cycles(minor), _oracle_cocycles(minor))
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_split_profile_matches_built_minors():
+    # Random [I_r | D] with loops, parallel pairs, rank 0 and corank 0
+    # allowed, and shuffled labels so positions and labels differ.
+    rng = random.Random(20141)
+    kernels = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        r = rng.randint(0, n)
+        rows = tuple((1 << i) | (rng.getrandbits(n - r) << r) for i in range(r))
+        m = Matroid(BitMatrix(r, n, rows), tuple(rng.sample(range(1, 20), n)))
+        for k in range(1, min(3, n - 1) + 1):
+            for removed in combinations(m.labels, k):
+                for c in range(k + 1):
+                    for cons in combinations(removed, c):
+                        dels = set(removed) - set(cons)
+                        minor = remove(m, dels, cons)
+                        expected = (minor.rank, weight_profile(minor))
+                        dmask, cmask = m.mask_of(dels), m.mask_of(cons)
+                        assert _split_profile(m, dmask, cmask, range(n + 1)) == expected
+                        assert _split_profile(m, dmask, cmask, {minor.rank + 1}) is None
+                        kernels["cycle"] += m.rank_of(cons) < len(cons)
+                        kernels["cocycle"] += m.rank_of(minor.labels + cons) < m.rank
+    # Both kernels are nontrivial on some splits, so the division is exercised.
+    assert kernels["cycle"] and kernels["cocycle"], kernels
 
 
 def test_decisions_compute_no_canonical_form(monkeypatch):
