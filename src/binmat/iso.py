@@ -16,10 +16,20 @@ D block over all bases and all row orders (columns kept sorted), with
 branch-and-bound pruning on the partial sorted column prefixes.  Keys
 are deterministic byte strings, invariant under relabeling, row
 operations and column permutation.
+
+The basis loop is pruned by automorphisms, after the idea in McKay and
+Piperno, "Practical graph isomorphism II" (J. Symb. Comput. 2014).  A
+row-order search that reaches a leaf equal to the best one so far has
+found two presentations of the same [I_r | D]; matching their elements
+column by column is an automorphism.  Bases in the orbit of a searched
+basis under the group these generate give the same D blocks, so they are
+skipped.  This only saves work: the key is still the minimum over every
+basis and row order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -116,7 +126,7 @@ def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
     return None
 
 
-def _min_key_for_basis(coords: list[int], r: int, best):
+def _min_key_for_basis(basis: tuple[int, ...], coords: list[int], best, automorphisms: list):
     """Minimize the D block over row orders, in row-major order.
 
     ``coords`` holds the non-basis columns in basis coordinates (bit k =
@@ -126,12 +136,21 @@ def _min_key_for_basis(coords: list[int], r: int, best):
     prefixes, which determine the row-major string exactly at each depth.
     The incumbent's projections are cached; candidate projections are
     built shallowest-first with early exit.
+
+    ``best`` is the incumbent leaf as (key, projections, frame) or None,
+    and the improved incumbent is returned.  A leaf's frame lists its
+    element positions in presentation order: the basis by row, then the
+    non-basis columns by value, equal values by position.  A leaf equal
+    to the incumbent presents the matroid exactly as the incumbent does,
+    so mapping its frame onto the incumbent's is an automorphism, which
+    is appended to ``automorphisms`` as a position map.
     """
-    nd = len(coords)
-    state = [best, None if best is None else _projections(best, r)]
+    r, nd = len(basis), len(coords)
+    nonbasis = [j for j in range(r + nd) if j not in basis]
+    state = [best]
 
     def rm_vs_best(skey: tuple[int, ...], depth: int) -> int:
-        projs = state[1]
+        projs = state[0][1]
         for s in range(1, depth + 1):
             pa = tuple(x >> (depth - s) for x in skey)
             pb = projs[s - 1]
@@ -139,13 +158,20 @@ def _min_key_for_basis(coords: list[int], r: int, best):
                 return -1 if pa < pb else 1
         return 0
 
-    def recurse(partial: list[int], remaining: list[int]):
+    def frame(order: tuple[int, ...], values: list[int]) -> list[int]:
+        by_value = sorted(range(nd), key=values.__getitem__)
+        return [basis[p] for p in order] + [nonbasis[j] for j in by_value]
+
+    def recurse(partial: list[int], remaining: list[int], order: tuple[int, ...]):
         depth = r - len(remaining)
         if not remaining:
             leaf = tuple(sorted(partial))
-            if state[0] is None or rm_vs_best(leaf, r) < 0:
-                state[0] = leaf
-                state[1] = _projections(leaf, r)
+            cmp = -1 if state[0] is None else rm_vs_best(leaf, r)
+            if cmp < 0:
+                state[0] = (leaf, _projections(leaf, r), frame(order, partial))
+            elif cmp == 0:
+                pairs = sorted(zip(frame(order, partial), state[0][2]))
+                automorphisms.append(tuple(dst for _, dst in pairs))
             return
         children = []
         for idx, p in enumerate(remaining):
@@ -161,24 +187,71 @@ def _min_key_for_basis(coords: list[int], r: int, best):
             seen.add(exact)
             if state[0] is not None and rm_vs_best(skey, depth + 1) > 0:
                 continue
-            recurse(nxt, remaining[:idx] + remaining[idx + 1 :])
+            recurse(nxt, remaining[:idx] + remaining[idx + 1 :], order + (remaining[idx],))
 
-    recurse([0] * nd, list(range(r)))
+    recurse([0] * nd, list(range(r)), ())
     return state[0]
 
 
+def _mask_map(perm: tuple[int, ...]):
+    """The map of position masks through the position map ``perm``, as a
+    function reading one 256-entry table per byte of the mask."""
+    tables = []
+    for base in range(0, len(perm), 8):
+        table = [0]
+        for p in perm[base : base + 8]:
+            table += [t | (1 << p) for t in table]
+        tables.append(table)
+
+    def image(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return image
+
+
 def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
-    """(rank, size, minimal sorted D columns) over all bases and row orders."""
+    """(rank, size, minimal sorted D columns) over all bases and row orders.
+
+    Bases are searched in ``combinations`` order, pruned by the
+    automorphisms that the row-order searches find.  An automorphism
+    carrying a searched basis B onto B' carries each row order of B to a
+    row order of B' with the same D columns, so B' need not be searched:
+    ``covered`` holds the orbits of the searched bases, as position
+    masks, under the group that the automorphisms found so far generate,
+    and the bases in it are skipped.  The key is the same as without the
+    pruning.
+    """
     r, n = m.rank, m.size
     if r == 0:
         return (0, n, (0,) * n)
     best = None
-    for basis in combinations(range(n), r):
+    generators: dict[tuple[int, ...], Callable[[int], int]] = {}  # position map -> its mask map
+    covered: set[int] = set()
+
+    def close(new: set[int]) -> None:
+        while new:
+            covered.update(new)
+            new = {image for g in generators.values() for image in map(g, new)} - covered
+
+    bits = [1 << p for p in range(n)]
+    for basis, mask in zip(combinations(range(n), r), map(sum, combinations(bits, r))):
+        if mask in covered:
+            continue
         coords = _reduced_coords(m, basis)
         if coords is None:
             continue
-        best = _min_key_for_basis(coords, r, best)
-    return (r, n, best)
+        found: list[tuple[int, ...]] = []
+        best = _min_key_for_basis(basis, coords, best, found)
+        close({mask})
+        for g in found:
+            if g not in generators:
+                generators[g] = _mask_map(g)
+                close(set(map(generators[g], covered)) - covered)
+    return (r, n, best[0])
 
 
 def canonical_key(m: Matroid) -> bytes:
@@ -188,14 +261,9 @@ def canonical_key(m: Matroid) -> bytes:
     instead (isomorphism commutes with duality), which keeps the basis
     search over the smaller of the two row counts.
     """
-    if m._canonical_key is None:
-        if m.size - m.rank < m.rank:
-            r, n, cols = canonical_form(dual(m))
-            m._canonical_key = (f"d{r}|{n}|" + ",".join(map(str, cols))).encode()
-        else:
-            r, n, cols = canonical_form(m)
-            m._canonical_key = (f"{r}|{n}|" + ",".join(map(str, cols))).encode()
-    return m._canonical_key
+    use_dual = m.size - m.rank < m.rank
+    r, n, cols = canonical_form(dual(m) if use_dual else m)
+    return (("d" if use_dual else "") + f"{r}|{n}|" + ",".join(map(str, cols))).encode()
 
 
 def weight_profile(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:

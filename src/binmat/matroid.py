@@ -34,7 +34,6 @@ class Matroid:
         self._cocycle_masks: list[int] | None = None
         self._circuits: list[frozenset[int]] | None = None
         self._cocircuits: list[frozenset[int]] | None = None
-        self._canonical_key: bytes | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
 

@@ -1,7 +1,7 @@
 """Unit and property tests for canonical forms and isomorphism testing."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +9,7 @@ from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix
 from binmat.iso import (
     are_isomorphic,
+    canonical_form,
     canonical_key,
     isomorphism,
     partition_into_classes,
@@ -45,6 +46,18 @@ def brute_isomorphic(a, b):
     return False
 
 
+KEYS = {
+    "PG(3,2)": b"4|15|3,5,6,7,9,10,11,12,13,14,15",
+    "PG(3,2)*": b"d4|15|3,5,6,7,9,10,11,12,13,14,15",
+    "T12": b"6|12|7,11,21,41,49,62",
+    "T12*": b"6|12|7,11,21,41,49,62",
+    "S10": b"4|10|3,5,6,9,10,13",
+    "S10*": b"d4|10|3,5,6,9,10,13",
+    "E7*": b"5|10|3,12,21,26,31",
+    "F7": b"3|7|3,5,6,7",
+}
+
+
 class TestCanonicalKey:
     def test_invariant_under_relabeling(self):
         rng = random.Random(11)
@@ -75,6 +88,85 @@ class TestCanonicalKey:
             m = M(name)
             self_dual = are_isomorphic(m, dual(m))
             assert self_dual == (canonical_key(m) == canonical_key(dual(m)))
+
+
+    def test_keys_are_pinned(self):
+        # Recorded before the basis search was pruned by automorphisms; the
+        # pruning must not change a byte.  PG(3,2)* and S10* take the dual
+        # branch, the others the plain one.
+        assert {name: canonical_key(fresh(name)) for name in KEYS} == KEYS
+
+
+def brute_canonical_form(m):
+    """The definition of the canonical form, with no pruning: over every
+    basis and every row order, the D block with its columns sorted, the
+    least read row by row with the first row most significant."""
+    r, n = m.rank, m.size
+    best = None
+    for basis in combinations(range(n), r):
+        if m.rank_of_mask(sum(1 << p for p in basis)) < r:
+            continue
+        nonbasis = [j for j in range(n) if j not in basis]
+        # Bit i of coords[p] says whether basis[p] is in the fundamental
+        # circuit of nonbasis[i]: row p of the reduced D block.
+        coords = []
+        for p in range(r):
+            rest = sum(1 << q for q in basis if q != basis[p])
+            coords.append(
+                sum(1 << i for i, j in enumerate(nonbasis) if m.rank_of_mask(rest | 1 << j) == r)
+            )
+        for order in permutations(range(r)):
+            cols = sorted(
+                sum(((coords[p] >> i) & 1) << (r - 1 - d) for d, p in enumerate(order))
+                for i in range(n - r)
+            )
+            rows = tuple(tuple((c >> (r - 1 - d)) & 1 for c in cols) for d in range(r))
+            if best is None or rows < best[0]:
+                best = (rows, tuple(cols))
+    return (r, n, best[1])
+
+
+def _with_loops_coloops_and_parallels(rng, n, r):
+    """A seeded [I_r | D] whose D columns come from a pool of at most three
+    values, with 0 and unit vectors likely, and whose D rows may be zero."""
+    pool = rng.sample([0] + [1 << i for i in range(r)] + [rng.randrange(1 << r) for _ in range(4)], 3)
+    cols = [rng.choice(pool) for _ in range(n - r)]
+    zero = rng.randrange(r + 1)  # row `zero` of D, if any, is cleared: a coloop
+    cols = [c & ~(1 << zero) for c in cols]
+    rows = tuple((1 << i) | sum(((c >> i) & 1) << (r + j) for j, c in enumerate(cols)) for i in range(r))
+    return Matroid(BitMatrix(r, n, rows), tuple(range(1, n + 1)))
+
+
+def _kinds(m):
+    """Which of a loop, a coloop and a parallel pair m has."""
+    cols = [m.column_of(lab) for lab in m.labels]
+    return {
+        "loop": 0 in cols,
+        "coloop": any(m.rank_of_mask(m.full_mask & ~(1 << p)) < m.rank for p in range(m.size)),
+        "parallel pair": len(set(c for c in cols if c)) < len([c for c in cols if c]),
+    }
+
+
+class TestCanonicalFormOracle:
+    def test_random_matroids_match_the_definition(self):
+        rng = random.Random(8)
+        seen = set()
+        for n in [rng.randint(1, 9) for _ in range(40)] + [1, 3, 5, 4, 5]:
+            r = rng.randint(0, min(n, 5))
+            m = _with_loops_coloops_and_parallels(rng, n, r)
+            seen.add("rank 0" if r == 0 else "corank 0" if r == n else "other")
+            seen.update(k for k, on in _kinds(m).items() if on)
+            for copy in (m, relabeled_copy(m, rng), _scrambled(m, rng)):
+                assert canonical_form(copy) == brute_canonical_form(m), (m.matrix.rows, r, n)
+        assert seen == {"rank 0", "corank 0", "other", "loop", "coloop", "parallel pair"}
+
+    @pytest.mark.parametrize("name", ["F7", "S8", "AG(3,2)", "P9", "PG(3,2)"])
+    def test_catalog_matroids_match_the_definition(self, name):
+        m = M(name)
+        expected = brute_canonical_form(m)
+        rng = random.Random(len(name))
+        for copy in (fresh(name), relabeled_copy(m, rng), _scrambled(m, rng)):
+            assert canonical_form(copy) == expected
 
 
 class TestAreIsomorphic:
