@@ -91,7 +91,10 @@ def _parse_set(text: str) -> frozenset[int]:
 
 
 def _parse_matroid_list(text: str) -> list[Matroid]:
-    return [_load(tok) for tok in text.split(",") if tok]
+    family = [_load(tok) for tok in text.split(",") if tok]
+    if not family:
+        raise InputError(f"no matroid named in {text!r}")
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ def _cmd_lambda(args) -> int:
 def _cmd_exts(args) -> int:
     m = _load(args.name)
     kind = "coextension" if args.co else "extension"
-    excluded = _parse_matroid_list(args.exclude) if args.exclude else None
+    excluded = _parse_matroid_list(args.exclude) if args.exclude is not None else None
     classes = enumerate_growth_classes(m, kind, excluded=excluded)
     for i, c in enumerate(classes, 1):
         members = " ".join(str(v) for v in sorted(c.members, key=lambda v: v.value))
@@ -163,7 +166,7 @@ def _cmd_decomposer(args) -> int:
     n = _load(args.name)
     sep = _parse_set(args.sep)
     excluded = _parse_matroid_list(args.exclude)
-    defer = _parse_matroid_list(args.defer) if args.defer else ()
+    defer = _parse_matroid_list(args.defer) if args.defer is not None else ()
     if args.sep2:
         report = corollary22_check(n, sep, _parse_set(args.sep2), args.k, excluded, defer=defer)
     else:
@@ -182,7 +185,7 @@ def _cmd_verify(args) -> int:
     try:
         report = run_verification(only=only)
     except KeyError as exc:
-        raise InputError(str(exc))
+        raise InputError(exc.args[0])
     if args.json:
         sys.stdout.write(report_to_json(report))
     else:

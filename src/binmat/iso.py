@@ -11,6 +11,15 @@ target's rows one at a time, pruning as soon as the sorted column
 projections onto the assigned rows differ from the target's.  The first
 complete assignment is returned as an element bijection.
 
+The search is guided by element colours (`element_colours`): each
+element's counts, by weight, of the cycle-space and cocycle-space
+vectors that contain it, after the refinement idea of McKay and Piperno
+(cited below).  A pair whose colour multisets differ is rejected at
+once; only bases with the colours of the target's basis are tried, and
+a row goes only to a target row of its colour.  Colours cut only
+branches that cannot succeed, so the first match is the one the
+unguided search would find.
+
 `canonical_key` is for hashing many matroids at once: it minimizes the
 D block over all bases and all row orders (columns kept sorted), with
 branch-and-bound pruning on the partial sorted column prefixes.  Keys
@@ -70,12 +79,16 @@ def _fixed_form(t: Matroid):
     return cols, weights, projections
 
 
-def _match_rows(coords: list[int], r: int, projections) -> list[int] | None:
+def _match_rows(
+    coords: list[int], r: int, projections, row_colours, target_colours
+) -> list[int] | None:
     """Basis rows for target rows 0..r-1 that give the target's columns.
 
     ``coords`` holds the non-basis columns in basis coordinates (bit k =
-    row k).  Rows are assigned depth by depth; a branch is pruned as soon
-    as the sorted partial columns differ from the target's projections.
+    row k).  Rows are assigned depth by depth, basis row p to target row d
+    only when ``row_colours[p] == target_colours[d]``; a branch is pruned
+    as soon as the sorted partial columns differ from the target's
+    projections.
     """
     nd = len(coords)
 
@@ -84,6 +97,8 @@ def _match_rows(coords: list[int], r: int, projections) -> list[int] | None:
         if not remaining:
             return []
         for idx, p in enumerate(remaining):
+            if row_colours[p] != target_colours[depth]:
+                continue
             nxt = tuple(partial[j] | (((coords[j] >> p) & 1) << depth) for j in range(nd))
             if sorted(nxt) != projections[depth + 1]:
                 continue
@@ -95,6 +110,29 @@ def _match_rows(coords: list[int], r: int, projections) -> list[int] | None:
     return recurse((0,) * nd, list(range(r)))
 
 
+def element_colours(m: Matroid) -> tuple:
+    """Each element's colour, in column order: the numbers of cycle-space
+    vectors and of cocycle-space vectors of each weight that contain it,
+    as a pair of tuples indexed by weight.
+
+    An isomorphism carries every element to one of the same colour.  The
+    colours are read off m's cached masks and cached on m.
+    """
+    if m._element_colours is None:
+        spaces = []
+        for masks in (m.cycle_masks(), m.cocycle_masks()):
+            counts = [[0] * (m.size + 1) for _ in range(m.size)]
+            for mk in masks:
+                w = mk.bit_count()
+                while mk:
+                    low = mk & -mk
+                    counts[low.bit_length() - 1][w] += 1
+                    mk ^= low
+            spaces.append(map(tuple, counts))
+        m._element_colours = tuple(zip(*spaces))
+    return m._element_colours
+
+
 def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
     """An isomorphism from m onto t as a label map, or None if there is none.
 
@@ -102,16 +140,35 @@ def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
     can be row-permuted onto t's D block gives the map: basis elements go
     to t's basis by row, and non-basis elements to the t column of equal
     value, duplicates taken in order.
+
+    Every isomorphism preserves `element_colours`, so the search returns
+    None at once when the two colour multisets differ, tries only bases
+    with the colours of t's basis, and assigns a basis row only to a
+    target row of its colour.  Only branches that cannot succeed are cut,
+    so the first match is the one the unpruned search finds.
     """
     r, n = t.rank, t.size
     if (m.rank, m.size) != (r, n):
         return None
+    m_colours, t_colours = element_colours(m), element_colours(t)
+    if sorted(m_colours) != sorted(t_colours):
+        return None
+    ids = {c: i for i, c in enumerate(set(t_colours))}
+    m_ids = [ids[c] for c in m_colours]
+    t_ids = [ids[c] for c in t_colours]
+    # A basis's colour multiset as one int: a width-bit count per colour,
+    # enough since no colour occurs more than r times in a basis.
+    width = r.bit_length()
+    fields = [1 << (width * i) for i in m_ids]
+    target = sum(1 << (width * i) for i in t_ids[:r])
     cols, weights, projections = _fixed_form(t)
-    for basis in combinations(range(n), r):
+    for basis, colours in zip(combinations(range(n), r), map(sum, combinations(fields, r))):
+        if colours != target:
+            continue
         coords = _reduced_coords(m, basis)
         if coords is None or sorted(c.bit_count() for c in coords) != weights:
             continue
-        order = _match_rows(coords, r, projections)
+        order = _match_rows(coords, r, projections, [m_ids[p] for p in basis], t_ids)
         if order is None:
             continue
         mapping = {m.labels[basis[p]]: t.labels[i] for i, p in enumerate(order)}
@@ -279,10 +336,6 @@ def weight_profile(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def are_isomorphic(m: Matroid, other: Matroid) -> bool:
     """True iff some ground-set bijection carries circuits to circuits."""
-    if m.rank != other.rank or m.size != other.size:
-        return False
-    if weight_profile(m) != weight_profile(other):
-        return False
     return isomorphism(m, other) is not None
 
 

@@ -4,7 +4,7 @@ A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
 per column.  All public operations speak in labels; bit positions are an
 internal detail.  Instances are immutable after construction and cache
-ranks, cycle spaces and circuits internally.
+ranks, cycle spaces, circuits and element colours internally.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class Matroid:
         self._cocycle_masks: list[int] | None = None
         self._circuits: list[frozenset[int]] | None = None
         self._cocircuits: list[frozenset[int]] | None = None
+        self._element_colours: tuple | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
 

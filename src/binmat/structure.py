@@ -4,9 +4,11 @@ decomposer verification engine.
 `in_class` is one `has_any_minor` search.  The search filters every
 deletion/contraction split on its rank and weight enumerators, read off
 the parent's cached cycle and cocycle masks, and builds only the minors
-that pass.  The engine asks it once per one-step or two-step child
-(`_membership`); only in-class children without a deferred minor get
-per-side records.
+that pass.  The engine asks it once per isomorphism class of one-step
+and two-step children (`_membership`): a run keeps each answer with a
+copy of the child it was searched for, and a later child takes the
+answer of an isomorphic earlier one.  Only in-class children without a
+deferred minor get per-side records.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -247,32 +249,48 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
 # Phase 1: one-step extensions and coextensions
 
 
-def _one_step_phase(n: Matroid, sides, k, excluded, defer):
+def _one_step_phase(n: Matroid, sides, k, excluded, defer, memo):
     """Check conditions (i)/(ii) for every candidate; returns records."""
     records = []
     for v in extension_candidates(n):
         child = extend(n, v)
         x = child.labels[-1]
-        records.append(_one_step_record("extension", v, child, x, sides, k, excluded, defer))
+        records.append(_one_step_record("extension", v, child, x, sides, k, excluded, defer, memo))
     r = n.rank
     for v in coextension_candidates(n):
         child = coextend(n, v)
         x = r + 1
         shifted = [shift_labels(a, r) for a in sides]
-        records.append(_one_step_record("coextension", v, child, x, shifted, k, excluded, defer))
+        records.append(
+            _one_step_record("coextension", v, child, x, shifted, k, excluded, defer, memo)
+        )
     return records
 
 
-def _membership(child, excluded, defer) -> tuple[bool, bool]:
+def _membership(child, excluded, defer, memo) -> tuple[bool, bool]:
     """(in the class, deferred): a deferred child is in the class but has
-    a minor in `defer`, so a separate splitter argument covers it."""
+    a minor in `defer`, so a separate splitter argument covers it.
+
+    Both answers are isomorphism invariants.  `memo` maps (rank, size,
+    weight profile) to the (child copy, answer) pairs found so far, and a
+    child isomorphic to a kept copy takes its answer without a search.
+    """
+    bucket = memo.setdefault((child.rank, child.size, weight_profile(child)), [])
+    for seen, answer in bucket:
+        if isomorphism(child, seen) is not None:
+            return answer
     if not in_class(child, excluded):
-        return False, False
-    return True, bool(defer) and not in_class(child, defer)
+        answer = (False, False)
+    else:
+        answer = (True, bool(defer) and not in_class(child, defer))
+    # A cache-free copy: keeping the child would keep its circuit, mask
+    # and rank caches alive for the rest of the run.
+    bucket.append((Matroid(child.matrix, child.labels), answer))
+    return answer
 
 
-def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
-    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer))
+def _one_step_record(kind, v, child, x, sides, k, excluded, defer, memo):
+    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer, memo))
     if not rec.in_class or rec.deferred:
         return rec
     for a in sides:
@@ -345,7 +363,7 @@ def _triangle_escape(child, e, f, side_s):
     return None
 
 
-def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
+def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step, memo):
     """Classify every coextension row over every in-class extension; only
     in-class, non-deferred rows get per-side outcomes."""
     records = []
@@ -355,7 +373,7 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
         type_i = extend(n, ext.vector)
         for row in coextension_candidates(type_i):
             child = coextend(type_i, row)
-            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
+            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer, memo))
             if rec.in_class and not rec.deferred:
                 rec.sides = [_classify_built(type_i, child, a, k) for a in sides]
             records.append(rec)
@@ -385,7 +403,8 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
         report.overall = "failed"
         report.notes.append(note)
 
-    report.one_step = _one_step_phase(n, sides, k, excluded, defer)
+    memo: dict[tuple, list] = {}  # membership answers by class; see `_membership`
+    report.one_step = _one_step_phase(n, sides, k, excluded, defer, memo)
     active = [r for r in report.one_step if r.in_class and not r.deferred]
     for rec in active:
         for i, side in enumerate(rec.sides):
@@ -397,7 +416,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     if all(s.direct for rec in active for s in rec.sides):
         report.notes.append("one-element check: every one-step candidate keeps lambda = k-1")
     elif report.overall != "failed":
-        report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step)
+        report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step, memo)
         for rec in report.two_step:
             if not rec.in_class or rec.deferred:
                 continue

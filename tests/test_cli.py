@@ -116,6 +116,9 @@ class TestCommands:
         assert payload["summary"]["pass"] == 1
 
 
+E4_DECOMPOSER = ["decomposer", "E4", "--sep", "1,2,5,6,7,10", "--k", "3"]
+
+
 class TestErrorHandling:
     def test_unknown_catalog_name_exits_2(self, capsys):
         code, _, err = run(capsys, "cat", "U24")
@@ -125,7 +128,22 @@ class TestErrorHandling:
     def test_unknown_claim_id_exits_2(self, capsys):
         code, _, err = run(capsys, "verify-paper", "--claim", "nope")
         assert code == 2
-        assert err
+        assert err == "binmat: unknown claim ids: ['nope']\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["splitter", "S10", "--exclude", ","],
+            [*E4_DECOMPOSER, "--exclude", ","],
+            [*E4_DECOMPOSER, "--exclude", ""],
+            [*E4_DECOMPOSER, "--exclude", "S10", "--defer", ","],
+            ["exts", "S8", "--exclude", ""],
+        ],
+    )
+    def test_empty_matroid_family_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("binmat: no matroid named in ")
 
     def test_malformed_bmx_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.bmx"

@@ -11,6 +11,7 @@ from binmat.iso import (
     are_isomorphic,
     canonical_form,
     canonical_key,
+    element_colours,
     isomorphism,
     partition_into_classes,
     weight_profile,
@@ -278,8 +279,12 @@ def _scrambled(m, rng):
 
 
 def _assert_carries_cycles(m, t, f):
-    """Replay f: the images of m's cycles must be exactly t's cycles."""
+    """Replay f: the images of m's cycles must be exactly t's cycles, and
+    every element must keep its colour."""
     assert sorted(f) == sorted(m.labels) and sorted(f.values()) == sorted(t.labels)
+    m_colour = dict(zip(m.labels, element_colours(m)))
+    t_colour = dict(zip(t.labels, element_colours(t)))
+    assert all(m_colour[e] == t_colour[f[e]] for e in f)
     t_pos = {lab: p for p, lab in enumerate(t.labels)}
     images = set()
     for mask in m.cycle_masks():
@@ -291,7 +296,39 @@ def _assert_carries_cycles(m, t, f):
     assert images == set(t.cycle_masks())
 
 
+# First-match maps recorded before the search was pruned by element
+# colours; the pruning cuts only branches that cannot succeed, so the
+# first match must not move.
+FIRST_MATCHES = {
+    "F7": {101: 5, 102: 1, 103: 7, 104: 2, 105: 4, 106: 6, 107: 3},
+    "S8*": {1: 5, 2: 6, 3: 7, 4: 8, 5: 1, 6: 2, 7: 3, 8: 4},
+    "P9": {101: 7, 102: 9, 103: 5, 104: 1, 105: 8, 106: 6, 107: 3, 108: 4, 109: 2},
+    "E4*": {1: 2, 2: 1, 3: 10, 4: 6, 5: 9, 6: 4, 7: 8, 8: 7, 9: 5, 10: 3},
+    "E5": {101: 10, 102: 6, 103: 5, 104: 8, 105: 1, 106: 3, 107: 9, 108: 7, 109: 2, 110: 4},
+    "T12*": {1: 7, 2: 8, 3: 9, 4: 10, 5: 11, 6: 12, 7: 1, 8: 2, 9: 3, 10: 4, 11: 5, 12: 6},
+    "S10": {101: 9, 102: 10, 103: 7, 104: 2, 105: 1, 106: 3, 107: 5, 108: 8, 109: 4, 110: 6},
+    "AG(3,2)": {101: 6, 102: 5, 103: 2, 104: 3, 105: 8, 106: 4, 107: 7, 108: 1},
+}
+
+
+def _first_match_pairs():
+    return {
+        "F7": (_scrambled(M("F7"), random.Random(1)), M("F7")),
+        "S8*": (M("S8"), dual(M("S8"))),
+        "P9": (_scrambled(M("P9"), random.Random(2)), M("P9")),
+        "E4*": (M("E4"), dual(M("E4"))),
+        "E5": (_scrambled(M("E5"), random.Random(3)), M("E5")),
+        "T12*": (M("T12"), M("T12*")),
+        "S10": (_scrambled(M("S10"), random.Random(4)), M("S10")),
+        "AG(3,2)": (_scrambled(M("AG(3,2)"), random.Random(5)), M("AG(3,2)")),
+    }
+
+
 class TestIsomorphism:
+    def test_first_matches_are_pinned(self):
+        pairs = _first_match_pairs()
+        assert {name: isomorphism(m, t) for name, (m, t) in pairs.items()} == FIRST_MATCHES
+
     def test_agrees_with_permutation_oracle(self):
         # The oracle maps every cycle under each of the n! bijections, so
         # 8-element pairs are few and have at most 2^4 cycles.
@@ -361,3 +398,47 @@ class TestIsomorphism:
         assert isomorphism(M("F7"), M("F7*")) is None  # rank 3 vs 4 on 7 elements
         assert isomorphism(M("F7*"), M("S8")) is None  # rank 4 on 7 vs 8 elements
         assert isomorphism(M("S8"), M("AG(3,2)")) is None  # same rank and size
+
+
+def _oracle_colours(m):
+    """Element colours by definition: over every subset of the ground set,
+    a cycle iff its columns sum to zero, and a cocycle iff it meets every
+    cycle in an even number of elements."""
+    n = m.size
+    cols = [m.column_of(lab) for lab in m.labels]
+    cycles = []
+    for s in range(1 << n):
+        acc = 0
+        for p in range(n):
+            if (s >> p) & 1:
+                acc ^= cols[p]
+        if acc == 0:
+            cycles.append(s)
+    cocycles = [
+        s for s in range(1 << n) if all((s & c).bit_count() % 2 == 0 for c in cycles)
+    ]
+    return tuple(
+        tuple(
+            tuple(sum(1 for s in space if (s >> p) & 1 and s.bit_count() == w) for w in range(n + 1))
+            for space in (cycles, cocycles)
+        )
+        for p in range(n)
+    )
+
+
+class TestElementColours:
+    def test_random_matroids_match_the_definition(self):
+        rng = random.Random(9)
+        for n in [rng.randint(1, 8) for _ in range(30)]:
+            r = rng.randint(0, n)
+            make = _random_matroid if rng.random() < 0.5 else _with_loops_coloops_and_parallels
+            m = make(rng, n, r)
+            assert element_colours(m) == _oracle_colours(m), (m.matrix.rows, r, n)
+
+    def test_catalog_matroids_match_the_definition(self):
+        for name in ("F7", "F7*", "S8", "AG(3,2)"):
+            assert element_colours(fresh(name)) == _oracle_colours(M(name)), name
+
+    def test_colours_are_cached_on_the_matroid(self):
+        m = fresh("P9")
+        assert element_colours(m) is element_colours(m)

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from binmat import iso
+from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import extend, extension_candidates
+from binmat.extension import coextend, extend, extension_candidates
 from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, partition_into_classes, weight_profile
 from binmat.matroid import Matroid, dual, remove
@@ -222,10 +222,42 @@ class TestInClass:
         assert not in_class(M("S10"), ex)
         assert in_class(M("S8"), [M("P9"), M("P9*")])
 
-    def test_memoized_verdicts_are_consistent(self):
-        m = fresh("E4")
-        ex = [M("S10"), M("S10*")]
-        assert in_class(m, ex) == in_class(m, ex)
+    @pytest.mark.parametrize("defer", [(), ("T12/e", "T12\\e")], ids=["undeferred", "deferred"])
+    def test_decomposer_membership_per_class_matches_fresh_searches(self, monkeypatch, defer):
+        # The engine searches once per isomorphism class of children.  Every
+        # record must still carry what a fresh search on the child, rebuilt
+        # from its generators, gives.  Undeferred, E4 stops after the one-step
+        # phase (as in test_undeferred_t12_branches_fail_both_sides); with the
+        # T12 branches deferred it runs the two-step phase too.
+        excluded = [M("S10"), M("S10*")]
+        defer = [M(name) for name in defer]
+        searched = []
+
+        def counting(m, targets):
+            searched.append(m)
+            return has_any_minor(m, targets)
+
+        monkeypatch.setattr(structure, "has_any_minor", counting)
+        report = corollary22_check(
+            fresh("E4"), SIDE_A1, SIDE_A2, 3, excluded, defer=defer, check_dual=False
+        )
+        monkeypatch.undo()
+
+        def membership(child):
+            if not in_class(child, excluded):
+                return False, False
+            return True, bool(defer) and not in_class(child, defer)
+
+        e4 = M("E4")
+        for rec in report.one_step:
+            child = (extend if rec.kind == "extension" else coextend)(e4, rec.vector)
+            assert (rec.in_class, rec.deferred) == membership(child), (rec.kind, str(rec.vector))
+        for rec in report.two_step:
+            child = coextend(extend(e4, rec.parent_vector), rec.row)
+            where = (str(rec.parent_vector), str(rec.row))
+            assert (rec.in_class, rec.deferred) == membership(child), where
+        assert bool(report.two_step) == bool(defer)
+        assert len(searched) < len(report.one_step) + len(report.two_step)
 
 
 class TestIsSplitter:

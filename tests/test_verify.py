@@ -1,5 +1,7 @@
 """Tests for the claim registry and verification reporting."""
 
+import hashlib
+
 import pytest
 
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
@@ -85,6 +87,12 @@ class TestFullReport:
         report, _ = verification
         text = report_to_text(report)
         assert "pass" in text and "discrepancy" in text
+
+    def test_json_report_digest_is_pinned(self, verification):
+        # Any verdict, value or ordering change in the report moves this.
+        report, _ = verification
+        digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+        assert digest == "af91f8ffc3487bea706df154a4893a42f47189d9eff3763830a504940a8e492a"
 
     def test_json_output_is_byte_stable_across_runs(self, verification):
         report, _ = verification
