@@ -12,13 +12,20 @@ projections onto the assigned rows differ from the target's.  The first
 complete assignment is returned as an element bijection.
 
 The search is guided by element colours (`element_colours`): each
-element's counts, by weight, of the cycle-space and cocycle-space
-vectors that contain it, after the refinement idea of McKay and Piperno
-(cited below).  A pair whose colour multisets differ is rejected at
-once; only bases with the colours of the target's basis are tried, and
-a row goes only to a target row of its colour.  Colours cut only
-branches that cannot succeed, so the first match is the one the
-unguided search would find.
+element's counts, by weight, of the cocycle-space vectors that contain
+it, after the refinement idea of McKay and Piperno (cited below).  A
+pair whose colour multisets differ is rejected at once; only bases with
+the colours of the target's basis are tried, and a row goes only to a
+target row of its colour.  Colours cut only branches that cannot
+succeed, so the first match is the one the unguided search would find.
+
+Every weight invariant here reads the cocycle space alone.  Over GF(2)
+the cycle space is its orthogonal complement, so by the MacWilliams
+identity (F. J. MacWilliams, "A theorem on the distribution of weights
+in a systematic code", Bell Syst. Tech. J. 1963) the cocycle weight
+enumerator of a matroid of known size fixes its cycle enumerator.  An
+element's cocycle colour likewise fixes its cycle colour: the cocycles
+avoiding e are those of M / e, whose cycles are M's with e removed.
 
 `canonical_key` is for hashing many matroids at once: it minimizes the
 D block over all bases and all row orders (columns kept sorted), with
@@ -111,25 +118,21 @@ def _match_rows(
 
 
 def element_colours(m: Matroid) -> tuple:
-    """Each element's colour, in column order: the numbers of cycle-space
-    vectors and of cocycle-space vectors of each weight that contain it,
-    as a pair of tuples indexed by weight.
+    """Each element's colour, in column order: the numbers of cocycle-space
+    vectors of each weight that contain it, as a tuple indexed by weight.
 
     An isomorphism carries every element to one of the same colour.  The
-    colours are read off m's cached masks and cached on m.
+    colours are read off m's cached cocycle masks and cached on m.
     """
     if m._element_colours is None:
-        spaces = []
-        for masks in (m.cycle_masks(), m.cocycle_masks()):
-            counts = [[0] * (m.size + 1) for _ in range(m.size)]
-            for mk in masks:
-                w = mk.bit_count()
-                while mk:
-                    low = mk & -mk
-                    counts[low.bit_length() - 1][w] += 1
-                    mk ^= low
-            spaces.append(map(tuple, counts))
-        m._element_colours = tuple(zip(*spaces))
+        counts = [[0] * (m.size + 1) for _ in range(m.size)]
+        for mk in m.cocycle_masks():
+            w = mk.bit_count()
+            while mk:
+                low = mk & -mk
+                counts[low.bit_length() - 1][w] += 1
+                mk ^= low
+        m._element_colours = tuple(map(tuple, counts))
     return m._element_colours
 
 
@@ -323,15 +326,12 @@ def canonical_key(m: Matroid) -> bytes:
     return (("d" if use_dual else "") + f"{r}|{n}|" + ",".join(map(str, cols))).encode()
 
 
-def weight_profile(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Weight enumerators of the cycle and cocycle spaces (iso invariant)."""
-    profile = []
-    for masks in (m.cycle_masks(), m.cocycle_masks()):
-        counts = [0] * (m.size + 1)
-        for mk in masks:
-            counts[mk.bit_count()] += 1
-        profile.append(tuple(counts))
-    return tuple(profile)
+def weight_profile(m: Matroid) -> tuple[int, ...]:
+    """Weight enumerator of the cocycle space (iso invariant)."""
+    counts = [0] * (m.size + 1)
+    for mk in m.cocycle_masks():
+        counts[mk.bit_count()] += 1
+    return tuple(counts)
 
 
 def are_isomorphic(m: Matroid, other: Matroid) -> bool:

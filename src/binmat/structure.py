@@ -2,9 +2,9 @@
 decomposer verification engine.
 
 `in_class` is one `has_any_minor` search.  The search filters every
-deletion/contraction split on its rank and weight enumerators, read off
-the parent's cached cycle and cocycle masks, and builds only the minors
-that pass.  The engine asks it once per isomorphism class of one-step
+deletion/contraction split on its cocycle weight enumerator, one pass
+over the parent's cached cocycle masks, and builds only the minors that
+pass.  The engine asks it once per isomorphism class of one-step
 and two-step children (`_membership`): a run keeps each answer with a
 copy of the child it was searched for, and a later child takes the
 answer of an isomorphic earlier one.  Only in-class children without a
@@ -79,22 +79,6 @@ def _histogram(masks, drop: int, keep: int) -> tuple[int, ...]:
     return tuple(c // kernel for c in counts)
 
 
-def _split_profile(m: Matroid, dmask: int, cmask: int, ranks):
-    """(rank, weight profile) of m \\ D / C for position masks D and C,
-    read off m's cached masks, or None if the rank is not in `ranks`.
-
-    The minor's cocycles are {c - D : c a cocycle, c & C = 0} and its
-    cycles {c - C : c a cycle, c & D = 0}.  Its rank is log2 of the
-    number of cocycles, so a wrong rank costs only the cocycle pass.
-    """
-    keep = m.full_mask & ~(dmask | cmask)
-    cocycles = _histogram(m.cocycle_masks(), cmask, keep)
-    rank = sum(cocycles).bit_length() - 1
-    if rank not in ranks:
-        return None
-    return rank, (_histogram(m.cycle_masks(), dmask, keep), cocycles)
-
-
 def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
@@ -102,33 +86,40 @@ def has_any_minor(m: Matroid, targets):
     Targets of equal size share one traversal of the removal splits, so
     checking a matroid against a family costs barely more than against
     one member.  Splits are visited by the number of removed elements,
-    smallest first (gap 0's only split is m itself).  Each split's rank
-    and weight enumerators are read off m's cycle and cocycle masks
-    (`_split_profile`); only a split matching a target's is built with
-    `remove` and handed to a first-match isomorphism search onto the
-    target's fixed presentation.
+    smallest first (gap 0's only split is m itself), as position masks
+    taken in label order.  The cocycles of m \\ D / C are
+    {c - D : c a cocycle of m, c & C = 0}, so each split's cocycle
+    enumerator is one pass over m's cached cocycle masks.  Split and
+    target have the same size, so equal cocycle enumerators also mean
+    equal rank and cycle enumerator (see `iso`).  Only a split matching
+    a target's `weight_profile` is built with `remove` and handed to a
+    first-match isomorphism search onto the target's fixed presentation.
     """
-    by_gap: dict[int, list] = {}
+    by_gap: dict[int, dict] = {}
     for idx, target in enumerate(targets):
         gap = m.size - target.size
         if gap < 0 or target.rank > m.rank or (target.size - target.rank) > (
             m.size - m.rank
         ):
             continue
-        by_gap.setdefault(gap, []).append((idx, target, (target.rank, weight_profile(target))))
+        by_gap.setdefault(gap, {}).setdefault(weight_profile(target), []).append((idx, target))
 
-    elements = sorted(m.ground_set())
-    for gap, group in sorted(by_gap.items()):
-        ranks = {rank for _, _, (rank, _) in group}
-        for removed in combinations(elements, gap):
-            removed_set = set(removed)
+    bits = [1 << p for p in sorted(range(m.size), key=m.labels.__getitem__)]
+    for gap, wanted in sorted(by_gap.items()):
+        for removed in combinations(bits, gap):
+            rmask = sum(removed)
+            keep = m.full_mask ^ rmask
             for c in range(gap + 1):
                 for cons in combinations(removed, c):
-                    cons_set = frozenset(cons)
-                    dels = frozenset(removed_set - cons_set)
-                    split = _split_profile(m, m.mask_of(dels), m.mask_of(cons_set), ranks)
-                    for idx, target, profile in group:
-                        if split == profile and isomorphism(remove(m, dels, cons_set), target) is not None:
+                    cmask = sum(cons)
+                    hits = wanted.get(_histogram(m.cocycle_masks(), cmask, keep))
+                    if hits is None:
+                        continue
+                    dels = m.labels_of(rmask ^ cmask)
+                    cons_set = m.labels_of(cmask)
+                    minor = remove(m, dels, cons_set)
+                    for idx, target in hits:
+                        if isomorphism(minor, target) is not None:
                             return idx, dels, cons_set
     return None
 
@@ -283,8 +274,10 @@ def _membership(child, excluded, defer, memo) -> tuple[bool, bool]:
         answer = (False, False)
     else:
         answer = (True, bool(defer) and not in_class(child, defer))
-    # A cache-free copy: keeping the child would keep its circuit, mask
-    # and rank caches alive for the rest of the run.
+    # A fresh copy, not the child: it keeps the matrix and labels, and
+    # gains cocycle masks and colours the first time a later child is
+    # compared with it; the child's circuits, rank cache and any cycle
+    # masks are not kept.
     bucket.append((Matroid(child.matrix, child.labels), answer))
     return answer
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -198,22 +199,52 @@ class TestAreIsomorphic:
         assert not are_isomorphic(M("F7"), M("S8"))
 
 
+def _krawtchouk_transform(profile):
+    """The cycle enumerator that a cocycle enumerator fixes, by the
+    MacWilliams identity in exact integers: B_j = 2^-r sum_i A_i K_j(i),
+    with K_j(i) = sum_s (-1)^s C(i, s) C(n - i, j - s)."""
+    n, size = len(profile) - 1, sum(profile)
+    out = []
+    for j in range(n + 1):
+        total = sum(
+            a * sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+            for i, a in enumerate(profile)
+        )
+        assert total % size == 0
+        out.append(total // size)
+    return tuple(out)
+
+
 class TestWeightProfile:
     def test_profile_counts_sum_to_space_sizes(self):
         m = M("S8")
-        cyc, coc = weight_profile(m)
-        assert sum(cyc) == 1 << (m.size - m.rank)
+        coc = weight_profile(m)
+        assert len(coc) == m.size + 1
         assert sum(coc) == 1 << m.rank
-        assert cyc[0] == 1 and coc[0] == 1
+        assert coc[0] == 1
 
     def test_profile_is_invariant_but_weaker_than_key(self):
         rng = random.Random(2)
         m = M("E4")
         assert weight_profile(m) == weight_profile(relabeled_copy(m, rng))
-        # Dual pairs swap the two component tuples.
-        cyc, coc = weight_profile(m)
-        dcyc, dcoc = weight_profile(dual(m))
-        assert (cyc, coc) == (dcoc, dcyc)
+        # The cocycle enumerator fixes the cycle enumerator, which is the
+        # dual's cocycle enumerator.
+        cases = [M(name) for name in ("E4", "T12", "PG(3,2)")]
+        seen = set()
+        for n in [rng.randint(1, 9) for _ in range(40)]:
+            r = rng.randint(0, n)
+            make = _random_matroid if rng.random() < 0.5 else _with_loops_coloops_and_parallels
+            cases.append(make(rng, n, r))
+            seen.add("rank 0" if r == 0 else "corank 0" if r == n else "other")
+            seen.update(k for k, on in _kinds(cases[-1]).items() if on)
+        assert seen == {"rank 0", "corank 0", "other", "loop", "coloop", "parallel pair"}
+        for m in cases:
+            cycles = [0] * (m.size + 1)
+            for mask in m.cycle_masks():
+                cycles[mask.bit_count()] += 1
+            expected = _krawtchouk_transform(weight_profile(m))
+            assert tuple(cycles) == expected, (m.matrix.rows, m.rank, m.size)
+            assert weight_profile(dual(m)) == expected
 
 
 class TestPartition:
@@ -426,18 +457,43 @@ def _oracle_colours(m):
     )
 
 
+def _colour_cases():
+    """Thirty seeded matroids, loops, coloops and parallel pairs allowed."""
+    rng = random.Random(9)
+    cases = []
+    for n in [rng.randint(1, 8) for _ in range(30)]:
+        r = rng.randint(0, n)
+        make = _random_matroid if rng.random() < 0.5 else _with_loops_coloops_and_parallels
+        cases.append(make(rng, n, r))
+    return cases
+
+
 class TestElementColours:
     def test_random_matroids_match_the_definition(self):
-        rng = random.Random(9)
-        for n in [rng.randint(1, 8) for _ in range(30)]:
-            r = rng.randint(0, n)
-            make = _random_matroid if rng.random() < 0.5 else _with_loops_coloops_and_parallels
-            m = make(rng, n, r)
-            assert element_colours(m) == _oracle_colours(m), (m.matrix.rows, r, n)
+        for m in _colour_cases():
+            expected = tuple(coc for _, coc in _oracle_colours(m))
+            assert element_colours(m) == expected, (m.matrix.rows, m.rank, m.size)
 
     def test_catalog_matroids_match_the_definition(self):
         for name in ("F7", "F7*", "S8", "AG(3,2)"):
-            assert element_colours(fresh(name)) == _oracle_colours(M(name)), name
+            expected = tuple(coc for _, coc in _oracle_colours(M(name)))
+            assert element_colours(fresh(name)) == expected, name
+
+    def test_cocycle_colour_fixes_cycle_colour(self):
+        # Why `isomorphism` may prune on cocycle colours alone: two
+        # elements, of one matroid or of two with equal size and cocycle
+        # enumerator, with equal cocycle colours have equal cycle colours.
+        cycle_colours: dict[tuple, set] = {}
+        owners: dict[tuple, list] = {}
+        for i, m in enumerate(_colour_cases() + [M(name) for name in ("F7", "F7*", "S8", "AG(3,2)")]):
+            for cyc, coc in _oracle_colours(m):
+                key = (m.size, weight_profile(m), coc)
+                cycle_colours.setdefault(key, set()).add(cyc)
+                owners.setdefault(key, []).append(i)
+        assert all(len(cycs) == 1 for cycs in cycle_colours.values())
+        # Both kinds of pair occur: within one matroid and across two.
+        assert any(len(o) > len(set(o)) for o in owners.values())
+        assert any(len(set(o)) > 1 for o in owners.values())
 
     def test_colours_are_cached_on_the_matroid(self):
         m = fresh("P9")

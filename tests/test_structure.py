@@ -15,7 +15,7 @@ from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     HypothesisError,
     Verdict,
-    _split_profile,
+    _histogram,
     corollary22_check,
     has_any_minor,
     in_class,
@@ -173,7 +173,7 @@ def test_split_profile_matches_built_minors():
     # Random [I_r | D] with loops, parallel pairs, rank 0 and corank 0
     # allowed, and shuffled labels so positions and labels differ.
     rng = random.Random(20141)
-    kernels = Counter()
+    kernels = 0
     for _ in range(60):
         n = rng.randint(1, 9)
         r = rng.randint(0, n)
@@ -185,14 +185,14 @@ def test_split_profile_matches_built_minors():
                     for cons in combinations(removed, c):
                         dels = set(removed) - set(cons)
                         minor = remove(m, dels, cons)
-                        expected = (minor.rank, weight_profile(minor))
-                        dmask, cmask = m.mask_of(dels), m.mask_of(cons)
-                        assert _split_profile(m, dmask, cmask, range(n + 1)) == expected
-                        assert _split_profile(m, dmask, cmask, {minor.rank + 1}) is None
-                        kernels["cycle"] += m.rank_of(cons) < len(cons)
-                        kernels["cocycle"] += m.rank_of(minor.labels + cons) < m.rank
-    # Both kernels are nontrivial on some splits, so the division is exercised.
-    assert kernels["cycle"] and kernels["cocycle"], kernels
+                        cmask = m.mask_of(cons)
+                        keep = m.full_mask & ~m.mask_of(removed)
+                        profile = _histogram(m.cocycle_masks(), cmask, keep)
+                        assert profile == weight_profile(minor)
+                        assert sum(profile) == 1 << minor.rank
+                        kernels += m.rank_of(minor.labels + cons) < m.rank
+    # The cocycle kernel is nontrivial on some splits, so the division is exercised.
+    assert kernels
 
 
 def test_decisions_compute_no_canonical_form(monkeypatch):
