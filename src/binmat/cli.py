@@ -21,7 +21,7 @@ from .connectivity import lam
 from .extension import enumerate_growth_classes
 from .gf2 import BitMatrix
 from .matroid import Matroid, make_matroid
-from .structure import corollary22_check, has_any_minor, is_splitter, theorem21_check
+from .structure import corollary22_check, has_any_minor, in_class, is_splitter, theorem21_check
 from .verify import report_to_json, report_to_text, run_verification
 
 
@@ -129,7 +129,9 @@ def _cmd_exts(args) -> int:
     m = _load(args.name)
     kind = "coextension" if args.co else "extension"
     excluded = _parse_matroid_list(args.exclude) if args.exclude is not None else None
-    classes = enumerate_growth_classes(m, kind, excluded=excluded)
+    classes = enumerate_growth_classes(m, kind)
+    if excluded is not None:
+        classes = [c for c in classes if in_class(c.representative, excluded)]
     for i, c in enumerate(classes, 1):
         members = " ".join(str(v) for v in sorted(c.members, key=lambda v: v.value))
         print(f"class {i} ({len(c.members)} generators): {members}")

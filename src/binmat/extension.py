@@ -101,22 +101,19 @@ def _check_coextension_cocircuit(parent: Matroid, child: Matroid, row: BitVector
             raise AssertionError("coextension cocircuit is not minimal")
 
 
-def enumerate_growth_classes(m: Matroid, kind: str, excluded=None) -> list[IsoClass]:
-    """All growth candidates grouped into isomorphism classes.
-
-    With ``excluded`` (a list of matroids), the classes whose
-    representative has one of them as a minor are discarded; the minor
-    test runs once per class.
-    """
+def growths(m: Matroid, kind: str):
+    """(generator, child) for each simple extension ("extension") or cosimple
+    coextension ("coextension") of m, in ascending bracket order."""
     if kind == "extension":
-        pairs = [(v, extend(m, v)) for v in extension_candidates(m)]
-    elif kind == "coextension":
-        pairs = [(v, coextend(m, v)) for v in coextension_candidates(m)]
-    else:
-        raise ValueError(f"unknown growth kind {kind!r}")
-    classes = partition_into_classes(pairs)
-    if excluded:
-        from .structure import in_class
+        return ((v, extend(m, v)) for v in extension_candidates(m))
+    if kind == "coextension":
+        return ((v, coextend(m, v)) for v in coextension_candidates(m))
+    raise ValueError(f"unknown growth kind {kind!r}")
 
-        classes = [c for c in classes if in_class(c.representative, excluded)]
-    return classes
+
+def enumerate_growth_classes(m: Matroid, kind: str) -> list[IsoClass]:
+    """All growth candidates of one kind (see `growths`) grouped into
+    isomorphism classes.  To keep the classes inside an excluded-minor
+    class, filter on ``c.representative in cls`` with a
+    `structure.ExcludedClass`."""
+    return partition_into_classes(growths(m, kind))

@@ -339,6 +339,25 @@ def are_isomorphic(m: Matroid, other: Matroid) -> bool:
     return isomorphism(m, other) is not None
 
 
+class IsoIndex:
+    """One value per isomorphism class: matroids are bucketed by rank,
+    size and weight profile, and `isomorphism` onto a kept copy confirms."""
+
+    def __init__(self):
+        self._buckets: dict[tuple, list[tuple[Matroid, object]]] = {}
+
+    def setdefault(self, m: Matroid, make: Callable[[], object]):
+        """The value of m's class; for a new class ``make()``, kept with a copy of m."""
+        bucket = self._buckets.setdefault((m.rank, m.size, weight_profile(m)), [])
+        for kept, value in bucket:
+            if isomorphism(m, kept) is not None:
+                return value
+        value = make()
+        # A fresh copy: m's rank cache, circuits and cycle masks are not kept.
+        bucket.append((Matroid(m.matrix, m.labels), value))
+        return value
+
+
 @dataclass
 class IsoClass:
     """A group of generator vectors whose children are pairwise isomorphic."""
@@ -350,23 +369,17 @@ class IsoClass:
 def partition_into_classes(candidates) -> list[IsoClass]:
     """Group (generator, matroid) pairs into isomorphism classes.
 
-    Candidates are walked in ascending bracket-value order and bucketed
-    by rank, size and weight profile; each joins the first class in its
-    bucket whose representative it matches, or opens a new one.  Each
-    class records all generators in ascending order; the representative
-    is the child of the least generator, and classes are ordered by
-    their least generator.
+    Candidates are walked in ascending bracket-value order; each joins
+    its class in an `IsoIndex`, or opens a new one.  Each class records
+    all generators in ascending order; the representative is the child
+    of the least generator, and classes are ordered by their least
+    generator.
     """
     classes: list[IsoClass] = []
-    buckets: dict[tuple, list[IsoClass]] = {}
+    index = IsoIndex()
     for gen, child in sorted(candidates, key=lambda t: t[0].value):
-        bucket = buckets.setdefault((child.rank, child.size, weight_profile(child)), [])
-        for cls in bucket:
-            if isomorphism(child, cls.representative) is not None:
-                cls.members.append(gen)
-                break
-        else:
-            cls = IsoClass(child, [gen])
-            bucket.append(cls)
+        cls = index.setdefault(child, lambda: IsoClass(child, []))
+        if not cls.members:  # a new class
             classes.append(cls)
+        cls.members.append(gen)
     return classes

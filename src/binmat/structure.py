@@ -4,11 +4,12 @@ decomposer verification engine.
 `in_class` is one `has_any_minor` search.  The search filters every
 deletion/contraction split on its cocycle weight enumerator, one pass
 over the parent's cached cocycle masks, and builds only the minors that
-pass.  The engine asks it once per isomorphism class of one-step
-and two-step children (`_membership`): a run keeps each answer with a
-copy of the child it was searched for, and a later child takes the
-answer of an isomorphic earlier one.  Only in-class children without a
-deferred minor get per-side records.
+pass.  Every other membership question goes through an `ExcludedClass`,
+which runs `in_class` once per isomorphism class of the matroids it is
+asked about.  One object serves the splitter test, the decomposer's
+children in both orientations, and every caller that keeps it, such as
+one verification run.  Only in-class children without a deferred minor
+get per-side records.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -29,16 +30,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import bridging_value, classify_separation, is_n_connected, lam
-from .extension import (
-    coextend,
-    coextension_candidates,
-    extend,
-    extension_candidates,
-    shift_label,
-    shift_labels,
-)
+from .extension import extend, growths, shift_label, shift_labels
 from .gf2 import BitVector
-from .iso import are_isomorphic, isomorphism, weight_profile
+from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
 from .matroid import (
     Matroid,
@@ -125,30 +119,58 @@ def has_any_minor(m: Matroid, targets):
 
 
 def in_class(m: Matroid, excluded) -> bool:
-    """True iff m has no minor isomorphic to any matroid in `excluded`."""
+    """True iff m has no minor isomorphic to any matroid in `excluded`:
+    one uncached search, the reference for `ExcludedClass`."""
     return has_any_minor(m, list(excluded)) is None
+
+
+class ExcludedClass:
+    """EX[family]: the binary matroids with no minor isomorphic to a
+    member of `family`.  Membership is an isomorphism invariant, so
+    ``m in cls`` searches (`in_class`) once per isomorphism class."""
+
+    def __init__(self, family):
+        self.family = list(family)
+        self._answers = IsoIndex()
+
+    def __contains__(self, m: Matroid) -> bool:
+        return self._answers.setdefault(m, lambda: in_class(m, self.family))
+
+    def dual(self) -> ExcludedClass:
+        """EX[duals of the family]: M is in EX[F] iff M* is in EX[F*].
+        EX[F] depends only on F's isomorphism classes, and duality is a
+        bijection on those when it maps each into F, so then the class is
+        its own dual and keeps its answers."""
+        duals = [dual(x) for x in self.family]
+        if all(any(are_isomorphic(d, x) for x in self.family) for d in duals):
+            return self
+        return ExcludedClass(duals)
+
+
+def _as_class(family) -> ExcludedClass:
+    """EX[family], or `family` if it is one: a list must never reach ``in``."""
+    return family if isinstance(family, ExcludedClass) else ExcludedClass(family)
 
 
 def is_splitter(n: Matroid, excluded):
     """Splitter test via the finite extension/coextension criterion.
 
-    Requires n 3-connected and in the class.  Returns (flag,
+    Requires n 3-connected and in the class (`excluded`: an
+    `ExcludedClass` or a list of excluded minors).  Returns (flag,
     counterexamples) where counterexamples lists the in-class children as
     (kind, generator, child) triples.
     """
+    excluded = _as_class(excluded)
     if not is_n_connected(n, 3):
         raise ValueError("splitter candidate must be 3-connected")
-    if not in_class(n, excluded):
+    if n not in excluded:
         raise ValueError("splitter candidate must belong to the class")
-    counterexamples = []
-    for v in extension_candidates(n):
-        child = extend(n, v)
-        if in_class(child, excluded):
-            counterexamples.append(("extension", v, child))
-    for v in coextension_candidates(n):
-        child = coextend(n, v)
-        if in_class(child, excluded):
-            counterexamples.append(("coextension", v, child))
+    counterexamples = [
+        (kind, v, child)
+        for kind in ("extension", "coextension")
+        for v, child in growths(n, kind)
+        if child in excluded
+    ]
     return (not counterexamples, counterexamples)
 
 
@@ -240,50 +262,29 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
 # Phase 1: one-step extensions and coextensions
 
 
-def _one_step_phase(n: Matroid, sides, k, excluded, defer, memo):
+def _one_step_phase(n: Matroid, sides, k, excluded, defer):
     """Check conditions (i)/(ii) for every candidate; returns records."""
-    records = []
-    for v in extension_candidates(n):
-        child = extend(n, v)
-        x = child.labels[-1]
-        records.append(_one_step_record("extension", v, child, x, sides, k, excluded, defer, memo))
     r = n.rank
-    for v in coextension_candidates(n):
-        child = coextend(n, v)
-        x = r + 1
-        shifted = [shift_labels(a, r) for a in sides]
-        records.append(
-            _one_step_record("coextension", v, child, x, shifted, k, excluded, defer, memo)
-        )
-    return records
+    shifted = [shift_labels(a, r) for a in sides]
+    return [
+        _one_step_record("extension", v, child, child.labels[-1], sides, k, excluded, defer)
+        for v, child in growths(n, "extension")
+    ] + [
+        _one_step_record("coextension", v, child, r + 1, shifted, k, excluded, defer)
+        for v, child in growths(n, "coextension")
+    ]
 
 
-def _membership(child, excluded, defer, memo) -> tuple[bool, bool]:
-    """(in the class, deferred): a deferred child is in the class but has
-    a minor in `defer`, so a separate splitter argument covers it.
-
-    Both answers are isomorphism invariants.  `memo` maps (rank, size,
-    weight profile) to the (child copy, answer) pairs found so far, and a
-    child isomorphic to a kept copy takes its answer without a search.
-    """
-    bucket = memo.setdefault((child.rank, child.size, weight_profile(child)), [])
-    for seen, answer in bucket:
-        if isomorphism(child, seen) is not None:
-            return answer
-    if not in_class(child, excluded):
-        answer = (False, False)
-    else:
-        answer = (True, bool(defer) and not in_class(child, defer))
-    # A fresh copy, not the child: it keeps the matrix and labels, and
-    # gains cocycle masks and colours the first time a later child is
-    # compared with it; the child's circuits, rank cache and any cycle
-    # masks are not kept.
-    bucket.append((Matroid(child.matrix, child.labels), answer))
-    return answer
+def _membership(child, excluded, defer) -> tuple[bool, bool]:
+    """(in the class, deferred): a deferred child is in the class but has a
+    minor in `defer` (None: no deferral); a separate splitter argument covers it."""
+    if child not in excluded:
+        return False, False
+    return True, defer is not None and child not in defer
 
 
-def _one_step_record(kind, v, child, x, sides, k, excluded, defer, memo):
-    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer, memo))
+def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
+    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer))
     if not rec.in_class or rec.deferred:
         return rec
     for a in sides:
@@ -356,7 +357,7 @@ def _triangle_escape(child, e, f, side_s):
     return None
 
 
-def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step, memo):
+def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every in-class extension; only
     in-class, non-deferred rows get per-side outcomes."""
     records = []
@@ -364,9 +365,8 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step, memo):
         if ext.kind != "extension" or not ext.in_class or ext.deferred:
             continue
         type_i = extend(n, ext.vector)
-        for row in coextension_candidates(type_i):
-            child = coextend(type_i, row)
-            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer, memo))
+        for row, child in growths(type_i, "coextension"):
+            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
             if rec.in_class and not rec.deferred:
                 rec.sides = [_classify_built(type_i, child, a, k) for a in sides]
             records.append(rec)
@@ -396,8 +396,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
         report.overall = "failed"
         report.notes.append(note)
 
-    memo: dict[tuple, list] = {}  # membership answers by class; see `_membership`
-    report.one_step = _one_step_phase(n, sides, k, excluded, defer, memo)
+    report.one_step = _one_step_phase(n, sides, k, excluded, defer)
     active = [r for r in report.one_step if r.in_class and not r.deferred]
     for rec in active:
         for i, side in enumerate(rec.sides):
@@ -409,7 +408,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     if all(s.direct for rec in active for s in rec.sides):
         report.notes.append("one-element check: every one-step candidate keeps lambda = k-1")
     elif report.overall != "failed":
-        report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step, memo)
+        report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step)
         for rec in report.two_step:
             if not rec.in_class or rec.deferred:
                 continue
@@ -421,32 +420,30 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     return report
 
 
-def _add_dual(report: DecomposerReport, dual_report: DecomposerReport) -> None:
-    # Extensions of one-step coextensions are handled by duality: the
-    # printed statement has no separate clause for them (its numbering
-    # stops at (iii)), so the engine re-runs the analysis on the dual.
-    report.dual_report = dual_report
-    report.notes.append("dual-orientation check performed explicitly")
-    if dual_report.overall == "failed":
-        report.overall = "failed"
-
-
-def _duals(excluded, defer):
-    """The excluded and deferred families of the dual orientation."""
-    return [dual(x) for x in excluded], [dual(x) for x in defer]
+def _check(entry, n: Matroid, seps, k: int, excluded, defer, check_dual: bool):
+    """`_decompose` on n; with `check_dual`, `entry` re-runs itself on the
+    dual of n and of both classes: the printed statement has no clause for
+    extensions of one-step coextensions (its numbering stops at (iii))."""
+    excluded, defer = _as_class(excluded), (_as_class(defer) if defer else None)
+    report = _decompose(n, [frozenset(a) for a in seps], k, excluded, defer)
+    if check_dual:
+        duals = excluded.dual(), defer and defer.dual()
+        report.dual_report = entry(dual(n), *seps, k, *duals, check_dual=False)
+        report.notes.append("dual-orientation check performed explicitly")
+        if report.dual_report.overall == "failed":
+            report.overall = "failed"
+    return report
 
 
 def theorem21_check(n: Matroid, a, k: int, excluded, defer=(), check_dual: bool = True):
     """Verify that the exact k-separation (a, E - a) is induced in every
     in-class matroid with this minor, per the sufficient conditions.
 
-    Candidates with a minor in `defer` are left to a separate splitter
-    argument and recorded as deferred.
+    `excluded` and `defer` are each an `ExcludedClass` or a list of
+    excluded minors.  Candidates with a minor in `defer` are left to a
+    separate splitter argument and recorded as deferred.
     """
-    report = _decompose(n, [frozenset(a)], k, excluded, defer)
-    if check_dual:
-        _add_dual(report, theorem21_check(dual(n), a, k, *_duals(excluded, defer), check_dual=False))
-    return report
+    return _check(theorem21_check, n, [a], k, excluded, defer, check_dual)
 
 
 def corollary22_check(
@@ -458,11 +455,6 @@ def corollary22_check(
     Whenever a side relies on lambda(A_i u x) = k-1 the other side must
     satisfy lambda(A_j) = k-1, and a two-step candidate bad for one side
     must be good for the other, so per one-step extension the two sides'
-    bad-row sets are disjoint.  `defer` works as in `theorem21_check`.
+    bad-row sets are disjoint.  `excluded` and `defer` as in `theorem21_check`.
     """
-    report = _decompose(n, [frozenset(a1), frozenset(a2)], k, excluded, defer)
-    if check_dual:
-        _add_dual(
-            report, corollary22_check(dual(n), a1, a2, k, *_duals(excluded, defer), check_dual=False)
-        )
-    return report
+    return _check(corollary22_check, n, [a1, a2], k, excluded, defer, check_dual)

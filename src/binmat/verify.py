@@ -30,16 +30,16 @@ from .connectivity import (
 )
 from .extension import (
     coextend,
-    coextension_candidates,
     enumerate_growth_classes,
     extend,
     extension_candidates,
+    growths,
     shift_labels,
 )
 from .gf2 import BitMatrix, BitVector
 from .iso import are_isomorphic
 from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
-from .structure import Verdict, corollary22_check, in_class, is_splitter, theorem21_check
+from .structure import ExcludedClass, Verdict, corollary22_check, is_splitter, theorem21_check
 from .tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 
 
@@ -74,18 +74,27 @@ _E5_WORKING_D_COLUMNS = ["01110", "10111", "11010", "11001", "11111"]
 
 
 class _Context:
-    """Shared heavyweight computations, evaluated lazily and once."""
+    """Shared heavyweight computations, evaluated lazily and once; one
+    `ExcludedClass` per excluded-minor family, shared by every claim."""
 
     def m(self, name: str):
         return get(name).matroid
 
     @cached_property
-    def excluded_s10(self):
-        return [self.m("S10"), self.m("S10*")]
+    def ex_s10(self):
+        return ExcludedClass([self.m("S10"), self.m("S10*")])
 
     @cached_property
-    def excluded_p9(self):
-        return [self.m("P9"), self.m("P9*")]
+    def ex_p9(self):
+        return ExcludedClass([self.m("P9"), self.m("P9*")])
+
+    @cached_property
+    def ex_p9_decomposer(self):
+        return ExcludedClass([self.m("S10"), self.m("S10*"), self.m("E4"), self.m("E5")])
+
+    @cached_property
+    def defer_t12(self):
+        return ExcludedClass([self.m("T12/e"), self.m("T12\\e")])
 
     @cached_property
     def f7star_classes(self):
@@ -97,7 +106,7 @@ class _Context:
 
     @cached_property
     def s8_report(self):
-        return theorem21_check(self.m("S8"), SIDE_S8, 3, self.excluded_p9)
+        return theorem21_check(self.m("S8"), SIDE_S8, 3, self.ex_p9)
 
     @cached_property
     def p9_ext_classes(self):
@@ -109,9 +118,7 @@ class _Context:
 
     @cached_property
     def p9_report(self):
-        return theorem21_check(
-            self.m("P9"), SIDE_S8, 3, self.excluded_s10 + [self.m("E4"), self.m("E5")]
-        )
+        return theorem21_check(self.m("P9"), SIDE_S8, 3, self.ex_p9_decomposer)
 
     @cached_property
     def e5_working(self):
@@ -123,22 +130,15 @@ class _Context:
 
     @cached_property
     def e4_ext_classes(self):
-        return enumerate_growth_classes(self.m("E4"), "extension", excluded=self.excluded_s10)
+        return _in_class(enumerate_growth_classes(self.m("E4"), "extension"), self.ex_s10)
 
     @cached_property
     def e4_coext_classes(self):
-        return enumerate_growth_classes(self.m("E4"), "coextension", excluded=self.excluded_s10)
+        return _in_class(enumerate_growth_classes(self.m("E4"), "coextension"), self.ex_s10)
 
     @cached_property
     def e4_report(self):
-        return corollary22_check(
-            self.m("E4"),
-            SIDE_1,
-            SIDE_2,
-            3,
-            self.excluded_s10,
-            defer=[self.m("T12/e"), self.m("T12\\e")],
-        )
+        return corollary22_check(self.m("E4"), SIDE_1, SIDE_2, 3, self.ex_s10, defer=self.defer_t12)
 
     @cached_property
     def mk33star_classes(self):
@@ -146,6 +146,11 @@ class _Context:
 
 
 SIDE_S8 = frozenset({1, 2, 5, 6})
+
+
+def _in_class(classes, excluded: ExcludedClass):
+    """The growth classes whose representative lies in `excluded`."""
+    return [c for c in classes if c.representative in excluded]
 
 
 def _members(c) -> list[str] | None:
@@ -223,7 +228,7 @@ def _c_claim1_z4_lambda(ctx):
 
 
 def _c_claim1_coext(ctx):
-    classes = enumerate_growth_classes(ctx.m("S8"), "coextension", excluded=ctx.excluded_p9)
+    classes = _in_class(enumerate_growth_classes(ctx.m("S8"), "coextension"), ctx.ex_p9)
     computed = {
         "in-class-classes": _class_members(classes),
         "isomorphic-to-Z4*": len(classes) == 1
@@ -402,15 +407,12 @@ def _c_claim3_classes(ctx):
 
 
 def _c_claim3_s10_minor(ctx):
-    computed = all(
-        not in_class(c.representative, ctx.excluded_s10) for c in ctx.e5_working_classes
-    )
-    return True, computed
+    return True, all(c.representative not in ctx.ex_s10 for c in ctx.e5_working_classes)
 
 
 def _c_splitter(name):
     def check(ctx):
-        flag, counterexamples = is_splitter(ctx.m(name), ctx.excluded_s10)
+        flag, counterexamples = is_splitter(ctx.m(name), ctx.ex_s10)
         return (
             {"splitter": True, "counterexamples": 0},
             {"splitter": flag, "counterexamples": len(counterexamples)},
@@ -443,16 +445,9 @@ def _e4_growth(ctx, classes, bullets, iso_name, kind):
         esc.representative, ctx.m(iso_name)
     )
     kept = {v.value for c in classes for v in c.members}
-    e4 = ctx.m("E4")
-    cands = extension_candidates(e4) if kind == "extension" else coextension_candidates(e4)
-    others_excluded = True
-    for v in cands:
-        if v.value in kept:
-            continue
-        child = extend(e4, v) if kind == "extension" else coextend(e4, v)
-        if in_class(child, ctx.excluded_s10):
-            others_excluded = False
-    computed["all-others-have-s10-minor"] = others_excluded
+    computed["all-others-have-s10-minor"] = all(
+        child not in ctx.ex_s10 for v, child in growths(ctx.m("E4"), kind) if v.value not in kept
+    )
     return expected, computed
 
 

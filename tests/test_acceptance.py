@@ -22,7 +22,7 @@ from binmat.extension import (
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic, canonical_key
 from binmat.matroid import dual, remove
-from binmat.structure import has_any_minor, is_splitter
+from binmat.structure import ExcludedClass, has_any_minor, is_splitter
 from binmat.tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B
 from binmat.verify import claim_ids, run_verification
 
@@ -60,10 +60,12 @@ def test_01_f7star_extension_classes(verification):
 
 def test_02_s8_in_class_growth_is_z4():
     def compute():
-        excluded = [fresh("P9"), fresh("P9*")]
+        excluded = ExcludedClass([fresh("P9"), fresh("P9*")])
         s8 = fresh("S8")
-        ext = enumerate_growth_classes(s8, "extension", excluded=excluded)
-        coext = enumerate_growth_classes(s8, "coextension", excluded=excluded)
+        ext, coext = [
+            [c for c in enumerate_growth_classes(s8, kind) if c.representative in excluded]
+            for kind in ("extension", "coextension")
+        ]
         return s8, ext, coext
 
     s8, ext, coext = timed(1.0, compute)
@@ -124,10 +126,11 @@ def test_04_e5_extensions_and_splitter():
 def test_05_e4_in_class_growth():
     def compute():
         e4 = fresh("E4")
-        excluded = [fresh("S10"), fresh("S10*")]
-        ext = enumerate_growth_classes(e4, "extension", excluded=excluded)
-        coext = enumerate_growth_classes(e4, "coextension", excluded=excluded)
-        return ext, coext
+        excluded = ExcludedClass([fresh("S10"), fresh("S10*")])
+        return [
+            [c for c in enumerate_growth_classes(e4, kind) if c.representative in excluded]
+            for kind in ("extension", "coextension")
+        ]
 
     ext, coext = timed(30.0, compute)
     ext_members = sorted(sorted(str(v) for v in c.members) for c in ext)

@@ -27,6 +27,19 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_package_has_no_function_local_imports():
+    # With every import at module level, a cycle between modules fails
+    # at import time instead of hiding inside a function body.
+    local = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+                local.append(f"{path.name}:{node.lineno}")
+    assert local == []
+
+
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(SRC.glob("*.py")):

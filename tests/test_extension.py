@@ -9,12 +9,14 @@ from binmat.extension import (
     enumerate_growth_classes,
     extend,
     extension_candidates,
+    growths,
     shift_label,
     shift_labels,
 )
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic
 from binmat.matroid import circuits, cocircuits, dual, remove, simplicity
+from binmat.structure import ExcludedClass, in_class
 
 from conftest import fresh
 
@@ -164,13 +166,21 @@ class TestGrowthClasses:
         assert sorted(members) == sorted(v.bits for v in coextension_candidates(m))
 
     def test_excluded_filter_drops_children_with_minors(self):
-        m = M("S8")
-        excluded = [M("P9"), M("P9*")]
-        kept = enumerate_growth_classes(m, "extension", excluded=excluded)
-        all_classes = enumerate_growth_classes(m, "extension")
-        assert len(kept) < len(all_classes)
-        from binmat.structure import in_class
+        # A class is kept iff its representative has no excluded minor,
+        # and the filter keeps some classes and drops others.
+        family = [M("P9"), M("P9*")]
+        excluded = ExcludedClass(family)
+        classes = enumerate_growth_classes(M("S8"), "extension")
+        kept = [c.representative in excluded for c in classes]
+        assert kept == [in_class(c.representative, family) for c in classes]
+        assert True in kept and False in kept
 
-        for cls in kept:
-            assert in_class(cls.representative, excluded)
+    def test_growths_are_the_candidates_children(self):
+        m = M("P9")
+        assert list(growths(m, "extension")) == [(v, extend(m, v)) for v in extension_candidates(m)]
+        assert list(growths(m, "coextension")) == [
+            (v, coextend(m, v)) for v in coextension_candidates(m)
+        ]
+        with pytest.raises(ValueError):
+            growths(m, "growth")
 

@@ -13,6 +13,7 @@ from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, partition_into_classes, weight_profile
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
+    ExcludedClass,
     HypothesisError,
     Verdict,
     _histogram,
@@ -221,14 +222,26 @@ class TestInClass:
         assert in_class(M("T12"), ex)
         assert not in_class(M("S10"), ex)
         assert in_class(M("S8"), [M("P9"), M("P9*")])
+        cls = ExcludedClass(ex)
+        for name in ("E4", "E5", "T12", "S10", "S10*", "T12", "S10"):  # repeats reuse answers
+            assert (M(name) in cls) == in_class(M(name), ex), name
+
+    def test_dual_class_is_itself_only_when_the_family_is_dual_closed(self):
+        closed = ExcludedClass([M("S10"), M("S10*")])
+        assert closed.dual() is closed
+        s10 = ExcludedClass([M("S10")])
+        assert s10.dual() is not s10
+        assert M("S10*") in s10 and M("S10*") not in s10.dual()
 
     @pytest.mark.parametrize("defer", [(), ("T12/e", "T12\\e")], ids=["undeferred", "deferred"])
     def test_decomposer_membership_per_class_matches_fresh_searches(self, monkeypatch, defer):
-        # The engine searches once per isomorphism class of children.  Every
-        # record must still carry what a fresh search on the child, rebuilt
-        # from its generators, gives.  Undeferred, E4 stops after the one-step
-        # phase (as in test_undeferred_t12_branches_fail_both_sides); with the
-        # T12 branches deferred it runs the two-step phase too.
+        # The engine searches once per isomorphism class of children, and
+        # the dual orientation shares the class's answers.  Every record of
+        # both orientations must still carry what a fresh search on the
+        # child, rebuilt from its generators, gives against that
+        # orientation's families.  Undeferred, E4 stops after the one-step
+        # phase (as in test_undeferred_t12_branches_fail_both_sides); with
+        # the T12 branches deferred it runs the two-step phase too.
         excluded = [M("S10"), M("S10*")]
         defer = [M(name) for name in defer]
         searched = []
@@ -238,26 +251,42 @@ class TestInClass:
             return has_any_minor(m, targets)
 
         monkeypatch.setattr(structure, "has_any_minor", counting)
-        report = corollary22_check(
-            fresh("E4"), SIDE_A1, SIDE_A2, 3, excluded, defer=defer, check_dual=False
-        )
+        report = corollary22_check(fresh("E4"), SIDE_A1, SIDE_A2, 3, excluded, defer=defer)
         monkeypatch.undo()
 
-        def membership(child):
-            if not in_class(child, excluded):
-                return False, False
-            return True, bool(defer) and not in_class(child, defer)
-
-        e4 = M("E4")
-        for rec in report.one_step:
-            child = (extend if rec.kind == "extension" else coextend)(e4, rec.vector)
-            assert (rec.in_class, rec.deferred) == membership(child), (rec.kind, str(rec.vector))
-        for rec in report.two_step:
-            child = coextend(extend(e4, rec.parent_vector), rec.row)
-            where = (str(rec.parent_vector), str(rec.row))
-            assert (rec.in_class, rec.deferred) == membership(child), where
+        _assert_records_match_fresh_searches(report, M("E4"), excluded, defer)
+        _assert_records_match_fresh_searches(
+            report.dual_report,
+            dual(M("E4")),
+            [dual(x) for x in excluded],
+            [dual(x) for x in defer],
+        )
         assert bool(report.two_step) == bool(defer)
-        assert len(searched) < len(report.one_step) + len(report.two_step)
+        reports = (report, report.dual_report)
+        assert len(searched) < sum(len(r.one_step) + len(r.two_step) for r in reports)
+
+    def test_decomposer_membership_in_a_class_that_is_not_its_own_dual(self):
+        # EX[S10] contains S10*, so its dual orientation must ask EX[S10*].
+        report = theorem21_check(fresh("E4"), SIDE_A1, 3, [M("S10")])
+        _assert_records_match_fresh_searches(report, M("E4"), [M("S10")], [])
+        _assert_records_match_fresh_searches(
+            report.dual_report, dual(M("E4")), [dual(M("S10"))], []
+        )
+
+
+def _assert_records_match_fresh_searches(report, n, excluded, defer):
+    def membership(child):
+        if not in_class(child, excluded):
+            return False, False
+        return True, bool(defer) and not in_class(child, defer)
+
+    for rec in report.one_step:
+        child = (extend if rec.kind == "extension" else coextend)(n, rec.vector)
+        assert (rec.in_class, rec.deferred) == membership(child), (rec.kind, str(rec.vector))
+    for rec in report.two_step:
+        child = coextend(extend(n, rec.parent_vector), rec.row)
+        where = (str(rec.parent_vector), str(rec.row))
+        assert (rec.in_class, rec.deferred) == membership(child), where
 
 
 class TestIsSplitter:

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from binmat import structure
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 from binmat.verify import claim_ids, report_to_json, report_to_text, run_verification
 
@@ -98,3 +99,17 @@ class TestFullReport:
         report, _ = verification
         again = run_verification()
         assert report_to_json(again) == report_to_json(report)
+
+    def test_minor_searches_stay_at_one_per_class_and_family(self, monkeypatch):
+        # A run asks 162 distinct (isomorphism class, excluded family)
+        # questions; each family's ExcludedClass searches each class once.
+        searched = []
+        search = structure.has_any_minor
+
+        def counting(m, targets):
+            searched.append(m)
+            return search(m, targets)
+
+        monkeypatch.setattr(structure, "has_any_minor", counting)
+        run_verification()
+        assert len(searched) <= 162
