@@ -59,7 +59,8 @@ class CatalogEntry:
     notes: str = ""
 
 
-def _standard_matrix(d_rows: list[str]) -> BitMatrix:
+def standard_matrix(d_rows: list[str]) -> BitMatrix:
+    """[I_r | D] from D's rows given as bit strings, one per row."""
     r = len(d_rows)
     return BitMatrix.from_rows(
         [("0" * i + "1" + "0" * (r - 1 - i)) + d_rows[i] for i in range(r)]
@@ -103,7 +104,7 @@ def _entries() -> dict[str, CatalogEntry]:
         entries[name] = CatalogEntry(name, matroid, provenance, notes)
 
     for name, d_rows in _PAPER_D_BLOCKS.items():
-        add(name, make_matroid(_standard_matrix(d_rows)), "paper-matrix")
+        add(name, make_matroid(standard_matrix(d_rows)), "paper-matrix")
     add("PG(3,2)", make_matroid(_pg32_matrix()), "paper-matrix")
 
     for name, (parent, kind, gen) in _DERIVED_GROWTHS.items():

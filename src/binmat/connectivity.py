@@ -1,8 +1,10 @@
 """Connectivity function, k-separations, and their enumeration.
 
-lambda(X) = r(X) + r(E - X) - r(M).  Separation enumeration is exhaustive
-over subsets (ground sets here never exceed ~15 elements) with complement
-deduplication and memoized subset ranks.
+lambda(X) = r(X) + r(E - X) - r(M).  Every value is read off the matroid's
+memoized subset ranks, including lambda in a minor M \\ D / C, whose rank
+function is r(Y u C) - r(C) on E - D - C: no minor is built.  Separation
+enumeration is exhaustive over subsets (ground sets here never exceed ~15
+elements) with complement deduplication.
 """
 
 from __future__ import annotations
@@ -20,10 +22,20 @@ class Separation:
     exact: bool
 
 
-def lam(m: Matroid, x) -> int:
-    """The connectivity function lambda(X) = r(X) + r(E-X) - r(M)."""
+def lam(m: Matroid, x, deletions=(), contractions=()) -> int:
+    """The connectivity function lambda(X) = r(X) + r(E-X) - r(M), by
+    default of m itself, else of the minor m \\ deletions / contractions
+    that `remove` would build: r(X u C) + r(E-D-X) - r(E-D) - r(C) in m's
+    ranks.  X must avoid D and C, which must not overlap."""
     mask = m.mask_of(x)
-    return _lam_mask(m, mask)
+    dmask = m.mask_of(deletions)
+    cmask = m.mask_of(contractions)
+    if dmask & cmask:
+        raise ValueError("deletions and contractions overlap")
+    if mask & (dmask | cmask):
+        raise ValueError("the set meets the removed elements")
+    rest, r = m.full_mask & ~dmask, m.rank_of_mask
+    return r(mask | cmask) + r(rest & ~mask) - r(rest) - r(cmask)
 
 
 def _lam_mask(m: Matroid, mask: int) -> int:
@@ -78,16 +90,11 @@ def bridging_value(m: Matroid, a, b) -> int:
     if amask & bmask:
         raise ValueError("sides overlap")
     free = m.full_mask & ~amask & ~bmask
-    free_bits = [1 << p for p in range(m.size) if (free >> p) & 1]
-    best = None
-    for sub in range(1 << len(free_bits)):
-        mask = amask
-        for i, bit in enumerate(free_bits):
-            if (sub >> i) & 1:
-                mask |= bit
-        lv = _lam_mask(m, mask)
-        if best is None or lv < best:
-            best = lv
+    best = _lam_mask(m, amask | free)
+    sub = free
+    while sub:  # every submask of free, down to 0
+        sub = (sub - 1) & free
+        best = min(best, _lam_mask(m, amask | sub))
     return best
 
 

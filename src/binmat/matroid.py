@@ -133,8 +133,6 @@ def make_matroid(matrix: BitMatrix, labels=None) -> Matroid:
         labels = tuple(labels)
     if len(labels) != n:
         raise ValueError("one label per column required")
-    if len(set(labels)) != n:
-        raise ValueError("labels must be distinct")
     std, perm = standard_form(matrix)
     return Matroid(std, tuple(labels[j - 1] for j in perm))
 
@@ -154,12 +152,14 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     """The minor m \\ deletions / contractions, labels retained.
 
     One row reduction, over the contracted positions (whose pivot rows
-    are then dropped) and then over the survivors in label order, gives
-    the minor's [I_r | D] form: the one `make_matroid` gives its columns
-    in survivor order.  Contraction of a dependent set is allowed: the
-    members in the span of the earlier ones take no pivot and are simply
-    removed, per M/X = (M/B_X) \\ (X - B_X).  Loops and parallel pairs
-    created by contraction are preserved.
+    are then dropped) and then over the survivors in position order,
+    not label order, gives the minor's [I_r | D] form: the one
+    `make_matroid` gives its columns in survivor order.  (S10* has labels
+    (5, ..., 10, 1, ..., 4); removing 3 leaves (5, ..., 10, 1, 2, 4).)
+    Contraction of a dependent set is allowed: the members in the span of
+    the earlier ones take no pivot and are simply removed, per
+    M/X = (M/B_X) \\ (X - B_X).  Loops and parallel pairs created by
+    contraction are preserved.
     """
     dels = frozenset(deletions)
     cons = frozenset(contractions)
@@ -210,18 +210,18 @@ def cocircuits(m: Matroid) -> list[frozenset[int]]:
 def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:
     """Whether `a` is a union of circuits, and a union of cocircuits.
 
-    The empty set qualifies on both counts.  A set is a union of circuits
-    iff the cycle-space vectors supported inside it cover all of it.
+    The empty set qualifies on both counts.  A is a union of circuits iff
+    no a in A is a coloop of M|A, r(A - a) = r(A), and a union of
+    cocircuits iff no a in A lies in the closure of E - A.
     """
     mask = m.mask_of(a)
-    flags = []
-    for masks in (m.cycle_masks(), m.cocycle_masks()):
-        covered = 0
-        for mk in masks:
-            if mk & ~mask == 0:
-                covered |= mk
-        flags.append(covered == mask)
-    return tuple(flags)
+    rest = m.full_mask & ~mask
+    bits = [1 << p for p in range(m.size) if (mask >> p) & 1]
+    r_a, r_rest = m.rank_of_mask(mask), m.rank_of_mask(rest)
+    return (
+        all(m.rank_of_mask(mask ^ b) == r_a for b in bits),
+        all(m.rank_of_mask(rest | b) > r_rest for b in bits),
+    )
 
 
 def simplicity(m: Matroid) -> tuple[bool, bool]:

@@ -21,6 +21,13 @@ element); if every one-step check succeeds directly, the one-element
 check suffices and the two-step phase is skipped.  Otherwise every
 in-class two-step matroid (a cosimple coextension of a one-step
 extension) is classified good, bad, or bridging per side.
+
+The engine reads every structural fact off one source, the rank
+function: the hypotheses (exactness, unions of circuits and of
+cocircuits), the lambda values of conditions (a)-(d) in the child's
+minors (`lam` with deletions and contractions), and the triangle or
+triad through the two new elements.  It builds no minor and no cycle
+space.
 """
 
 from __future__ import annotations
@@ -34,15 +41,7 @@ from .extension import extend, growths, shift_label, shift_labels
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
-from .matroid import (
-    Matroid,
-    circuits,
-    cocircuits,
-    dual,
-    is_union_of_circuits_and_cocircuits,
-    remove,
-    simplicity,
-)
+from .matroid import Matroid, dual, is_union_of_circuits_and_cocircuits, remove, simplicity
 
 
 class HypothesisError(ValueError):
@@ -300,25 +299,19 @@ def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
 # Phase 2: two-step matroids (coextensions of one-step extensions)
 
 
-def _classify_built(type_i, child, side, k):
-    """Classify `child`, an in-class coextension of `type_i`, for one side.
+def _classify_built(child, e, f, side_s, k):
+    """Classify `child`, an in-class cosimple coextension by f of a simple
+    extension by e, for one side; everything is in the child's labels.
 
-    `side` is given in the labels of the base matroid N, which the
-    extension retains; the child's labels follow the coextension shift
-    rule.  The GOOD branches below are conditions (a)-(d) in order.
+    child/f is that extension, so every lambda below is read off the
+    child's ranks (`lam` of a minor).  The GOOD branches below are
+    conditions (a)-(d) in order.
     """
-    r = type_i.rank
-    e_parent = type_i.labels[-1]
-    e = shift_label(e_parent, r)
-    f = r + 1
-    side_s = shift_labels(side, r)
     target = k - 1
-
-    pa = lam(type_i, side) == target
-    qa = lam(type_i, set(side) | {e_parent}) == target
-    minus_e = remove(child, {e})
-    pb = lam(minus_e, side_s) == target
-    qb = lam(minus_e, side_s | {f}) == target
+    pa = lam(child, side_s, contractions={f}) == target
+    qa = lam(child, side_s | {e}, contractions={f}) == target
+    pb = lam(child, side_s, deletions={e}) == target
+    qb = lam(child, side_s | {f}, deletions={e}) == target
 
     lam_child_ae = lam(child, side_s | {e})
     lam_child_af = lam(child, side_s | {f})
@@ -347,13 +340,20 @@ def _classify_built(type_i, child, side, k):
 
 
 def _triangle_escape(child, e, f, side_s):
-    """A 3-element circuit or cocircuit {e, f, g} with g in the side."""
-    for fam in (circuits(child), cocircuits(child)):
-        for c in fam:
-            if len(c) == 3 and e in c and f in c:
-                (g,) = c - {e, f}
-                if g in side_s:
-                    return c
+    """The triangle {e, f, g} with g in the side, else such a triad, else None.
+
+    A 3-set is a triangle iff it has rank 2 and a triad iff its complement
+    has rank r - 1: the child is simple and cosimple.  So {e, f} lies in at
+    most one triangle and at most one triad.
+    """
+    candidates = [frozenset({e, f, g}) for g in sorted(side_s)]
+    for t in candidates:
+        if child.rank_of(t) == 2:
+            return t
+    ground = child.ground_set()
+    for t in candidates:
+        if child.rank_of(ground - t) == child.rank - 1:
+            return t
     return None
 
 
@@ -365,10 +365,13 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
         if ext.kind != "extension" or not ext.in_class or ext.deferred:
             continue
         type_i = extend(n, ext.vector)
+        r = type_i.rank
+        e, f = shift_label(type_i.labels[-1], r), r + 1
+        shifted = [shift_labels(a, r) for a in sides]
         for row, child in growths(type_i, "coextension"):
             rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
             if rec.in_class and not rec.deferred:
-                rec.sides = [_classify_built(type_i, child, a, k) for a in sides]
+                rec.sides = [_classify_built(child, e, f, a, k) for a in shifted]
             records.append(rec)
     return records
 

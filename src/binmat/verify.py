@@ -21,7 +21,7 @@ import json
 from functools import cached_property
 
 from . import __version__
-from .catalog import get
+from .catalog import get, standard_matrix
 from .connectivity import (
     is_internally_4_connected,
     is_n_connected,
@@ -36,7 +36,7 @@ from .extension import (
     growths,
     shift_labels,
 )
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
 from .structure import ExcludedClass, Verdict, corollary22_check, is_splitter, theorem21_check
@@ -55,22 +55,10 @@ def _els(s) -> list[int]:
     return sorted(s)
 
 
-def _matrix_from_d_columns(r: int, cols: list[str]) -> BitMatrix:
-    """Build [I_r | D] from D's columns given as top-to-bottom bit strings."""
-    rows = []
-    for i in range(r):
-        bits = 1 << i
-        for j, col in enumerate(cols):
-            if col[i] == "1":
-                bits |= 1 << (r + j)
-        rows.append(bits)
-    return BitMatrix(r, r + len(cols), tuple(rows))
-
-
 # The working representation behind the E5 extension table: a pivoted
 # copy of the displayed E5 matrix (the printed candidate lists treat its
 # D columns, not the displayed ones, as already present).
-_E5_WORKING_D_COLUMNS = ["01110", "10111", "11010", "11001", "11111"]
+_E5_WORKING_D_BLOCK = ["01111", "10111", "11001", "11101", "01011"]
 
 
 class _Context:
@@ -122,7 +110,7 @@ class _Context:
 
     @cached_property
     def e5_working(self):
-        return make_matroid(_matrix_from_d_columns(5, _E5_WORKING_D_COLUMNS))
+        return make_matroid(standard_matrix(_E5_WORKING_D_BLOCK))
 
     @cached_property
     def e5_working_classes(self):

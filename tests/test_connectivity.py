@@ -1,5 +1,7 @@
 """Unit and property tests for the connectivity function and separations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from binmat.connectivity import (
     lam,
     nonminimal_exact_3seps,
 )
-from binmat.matroid import dual
+from binmat.matroid import dual, remove
 
 from conftest import oracle_lam
 
@@ -76,6 +78,37 @@ class TestLambda:
         assert lam(m, frozenset()) == 0
         assert lam(m, m.ground_set()) == 0
         assert lam(m, {1}) == 1  # no loops or coloops
+
+    def test_minor_lambda_matches_the_built_minor(self):
+        # lambda in M \ D / C read off M's ranks equals lambda in the
+        # minor `remove` builds.  Contracting a spanning set leaves rank 0,
+        # and elements spanned by C become loops; both kinds are drawn.
+        rng = random.Random(5)
+        seen_rank0 = seen_loops = 0
+        for name in ("F7", "S8", "P9", "E4", "M(K3,3)", "T12"):
+            m = M(name)
+            labels = sorted(m.ground_set())
+            for _ in range(40):
+                cons = frozenset(rng.sample(labels, rng.randint(0, m.rank + 1)))
+                rest = [e for e in labels if e not in cons]
+                dels = frozenset(rng.sample(rest, rng.randint(0, len(rest) - 1)))
+                survivors = [e for e in rest if e not in dels]
+                minor = remove(m, dels, cons)
+                seen_rank0 += minor.rank == 0
+                seen_loops += any(minor.rank_of({e}) == 0 for e in survivors)
+                for _ in range(4):
+                    x = frozenset(rng.sample(survivors, rng.randint(0, len(survivors))))
+                    assert lam(m, x, dels, cons) == lam(minor, x), (name, x, dels, cons)
+        assert seen_rank0 and seen_loops
+
+    def test_minor_lambda_rejects_overlaps(self):
+        m = M("S8")
+        with pytest.raises(ValueError):
+            lam(m, {1, 2}, deletions={2})
+        with pytest.raises(ValueError):
+            lam(m, {1, 2}, contractions={1})
+        with pytest.raises(ValueError):
+            lam(m, {1}, deletions={3}, contractions={3})
 
 
 class TestSeparations:

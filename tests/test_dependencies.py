@@ -59,3 +59,33 @@ def test_every_imported_name_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_private_module_name_is_read():
+    # A module-level `_name` (helper, constant or class) that no code in the
+    # package reads is dead: its definition is the only mention.
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and name not in read:
+                    orphans.append(f"{filename}:{node.lineno}: {name}")
+    assert orphans == []

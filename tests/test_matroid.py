@@ -1,5 +1,6 @@
 """Unit and property tests for matroid construction, duality, and minors."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.matroid import (
+    Matroid,
     circuits,
     cocircuits,
     dual,
@@ -59,6 +61,15 @@ class TestConstruction:
             assert m.labels_of(mask) == frozenset({lab})
         assert m.labels_of(m.full_mask) == m.ground_set()
 
+    def test_repeated_labels_rejected_by_both_constructors(self):
+        mat = BitMatrix.from_rows(["1011", "0111"])
+        with pytest.raises(ValueError, match="distinct"):
+            Matroid(mat, (1, 2, 2, 3))
+        with pytest.raises(ValueError, match="distinct"):
+            make_matroid(mat, labels=[1, 2, 2, 3])
+        with pytest.raises(ValueError, match="one label per column"):
+            make_matroid(mat, labels=[1, 2, 3])
+
     def test_equality_is_labeled(self):
         a = fresh("S8")
         b = fresh("S8")
@@ -91,6 +102,28 @@ class TestCircuits:
         assert is_union_of_circuits_and_cocircuits(m, full) == (True, True)
         # A single element of a simple matroid is neither.
         assert is_union_of_circuits_and_cocircuits(m, {1}) == (False, False)
+
+    def test_union_predicates_match_circuit_and_cocircuit_lists(self):
+        # The rank tests against unions of the enumerated (co)circuits
+        # inside A, on seeded subsets plus the empty set and E.
+        rng = random.Random(12)
+        checked = 0
+        for name in list_names():
+            m = M(name)
+            if m.size > 12:
+                continue
+            labels = sorted(m.ground_set())
+            subsets = [frozenset(), m.ground_set()] + [
+                frozenset(rng.sample(labels, rng.randint(1, m.size - 1))) for _ in range(200)
+            ]
+            fams = circuits(m), cocircuits(m)
+            for a in subsets:
+                expected = tuple(
+                    frozenset().union(*(c for c in fam if c <= a)) == a for fam in fams
+                )
+                assert is_union_of_circuits_and_cocircuits(m, a) == expected, (name, a)
+                checked += 1
+        assert checked > 7000
 
     def test_simplicity_flags(self):
         m = M("S10")

@@ -8,15 +8,16 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, extend, extension_candidates
+from binmat.extension import coextend, extend, extension_candidates, shift_label, shift_labels
 from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, partition_into_classes, weight_profile
-from binmat.matroid import Matroid, dual, remove
+from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
 from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
     _histogram,
+    _triangle_escape,
     corollary22_check,
     has_any_minor,
     in_class,
@@ -406,3 +407,58 @@ class TestCorollary22:
         # the other: the bad sets must be disjoint.
         assert bad0 & bad1 == set()
         assert report.overall in ("induced", "induced-one-of-two")
+
+    def test_runs_on_ranks_alone(self, monkeypatch):
+        # Hypotheses, membership and every classification read ranks and
+        # cocycle masks only: no cycle space is built.
+        def no_cycle_space(self):
+            raise AssertionError("cycle space built")
+
+        monkeypatch.setattr(Matroid, "cycle_masks", no_cycle_space)
+        report = corollary22_check(
+            M("E4"),
+            SIDE_A1,
+            SIDE_A2,
+            3,
+            [M("S10"), M("S10*")],
+            defer=[M("T12/e"), M("T12\\e")],
+        )
+        assert report.overall == "induced-one-of-two"
+        assert report.dual_report.overall == "induced-one-of-two"
+
+
+def _triangle_escape_by_circuit_lists(child, e, f, side_s):
+    """The first 3-circuit, else 3-cocircuit, {e, f, g} with g in the side."""
+    for fam in (circuits(child), cocircuits(child)):
+        for c in fam:
+            if len(c) == 3 and e in c and f in c and next(iter(c - {e, f})) in side_s:
+                return c
+    return None
+
+
+def test_triangle_escape_matches_circuit_lists_on_e4_children():
+    # Every in-class, non-deferred two-step child of the E4 check, in both
+    # orientations and for both sides.
+    report = corollary22_check(
+        M("E4"),
+        SIDE_A1,
+        SIDE_A2,
+        3,
+        [M("S10"), M("S10*")],
+        defer=[M("T12/e"), M("T12\\e")],
+    )
+    found = 0
+    for n, rep in ((M("E4"), report), (dual(M("E4")), report.dual_report)):
+        r = n.rank
+        for rec in rep.two_step:
+            if not rec.in_class or rec.deferred:
+                continue
+            type_i = extend(n, rec.parent_vector)
+            child = coextend(type_i, rec.row)
+            e, f = shift_label(type_i.labels[-1], r), r + 1
+            for side in (SIDE_A1, SIDE_A2):
+                side_s = shift_labels(side, r)
+                tri = _triangle_escape(child, e, f, side_s)
+                assert tri == _triangle_escape_by_circuit_lists(child, e, f, side_s)
+                found += tri is not None
+    assert found
