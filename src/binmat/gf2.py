@@ -190,8 +190,8 @@ def standard_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
 
 
 def span(vectors: Iterable[int]) -> list[int]:
-    """All 2^k XOR combinations of k independent bit-packed vectors
-    (Gray-code enumeration), starting with 0."""
+    """All 2^k XOR combinations of k independent bit-packed vectors,
+    starting with 0: each vector doubles the list (0, b1, b2, b1^b2, ...)."""
     out = [0]
     for b in vectors:
         out.extend([x ^ b for x in out])

@@ -36,7 +36,7 @@ import enum
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .connectivity import bridging_value, classify_separation, is_n_connected, lam
+from .connectivity import bridging_value, is_n_connected, lam
 from .extension import extend, growths, shift_label, shift_labels
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
@@ -218,14 +218,13 @@ class DecomposerReport:
     notes: list[str] = field(default_factory=list)
     dual_report: "DecomposerReport | None" = None
 
-    def bad_rows(self, side_index: int) -> set[tuple[int, int]]:
-        """Bad (parent generator, row) pairs for the given side, by value."""
-        out = set()
-        for rec in self.two_step:
-            if rec.in_class and not rec.deferred:
-                if rec.sides[side_index].verdict is Verdict.BAD:
-                    out.add((rec.parent_vector.value, rec.row.value))
-        return out
+    def bad_rows(self, side_index: int) -> set[tuple[BitVector, BitVector]]:
+        """Bad (parent generator, row) pairs for the given side."""
+        return {
+            (rec.parent_vector, rec.row)
+            for rec in self.two_step
+            if rec.in_class and not rec.deferred and rec.sides[side_index].verdict is Verdict.BAD
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +240,11 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
     if require_self_dual and not are_isomorphic(n, dual(n)):
         raise HypothesisError("not-self-dual", "base matroid must be self-dual")
     for a in sides:
-        sep = classify_separation(n, a, k)
-        if not sep.exact:
-            raise HypothesisError(
-                "not-exact", f"lambda({sorted(a)}) = {sep.lambda_value}, not {k - 1}"
-            )
+        lv = lam(n, a)  # rejects unknown labels first
+        if min(len(a), n.size - len(a)) < k:
+            raise ValueError(f"both sides must have at least {k} elements")
+        if lv != k - 1:
+            raise HypothesisError("not-exact", f"lambda({sorted(a)}) = {lv}, not {k - 1}")
         uc, ucc = is_union_of_circuits_and_cocircuits(n, a)
         if not uc:
             raise HypothesisError(
@@ -305,32 +304,25 @@ def _classify_built(child, e, f, side_s, k):
 
     child/f is that extension, so every lambda below is read off the
     child's ranks (`lam` of a minor).  The GOOD branches below are
-    conditions (a)-(d) in order.
+    conditions (a)-(d); (b), (c) and (d) share the triangle escape, which
+    is tried last.  Each value is computed only where a branch reads it.
     """
     target = k - 1
     pa = lam(child, side_s, contractions={f}) == target
-    qa = lam(child, side_s | {e}, contractions={f}) == target
     pb = lam(child, side_s, deletions={e}) == target
-    qb = lam(child, side_s | {f}, deletions={e}) == target
-
-    lam_child_ae = lam(child, side_s | {e})
-    lam_child_af = lam(child, side_s | {f})
-    tri = _triangle_escape(child, e, f, side_s)
-
     if pa and pb:
         return SideOutcome(Verdict.GOOD, witness_set=side_s)
-    if pa and qb:
-        if lam_child_af == target:
-            return SideOutcome(Verdict.GOOD, witness_set=side_s | {f})
+    qa = lam(child, side_s | {e}, contractions={f}) == target
+    qb = lam(child, side_s | {f}, deletions={e}) == target
+    # pa and pb are not both true, so at most one of these two applies.
+    if pa and qb and lam(child, side_s | {f}) == target:
+        return SideOutcome(Verdict.GOOD, witness_set=side_s | {f})
+    if qa and pb and lam(child, side_s | {e}) == target:
+        return SideOutcome(Verdict.GOOD, witness_set=side_s | {e})
+    if (pa or qa) and (pb or qb):
+        tri = _triangle_escape(child, e, f, side_s)
         if tri:
             return SideOutcome(Verdict.GOOD, triangle_witness=tri)
-    if qa and pb:
-        if lam_child_ae == target:
-            return SideOutcome(Verdict.GOOD, witness_set=side_s | {e})
-        if tri:
-            return SideOutcome(Verdict.GOOD, triangle_witness=tri)
-    if qa and qb and tri:
-        return SideOutcome(Verdict.GOOD, triangle_witness=tri)
 
     # Not good: bridging if no sandwiched set has lambda < k.
     b_side = child.ground_set() - side_s - {e, f}

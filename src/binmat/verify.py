@@ -129,6 +129,15 @@ class _Context:
         return corollary22_check(self.m("E4"), SIDE_1, SIDE_2, 3, self.ex_s10, defer=self.defer_t12)
 
     @cached_property
+    def e4_records(self):
+        """The E4 report's one-step records by (kind, generator) and its
+        two-step records by (parent generator, row)."""
+        rep = self.e4_report
+        return {(r.kind, r.vector): r for r in rep.one_step} | {
+            (r.parent_vector, r.row): r for r in rep.two_step
+        }
+
+    @cached_property
     def mk33star_classes(self):
         return enumerate_growth_classes(self.m("M*(K3,3)"), "extension")
 
@@ -150,11 +159,8 @@ def _class_members(classes) -> list[list[str]]:
 
 
 def _class_with(classes, bits: str):
-    target = _vec(bits).value
-    for c in classes:
-        if any(v.value == target for v in c.members):
-            return c
-    return None
+    target = _vec(bits)
+    return next((c for c in classes if target in c.members), None)
 
 
 def _named_classes(ctx, classes, names: list[str], first_gens: list[str]) -> dict:
@@ -240,14 +246,11 @@ def _c_claim1_decomposer(ctx):
 
 def _c_claim2_3seps(ctx):
     printed = [[1, 2, 5, 6], [3, 4, 7, 8], [3, 4, 7, 9]]
-    seps = nonminimal_exact_3seps(ctx.m("P9"), require_unions=False)
     ground = ctx.m("P9").ground_set()
-    computed = []
-    for s in seps:
-        side = frozenset(s.side_a)
-        comp = ground - side
-        chosen = side if _els(side) in printed else comp
-        computed.append(_els(chosen))
+    computed = [
+        _els(side if _els(side) in printed else ground - side)
+        for side in nonminimal_exact_3seps(ctx.m("P9"), require_unions=False)
+    ]
     return printed, sorted(computed)
 
 
@@ -432,9 +435,9 @@ def _e4_growth(ctx, classes, bullets, iso_name, kind):
     computed["escalation-isomorphic"] = bool(esc) and are_isomorphic(
         esc.representative, ctx.m(iso_name)
     )
-    kept = {v.value for c in classes for v in c.members}
+    kept = {v for c in classes for v in c.members}
     computed["all-others-have-s10-minor"] = all(
-        child not in ctx.ex_s10 for v, child in growths(ctx.m("E4"), kind) if v.value not in kept
+        child not in ctx.ex_s10 for v, child in growths(ctx.m("E4"), kind) if v not in kept
     )
     return expected, computed
 
@@ -450,7 +453,7 @@ def _c_e4_coextensions(ctx):
 def _c_e4_3seps(ctx):
     printed = sorted([_els(SIDE_1), _els(SIDE_2)])
     seps = nonminimal_exact_3seps(ctx.m("E4"), require_unions=True)
-    return printed, sorted(_els(s.side_a) for s in seps)
+    return printed, sorted(_els(s) for s in seps)
 
 
 _E4_SEP_COVERS = [
@@ -492,13 +495,8 @@ def _c_mk33star(ctx):
 
 def _growth_cell_claim(cell):
     def check(ctx):
-        report = ctx.e4_report
         kind = "extension" if cell in TABLE_1A else "coextension"
-        rec = next(
-            r
-            for r in report.one_step
-            if r.kind == kind and str(r.vector) == _vs(cell.vector)
-        )
+        rec = ctx.e4_records[kind, _vec(cell.vector)]
         r = ctx.m("E4").rank
         side = (SIDE_1, SIDE_2)[cell.side]
         if kind == "coextension":
@@ -540,7 +538,6 @@ def _verdict_state(rec, side_index):
 
 def _row_cell_claim(cell, side_index):
     def check(ctx):
-        report = ctx.e4_report
         if cell.has_minor:
             exp_state = {"s10-minor": True}
         elif cell.outcome == "good":
@@ -549,14 +546,7 @@ def _row_cell_claim(cell, side_index):
             exp_state = {"s10-minor": False, "row": "bad"}
         expected, computed = {}, {}
         for parent in cell.parents:
-            rec = next(
-                (
-                    r
-                    for r in report.two_step
-                    if str(r.parent_vector) == _vs(parent) and str(r.row) == _vs(cell.row)
-                ),
-                None,
-            )
+            rec = ctx.e4_records.get((_vec(parent), _vec(cell.row)))
             expected[_vs(parent)] = exp_state
             if rec is None:
                 # The literal row duplicates a D row of this parent, so it
@@ -592,11 +582,9 @@ def _printed_witness_valid(ctx, parent, row, side_index, witness) -> bool:
 
 def _c_claim4_disjoint(ctx):
     report = ctx.e4_report
-    bad1 = report.bad_rows(0)
-    bad2 = report.bad_rows(1)
-    c_value = _vec("11000").value
-    c1 = {r for p, r in bad1 if p == c_value}
-    c2 = {r for p, r in bad2 if p == c_value}
+    c = _vec("11000")
+    c1 = {r for p, r in report.bad_rows(0) if p == c}
+    c2 = {r for p, r in report.bad_rows(1) if p == c}
     return (
         {"C-bad-rows-disjoint": True},
         {"C-bad-rows-disjoint": not (c1 & c2)},
@@ -610,7 +598,7 @@ def _all_good_parents(report, side_index):
         rows = [
             t
             for t in report.two_step
-            if t.parent_vector.value == rec.vector.value and t.in_class and not t.deferred
+            if t.parent_vector == rec.vector and t.in_class and not t.deferred
         ]
         if rows and all(t.sides[side_index].verdict is Verdict.GOOD for t in rows):
             out.append(str(rec.vector))

@@ -1,7 +1,8 @@
 """Shared fixtures and oracle helpers for the test suite.
 
-The verification report is expensive (tens of seconds), so it is computed
-once per session, timed, and shared by the reporting and acceptance tests.
+A full verification run takes under a second on a 2-core box, but it is
+still computed once per session, timed, and shared by the reporting and
+acceptance tests.
 Relabeling and brute-force rank helpers live here so property tests can
 check the fast implementations against independent definitions.
 """

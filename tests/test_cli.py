@@ -145,6 +145,18 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err.startswith("binmat: no matroid named in ")
 
+    @pytest.mark.parametrize(
+        "seps, message",
+        [
+            (["--sep", "1,2"], "both sides must have at least 3 elements"),
+            (["--sep", "1,2,5,6,7,99"], "unknown element label 99"),
+            (["--sep", "1,2,5,6,7,10", "--sep2", "1,2"], "both sides must have at least 3 elements"),
+        ],
+    )
+    def test_bad_separation_exits_2(self, capsys, seps, message):
+        argv = ["decomposer", "E4", *seps, "--k", "3", "--exclude", "S10,S10*"]
+        assert run(capsys, *argv) == (2, "", f"binmat: {message}\n")
+
     def test_malformed_bmx_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.bmx"
         path.write_text("not a matrix\n")

@@ -1,6 +1,7 @@
 """Unit and property tests for the connectivity function and separations."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 from binmat.catalog import get, list_names
 from binmat.connectivity import (
     bridging_value,
-    classify_separation,
     is_internally_4_connected,
     is_n_connected,
     lam,
     nonminimal_exact_3seps,
 )
-from binmat.matroid import dual, remove
+from binmat.gf2 import BitMatrix
+from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
+from binmat.structure import HypothesisError, theorem21_check
 
-from conftest import oracle_lam
+from conftest import oracle_lam, oracle_rank
 
 
 def M(name):
@@ -111,46 +113,119 @@ class TestLambda:
             lam(m, {1}, deletions={3}, contractions={3})
 
 
-class TestSeparations:
-    def test_classify_separation_fields(self):
-        m = M("S8")
-        sep = classify_separation(m, {1, 2, 5, 6}, 3)
-        assert sep.side_a == frozenset({1, 2, 5, 6})
-        assert sep.side_b == m.ground_set() - sep.side_a
-        assert sep.lambda_value == 2
-        assert sep.exact
+def oracle_3seps(m, qualifies=lambda side: True):
+    """The reported side of every non-minimal exact 3-separation, by
+    definition: the smaller qualifying side (as a sorted label tuple) of
+    each partition with a qualifying side, in sorted order."""
+    ground = m.ground_set()
+    reported = set()
+    for size in range(4, m.size - 3):
+        for combo in combinations(sorted(ground), size):
+            x = frozenset(combo)
+            if oracle_lam(m, x) == 2:
+                sides = [s for s in (x, ground - x) if qualifies(s)]
+                if sides:
+                    reported.add(min(tuple(sorted(s)) for s in sides))
+    return sorted(reported)
 
+
+def covered_by(side, sets) -> bool:
+    """Whether `side` is the union of the members of `sets` inside it."""
+    return frozenset().union(*(s for s in sets if s <= side)) == side
+
+
+class TestSeparations:
     def test_small_side_rejected(self):
-        with pytest.raises(ValueError):
-            classify_separation(M("S8"), {1, 2}, 3)
+        # Either side below k elements is an input error, not a failed
+        # hypothesis: the CLI reports it and exits 2.
+        m = M("S8")
+        for side in ({1, 2}, {1, 2, 3, 4, 5, 6}):
+            with pytest.raises(ValueError, match="^both sides must have at least 3 elements$") as exc:
+                theorem21_check(m, side, 3, [M("P9"), M("P9*")])
+            assert not isinstance(exc.value, HypothesisError)
 
     def test_nonminimal_3seps_match_exhaustive_oracle(self):
-        from itertools import combinations
-
-        m = M("S8")
-        expected = set()
-        labels = sorted(m.ground_set())
-        for size in range(4, m.size - 3):
-            for combo in combinations(labels, size):
-                x = frozenset(combo)
-                if oracle_lam(m, x) == 2:
-                    a = tuple(sorted(x))
-                    b = tuple(sorted(m.ground_set() - x))
-                    expected.add(min(a, b))
-        got = {tuple(sorted(s.side_a)) for s in nonminimal_exact_3seps(m)}
-        assert got == expected
-        assert all(s.exact for s in nonminimal_exact_3seps(m))
+        for name in ("S8", "P9", "E4", "AG(3,2)"):
+            m = M(name)
+            got = nonminimal_exact_3seps(m)
+            assert all(isinstance(s, frozenset) for s in got)
+            assert [tuple(sorted(s)) for s in got] == oracle_3seps(m), name
 
     def test_require_unions_filters(self):
-        m = M("P9")
-        allseps = nonminimal_exact_3seps(m)
-        unions = nonminimal_exact_3seps(m, require_unions=True)
-        assert {tuple(sorted(s.side_a)) + tuple(sorted(s.side_b)) for s in unions} <= {
-            tuple(sorted(s.side_a)) + tuple(sorted(s.side_b)) for s in allseps
-        } | {tuple(sorted(s.side_b)) + tuple(sorted(s.side_a)) for s in allseps}
+        # A side qualifies when it is the union of the circuits it
+        # contains and of the cocircuits it contains.  In S8 and Z4 some
+        # partitions qualify on their larger side only.
+        for name in ("S8", "P9", "E4", "Z4"):
+            m = M(name)
+            circ, cocirc = circuits(m), cocircuits(m)
+            got = nonminimal_exact_3seps(m, require_unions=True)
+            expected = oracle_3seps(m, lambda s: covered_by(s, circ) and covered_by(s, cocirc))
+            assert [tuple(sorted(s)) for s in got] == expected, name
+
+
+def random_matroid(rng, n):
+    """A random [I_r | D] on labels 1..n, any rank from 0 to n."""
+    r = rng.randint(0, n)
+    density = rng.random()
+    rows = tuple(
+        (1 << i) | sum(1 << j for j in range(r, n) if rng.random() < density) for i in range(r)
+    )
+    return Matroid(BitMatrix(r, n, rows), tuple(range(1, n + 1)))
+
+
+def oracle_connectivity(m):
+    """({n: m is n-connected} for n = 2..5, m is internally 4-connected),
+    by the definitions: (X, E - X) is a k-separation when both sides have
+    at least k elements and lambda(X) < k; m is n-connected when it has no
+    k-separation for k < n, and internally 4-connected when it is
+    3-connected and no 3-separation has both sides of at least 4 elements."""
+    parts = [
+        (size, m.size - size, oracle_lam(m, x))
+        for size in range(m.size + 1)
+        for x in combinations(sorted(m.ground_set()), size)
+    ]
+
+    def separated(k, least):
+        return any(a >= least and b >= least and lv < k for a, b, lv in parts)
+
+    connected = {n: not any(separated(k, k) for k in range(1, n)) for n in range(2, 6)}
+    return connected, connected[3] and not separated(3, 4)
+
+
+def structure_flags(m):
+    """Which of loops, coloops, parallel pairs, rank 0 and full rank m shows."""
+    ground = m.ground_set()
+    cols = [m.column_of(e) for e in sorted(ground)]
+    nonzero = [c for c in cols if c]
+    return {
+        "loop": 0 in cols,
+        "coloop": any(oracle_rank(m, ground - {e}) < m.rank for e in ground),
+        "parallel": len(set(nonzero)) < len(nonzero),
+        "rank 0": m.size > 0 and m.rank == 0,
+        "full rank": m.size > 0 and m.rank == m.size,
+    }
 
 
 class TestConnectivityPredicates:
+    def test_predicates_match_definitions(self):
+        # Seeded random matroids with at most 9 elements, every catalog
+        # matroid that small, and T12: 4-connected, but with 4|8 splits
+        # of lambda 3, it tells 5-connectivity apart from 4-connectivity.
+        rng = random.Random(13)
+        matroids = [M(name) for name in list_names() if M(name).size <= 9] + [M("T12")]
+        matroids += [random_matroid(rng, rng.randint(0, 9)) for _ in range(312)]
+        seen = set()
+        for m in matroids:
+            connected, i4c = oracle_connectivity(m)
+            for n, flag in connected.items():
+                assert is_n_connected(m, n) is flag, (m.matrix, m.labels, n)
+                seen.add((n, flag))
+            assert is_internally_4_connected(m) is i4c, (m.matrix, m.labels)
+            seen.add(("i4c", i4c))
+            seen.update(key for key, shown in structure_flags(m).items() if shown)
+        assert {(q, flag) for q in (2, 3, 4, 5, "i4c") for flag in (True, False)} <= seen
+        assert {"loop", "coloop", "parallel", "rank 0", "full rank"} <= seen
+
     def test_three_connected_catalog_members(self):
         for name in ("F7", "S8", "P9", "S10", "E4", "E5", "T12"):
             assert is_n_connected(M(name), 3), name

@@ -1,11 +1,24 @@
 """The package promises no runtime dependencies: `src/binmat` may import
-only the standard library and itself."""
+only the standard library and itself, and it must run on the oldest
+Python that `pyproject.toml` admits."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "binmat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "binmat"
+
+
+def test_package_parses_on_the_oldest_supported_python():
+    # Newer syntax, such as `except*` (3.11), would break the package on
+    # the oldest interpreter `requires-python` admits.
+    found = re.search(r'^requires-python = ">=3\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert found
+    oldest = (3, int(found.group(1)))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=oldest)
 
 
 def test_package_imports_only_the_standard_library():

@@ -337,9 +337,10 @@ class TestTheorem21:
         assert exc.value.reason
 
     def test_separation_must_be_exact(self):
-        # lambda({1,2,3,4}) = 3 in S10, not k - 1 = 2.
-        with pytest.raises(HypothesisError):
+        # lambda({1,2,3,4}) = 4 in S10, not k - 1 = 2.
+        with pytest.raises(HypothesisError, match=r"^lambda\(\[1, 2, 3, 4\]\) = 4, not 2$") as exc:
             theorem21_check(M("S10"), frozenset({1, 2, 3, 4}), 3, [M("T12")])
+        assert exc.value.reason == "not-exact"
 
     def test_one_step_failure_skips_the_two_step_phase(self):
         # In EX[S10, S10*] some one-step growth of S8 keeps neither
