@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .extension import coextend, extend
-from .gf2 import BitMatrix, BitVector, independent_vectors
+from .gf2 import BitMatrix, BitVector, reduce_rows
 from .matroid import Matroid, dual, make_matroid
 
 # D blocks of the displayed standard-form matrices [I_r | D].
@@ -71,11 +71,7 @@ def _pg32_matrix() -> BitMatrix:
     cols = [bits for bits in range(1, 16) if bin(bits).count("1") >= 2]
     # Ascending bracket order [b1 b2 b3 b4] matches the published display.
     cols.sort(key=lambda b: BitVector(4, b).value)
-    rows = []
-    for i in range(4):
-        row = (1 << i) | sum(((c >> i) & 1) << (4 + j) for j, c in enumerate(cols))
-        rows.append(row)
-    return BitMatrix(4, 15, tuple(rows))
+    return standard_matrix(["".join(str((c >> i) & 1) for c in cols) for i in range(4)])
 
 
 def graphic_matroid(edges: list[tuple[int, int]], nvertices: int) -> Matroid:
@@ -83,8 +79,9 @@ def graphic_matroid(edges: list[tuple[int, int]], nvertices: int) -> Matroid:
     rows = []
     for v in range(1, nvertices + 1):
         rows.append(sum((1 << j) for j, (a, b) in enumerate(edges) if v in (a, b)))
-    # The incidence matrix has rank nvertices - 1; drop dependent rows.
-    keep = independent_vectors(rows)
+    # The incidence matrix has rank nvertices - 1; keep the rows that
+    # stay nonzero after reduction.
+    keep = rows[: len(reduce_rows(rows, range(len(edges))))]
     return make_matroid(BitMatrix(len(keep), len(edges), tuple(keep)))
 
 

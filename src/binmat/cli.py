@@ -59,13 +59,8 @@ def parse_bmx(text: str) -> Matroid:
     rows = body[1:]
     if len(rows) != r:
         raise InputError(f"bmx: expected {r} matrix rows, found {len(rows)}")
-    packed = []
-    for line in rows:
-        if len(line) != n or set(line) - {"0", "1"}:
-            raise InputError(f"bmx: bad matrix row {line!r}")
-        packed.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
     try:
-        return make_matroid(BitMatrix(r, n, tuple(packed)))
+        return make_matroid(BitMatrix.from_rows(rows, ncols=n))
     except ValueError as exc:
         raise InputError(f"bmx: {exc}")
 
@@ -133,7 +128,7 @@ def _cmd_exts(args) -> int:
     if excluded is not None:
         classes = [c for c in classes if in_class(c.representative, excluded)]
     for i, c in enumerate(classes, 1):
-        members = " ".join(str(v) for v in sorted(c.members, key=lambda v: v.value))
+        members = " ".join(str(v) for v in c.members)
         print(f"class {i} ({len(c.members)} generators): {members}")
     print(f"{len(classes)} isomorphism classes")
     return 0
@@ -255,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"binmat: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"binmat: {exc}", file=sys.stderr)
         return 2
 

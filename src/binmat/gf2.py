@@ -1,9 +1,10 @@
 """Dense linear algebra over GF(2) with bit-packed rows.
 
 Matrices are stored row-major as Python ints: bit j of row i is the
-entry in row i, column j (columns 0-indexed internally).  All public
-operations that take column indices use 1-based indices, matching the
-element labels used everywhere else in the package.
+entry in row i, column j (columns 0-indexed internally).  Coordinates,
+`BitMatrix.column` and `standard_form`'s permutation use 1-based
+indices, matching the element labels used everywhere else in the
+package; the elimination routines take 0-based bit positions.
 """
 
 from __future__ import annotations
@@ -84,17 +85,18 @@ class BitMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int] | str], ncols: int | None = None) -> "BitMatrix":
+        """Pack rows of 0/1 entries, or strings over the characters 0 and 1;
+        entry j of a row becomes bit j."""
         packed = []
         width = ncols
         for row in rows:
-            coords = [int(c) for c in row]
-            if any(c not in (0, 1) for c in coords):
-                raise ValueError("entries must be 0 or 1")
+            if any(c not in (0, 1, "0", "1") for c in row):
+                raise ValueError(f"bad row {row!r}: entries must be 0 or 1")
             if width is None:
-                width = len(coords)
-            elif len(coords) != width:
-                raise ValueError("ragged rows")
-            packed.append(sum(c << j for j, c in enumerate(coords)))
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError(f"bad row {row!r}: expected {width} entries")
+            packed.append(sum(1 << j for j, c in enumerate(row) if c in (1, "1")))
         if width is None:
             width = 0
         return cls(len(packed), width, tuple(packed))
@@ -112,29 +114,18 @@ class BitMatrix:
         return [self.column(j) for j in range(1, self.ncols + 1)]
 
 
-def independent_vectors(vectors: Iterable[int]) -> list[int]:
-    """The bit-packed vectors outside the span of those kept before them.
-
-    The kept vectors, in input order, are a basis of the input's span.
-    """
-    pivots: dict[int, int] = {}  # top bit -> reduced kept vector
-    kept = []
-    for v in vectors:
-        c = v
+def rank_of_columns(cols: Iterable[int]) -> int:
+    """GF(2) rank of a collection of bit-packed column vectors."""
+    pivots: dict[int, int] = {}  # top bit -> reduced vector
+    for c in cols:
         while c:
             top = c.bit_length() - 1
             p = pivots.get(top)
             if p is None:
                 pivots[top] = c
-                kept.append(v)
                 break
             c ^= p
-    return kept
-
-
-def rank_of_columns(cols: Iterable[int]) -> int:
-    """GF(2) rank of a collection of bit-packed column vectors."""
-    return len(independent_vectors(cols))
+    return len(pivots)
 
 
 def reduce_rows(rows: list[int], columns: Iterable[int]) -> list[int]:
@@ -170,6 +161,23 @@ def reduce_rows(rows: list[int], columns: Iterable[int]) -> list[int]:
     return pivots
 
 
+def pivots_first(rows: list[int], columns: Sequence[int]) -> tuple[BitMatrix, tuple[int, ...]]:
+    """[I_r | D] of ``rows`` restricted to ``columns``, with its column order.
+
+    ``rows`` is reduced in place by `reduce_rows` over ``columns``
+    (0-based bit positions, in the given order).  The r pivot columns
+    come first, in pivot order, then the other columns in the given
+    order; the rows past the last pivot, zero on every given column,
+    are dropped.  Returns the r x len(columns) matrix and the order, a
+    tuple whose entry at position q is the bit position now in column q.
+    """
+    pivots = reduce_rows(rows, columns)
+    pivot_set = set(pivots)
+    order = tuple(pivots) + tuple(j for j in columns if j not in pivot_set)
+    new_rows = tuple(sum(((row >> p) & 1) << q for q, p in enumerate(order)) for row in rows[: len(pivots)])
+    return BitMatrix(len(pivots), len(order), new_rows), order
+
+
 def standard_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Row-reduce ``m`` to [I_r | D] form, permuting columns as needed.
 
@@ -177,16 +185,10 @@ def standard_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     whose entry at new position p (0-indexed) is the original 1-based
     column index now sitting at position p.  Requires full row rank.
     """
-    r, n = m.nrows, m.ncols
-    rows = list(m.rows)
-    pivots = [j + 1 for j in reduce_rows(rows, range(n))]
-    if len(pivots) < r:
+    std, order = pivots_first(list(m.rows), range(m.ncols))
+    if std.nrows < m.nrows:
         raise RankDeficientError("matrix does not have full row rank")
-
-    pivot_set = set(pivots)
-    perm = tuple(pivots) + tuple(j for j in range(1, n + 1) if j not in pivot_set)
-    new_rows = tuple(sum(((row >> (orig - 1)) & 1) << p for p, orig in enumerate(perm)) for row in rows)
-    return BitMatrix(r, n, new_rows), perm
+    return std, tuple(j + 1 for j in order)
 
 
 def span(vectors: Iterable[int]) -> list[int]:

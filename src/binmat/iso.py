@@ -353,7 +353,7 @@ class IsoIndex:
             if isomorphism(m, kept) is not None:
                 return value
         value = make()
-        # A fresh copy: m's rank cache, circuits and cycle masks are not kept.
+        # A fresh copy: m's rank cache and cycle masks are not kept.
         bucket.append((Matroid(m.matrix, m.labels), value))
         return value
 

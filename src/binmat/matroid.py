@@ -4,12 +4,12 @@ A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
 per column.  All public operations speak in labels; bit positions are an
 internal detail.  Instances are immutable after construction and cache
-ranks, cycle spaces, circuits and element colours internally.
+ranks, cycle spaces and element colours internally.
 """
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, cycle_space_masks, rank_of_columns, reduce_rows, span, standard_form
+from .gf2 import BitMatrix, cycle_space_masks, pivots_first, rank_of_columns, reduce_rows, span, standard_form
 
 
 class Matroid:
@@ -32,8 +32,6 @@ class Matroid:
         self._rank_cache: dict[int, int] = {0: 0}
         self._cycle_masks: list[int] | None = None
         self._cocycle_masks: list[int] | None = None
-        self._circuits: list[frozenset[int]] | None = None
-        self._cocircuits: list[frozenset[int]] | None = None
         self._element_colours: tuple | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
@@ -151,15 +149,16 @@ def dual(m: Matroid) -> Matroid:
 def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     """The minor m \\ deletions / contractions, labels retained.
 
-    One row reduction, over the contracted positions (whose pivot rows
-    are then dropped) and then over the survivors in position order,
-    not label order, gives the minor's [I_r | D] form: the one
-    `make_matroid` gives its columns in survivor order.  (S10* has labels
-    (5, ..., 10, 1, ..., 4); removing 3 leaves (5, ..., 10, 1, 2, 4).)
-    Contraction of a dependent set is allowed: the members in the span of
-    the earlier ones take no pivot and are simply removed, per
-    M/X = (M/B_X) \\ (X - B_X).  Loops and parallel pairs created by
-    contraction are preserved.
+    One row reduction over the contracted positions, whose pivot rows
+    are then dropped, and then `pivots_first` over the survivors in
+    position order, not label order, give the minor's [I_r | D] form:
+    the one `make_matroid` gives its columns in survivor order.  (S10*
+    has labels (5, ..., 10, 1, ..., 4); removing 3 leaves
+    (5, ..., 10, 1, 2, 4).)  Contraction of a dependent set is allowed:
+    the members in the span of the earlier ones take no pivot and are
+    simply removed, per M/X = (M/B_X) \\ (X - B_X).  Loops and parallel
+    pairs created by contraction are preserved.  Removing every element
+    gives the empty matroid, M \\ E, a minor of every matroid.
     """
     dels = frozenset(deletions)
     cons = frozenset(contractions)
@@ -169,19 +168,10 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
         if e not in m._pos:
             raise ValueError(f"unknown element label {e}")
     keep = [p for p, lab in enumerate(m.labels) if lab not in dels and lab not in cons]
-    if not keep:
-        raise ValueError("minor would be empty")
-
     rows = list(m.matrix.rows)
     contracted = len(reduce_rows(rows, sorted(m._pos[e] for e in cons)))
-    rows = rows[contracted:]
-    pivots = reduce_rows(rows, keep)
-    pivot_set = set(pivots)
-    order = pivots + [p for p in keep if p not in pivot_set]
-    new_rows = tuple(
-        sum(((row >> p) & 1) << q for q, p in enumerate(order)) for row in rows[: len(pivots)]
-    )
-    return Matroid(BitMatrix(len(pivots), len(order), new_rows), tuple(m.labels[p] for p in order))
+    matrix, order = pivots_first(rows[contracted:], keep)
+    return Matroid(matrix, tuple(m.labels[p] for p in order))
 
 
 def _minimal_supports(masks: list[int]) -> list[int]:
@@ -195,16 +185,12 @@ def _minimal_supports(masks: list[int]) -> list[int]:
 
 def circuits(m: Matroid) -> list[frozenset[int]]:
     """All circuits, as minimal supports of the cycle space."""
-    if m._circuits is None:
-        m._circuits = [m.labels_of(mk) for mk in _minimal_supports(m.cycle_masks())]
-    return list(m._circuits)
+    return [m.labels_of(mk) for mk in _minimal_supports(m.cycle_masks())]
 
 
 def cocircuits(m: Matroid) -> list[frozenset[int]]:
     """All cocircuits: minimal supports of the cocycle (row) space."""
-    if m._cocircuits is None:
-        m._cocircuits = [m.labels_of(mk) for mk in _minimal_supports(m.cocycle_masks())]
-    return list(m._cocircuits)
+    return [m.labels_of(mk) for mk in _minimal_supports(m.cocycle_masks())]
 
 
 def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:

@@ -3,7 +3,7 @@
 import pytest
 
 from binmat.catalog import get
-from binmat.cli import main, matroid_to_bmx, parse_bmx
+from binmat.cli import InputError, main, matroid_to_bmx, parse_bmx
 
 
 def run(capsys, *argv):
@@ -39,6 +39,12 @@ class TestBmxFormat:
         ):
             with pytest.raises(Exception):
                 parse_bmx(bad)
+
+    @pytest.mark.parametrize("row", ["1\u06611", "121", "10"])
+    def test_bad_rows_are_named(self, row):
+        # int() reads the Arabic-Indic digit as 1; the format allows only 0 and 1.
+        with pytest.raises(InputError, match=f"^bmx: bad row {row!r}"):
+            parse_bmx(f"bmx 1\n2 3\n101\n{row}\n")
 
 
 class TestCommands:
@@ -84,6 +90,13 @@ class TestCommands:
         assert code == 0 and out.startswith("yes")
         code, out, _ = run(capsys, "minor", "E4", "S10")
         assert code == 0 and out.startswith("no")
+
+    def test_empty_matroid_is_a_minor(self, capsys, tmp_path):
+        path = tmp_path / "empty.bmx"
+        path.write_text("bmx 1\n0 0\n")
+        code, out, err = run(capsys, "minor", "S10", str(path))
+        assert (code, err) == (0, "")
+        assert out == "yes  delete [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]  contract []\n"
 
     def test_splitter(self, capsys):
         code, out, _ = run(capsys, "splitter", "S8", "--exclude", "P9,P9*")
@@ -162,6 +175,13 @@ class TestErrorHandling:
         path.write_text("not a matrix\n")
         code, _, err = run(capsys, "lambda", str(path), "1,2")
         assert code == 2
+
+    def test_bad_bmx_row_exits_2_naming_the_row(self, capsys, tmp_path):
+        path = tmp_path / "bad_row.bmx"
+        path.write_text("bmx 1\n2 3\n101\n121\n")
+        code, out, err = run(capsys, "lambda", str(path), "1,2")
+        assert (code, out) == (2, "")
+        assert err == "binmat: bmx: bad row '121': entries must be 0 or 1\n"
 
     def test_coextensions_of_non_cosimple_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "coloop.bmx"

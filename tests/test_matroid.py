@@ -1,5 +1,6 @@
 """Unit and property tests for matroid construction, duality, and minors."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -195,6 +196,13 @@ class TestRemove:
         m = M("S8")
         assert remove(m) == m
 
+    def test_removing_every_element_gives_the_empty_matroid(self):
+        m = M("S10")
+        for dels, cons in ((m.labels, ()), ((), m.labels), ({1, 2, 3}, set(range(4, 11)))):
+            mm = remove(m, dels, cons)
+            assert (mm.rank, mm.size, mm.labels) == (0, 0, ())
+            assert mm.matrix == BitMatrix(0, 0, ())
+
     def test_unknown_label_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             remove(M("S8"), deletions={99})
@@ -237,3 +245,41 @@ def test_remove_rank_matches_oracle(name, contract_circuit, delete_cocircuit, rn
     rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(mm.rank))
     rebuilt = make_matroid(BitMatrix(mm.rank, len(cols), rows), survivors)
     assert (mm.matrix, mm.labels) == (rebuilt.matrix, rebuilt.labels)
+
+
+def _presentation(m):
+    return (m.matrix.nrows, m.matrix.ncols, m.matrix.rows, m.labels)
+
+
+def _small_splits(labels):
+    """Every (deletions, contractions) pair of at most two elements."""
+    yield (), ()
+    for e in labels:
+        yield (e,), ()
+        yield (), (e,)
+    for a, b in combinations(labels, 2):
+        yield (a, b), ()
+        yield (a,), (b,)
+        yield (b,), (a,)
+        yield (), (a, b)
+
+
+def test_presentations_are_pinned():
+    """The exact [I_r | D] rows and label order of every catalog matroid
+    and of every minor `remove` gives over splits of at most 2 elements.
+    Canonical keys, witnesses and the report all read these presentations,
+    so a refactor of the row reduction must leave them byte-identical."""
+    names = list_names()
+    catalog = [(name, _presentation(M(name))) for name in names]
+    minors = [
+        _presentation(remove(M(name), d, c))
+        for name in names
+        for d, c in _small_splits(sorted(M(name).labels))
+    ]
+    assert len(catalog) == 42 and len(minors) == 8566
+    assert hashlib.sha256(repr(catalog).encode()).hexdigest() == (
+        "baa11a7592e2e3ae1d04856e403046c3285c92cd2ea00231c149fe949a6bf931"
+    )
+    assert hashlib.sha256(repr(minors).encode()).hexdigest() == (
+        "3c395a97a2d2a2b91eb187087906cb0ace73923cb35ec63334fdf5b0b8a178ff"
+    )

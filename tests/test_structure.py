@@ -55,6 +55,10 @@ class TestHasMinor:
         assert has_any_minor(M("S8"), [M("P9")]) is None  # size rules it out
         assert has_any_minor(M("M(K5)"), [M("F7")]) is None  # graphic, Fano-free
 
+    def test_empty_matroid_is_a_minor_of_everything(self):
+        empty = Matroid(BitMatrix(0, 0, ()), ())
+        assert has_any_minor(M("S10"), [empty]) == (0, M("S10").ground_set(), frozenset())
+
     def test_self_minor(self):
         assert has_any_minor(M("P9"), [M("P9")]) == (0, frozenset(), frozenset())
 
