@@ -54,6 +54,8 @@ def parse_bmx(text: str) -> Matroid:
         raise InputError("bmx: missing dimension line")
     try:
         r, n = map(int, body[0].split())
+        if r < 0 or n < 0:
+            raise ValueError
     except ValueError:
         raise InputError(f"bmx: bad dimension line {body[0]!r}")
     rows = body[1:]
@@ -76,6 +78,9 @@ def _load(token: str) -> Matroid:
             return parse_bmx(fh.read())
     except OSError:
         raise InputError(f"{token!r} is neither a catalog name nor a readable bmx file")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise InputError(f"bmx: {token}: byte {byte:#04x} at offset {exc.start} is not ASCII")
 
 
 def _parse_set(text: str) -> frozenset[int]:
@@ -112,11 +117,7 @@ def _cmd_cat(args) -> int:
 
 def _cmd_lambda(args) -> int:
     m = _load(args.name)
-    side = _parse_set(args.elements)
-    unknown = side - m.ground_set()
-    if unknown:
-        raise InputError(f"elements {sorted(unknown)} not in the ground set")
-    print(lam(m, side))
+    print(lam(m, _parse_set(args.elements)))
     return 0
 
 

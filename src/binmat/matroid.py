@@ -4,7 +4,7 @@ A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
 per column.  All public operations speak in labels; bit positions are an
 internal detail.  Instances are immutable after construction and cache
-ranks, cycle spaces and element colours internally.
+ranks, the cocycle space and element colours internally.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Matroid:
         self.size = n
         self._pos = {lab: p for p, lab in enumerate(self.labels)}
         self._rank_cache: dict[int, int] = {0: 0}
-        self._cycle_masks: list[int] | None = None
         self._cocycle_masks: list[int] | None = None
         self._element_colours: tuple | None = None
 
@@ -77,10 +76,9 @@ class Matroid:
     # -- cycle and cocycle space ------------------------------------------
 
     def cycle_masks(self) -> list[int]:
-        """All vectors of the cycle space (null space) as position masks."""
-        if self._cycle_masks is None:
-            self._cycle_masks = cycle_space_masks(self.matrix)
-        return self._cycle_masks
+        """All vectors of the cycle space (null space) as position masks,
+        computed on each call: no run reads one matroid's twice."""
+        return cycle_space_masks(self.matrix)
 
     def cocycle_masks(self) -> list[int]:
         """All vectors of the cocycle space (row space) as position masks."""

@@ -28,14 +28,7 @@ from .connectivity import (
     lam,
     nonminimal_exact_3seps,
 )
-from .extension import (
-    coextend,
-    enumerate_growth_classes,
-    extend,
-    extension_candidates,
-    growths,
-    shift_labels,
-)
+from .extension import coextend, enumerate_growth_classes, extend, extension_candidates, shift_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
@@ -43,16 +36,8 @@ from .structure import ExcludedClass, Verdict, corollary22_check, is_splitter, t
 from .tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 
 
-def _vec(bits: str) -> BitVector:
-    return BitVector.parse(f"[{bits}]")
-
-
 def _vs(bits: str) -> str:
     return f"[{bits}]"
-
-
-def _els(s) -> list[int]:
-    return sorted(s)
 
 
 # The working representation behind the E5 extension table: a pivoted
@@ -62,8 +47,11 @@ _E5_WORKING_D_BLOCK = ["01111", "10111", "11001", "11101", "01011"]
 
 
 class _Context:
-    """Shared heavyweight computations, evaluated lazily and once; one
-    `ExcludedClass` per excluded-minor family, shared by every claim."""
+    """The run's shared work, evaluated lazily and once.  It holds two
+    kinds of value: the four `ExcludedClass` families, through which
+    every claim asks its membership questions, and values that two or
+    more claims read.  A value that one claim reads is computed in that
+    claim."""
 
     def m(self, name: str):
         return get(name).matroid
@@ -89,24 +77,8 @@ class _Context:
         return enumerate_growth_classes(self.m("F7*"), "extension")
 
     @cached_property
-    def s8_ext_classes(self):
-        return enumerate_growth_classes(self.m("S8"), "extension")
-
-    @cached_property
-    def s8_report(self):
-        return theorem21_check(self.m("S8"), SIDE_S8, 3, self.ex_p9)
-
-    @cached_property
-    def p9_ext_classes(self):
-        return enumerate_growth_classes(self.m("P9"), "extension")
-
-    @cached_property
     def p9_coext_classes(self):
         return enumerate_growth_classes(self.m("P9"), "coextension")
-
-    @cached_property
-    def p9_report(self):
-        return theorem21_check(self.m("P9"), SIDE_S8, 3, self.ex_p9_decomposer)
 
     @cached_property
     def e5_working(self):
@@ -115,14 +87,6 @@ class _Context:
     @cached_property
     def e5_working_classes(self):
         return enumerate_growth_classes(self.e5_working, "extension")
-
-    @cached_property
-    def e4_ext_classes(self):
-        return _in_class(enumerate_growth_classes(self.m("E4"), "extension"), self.ex_s10)
-
-    @cached_property
-    def e4_coext_classes(self):
-        return _in_class(enumerate_growth_classes(self.m("E4"), "coextension"), self.ex_s10)
 
     @cached_property
     def e4_report(self):
@@ -136,10 +100,6 @@ class _Context:
         return {(r.kind, r.vector): r for r in rep.one_step} | {
             (r.parent_vector, r.row): r for r in rep.two_step
         }
-
-    @cached_property
-    def mk33star_classes(self):
-        return enumerate_growth_classes(self.m("M*(K3,3)"), "extension")
 
 
 SIDE_S8 = frozenset({1, 2, 5, 6})
@@ -159,7 +119,7 @@ def _class_members(classes) -> list[list[str]]:
 
 
 def _class_with(classes, bits: str):
-    target = _vec(bits)
+    target = BitVector.parse(bits)
     return next((c for c in classes if target in c.members), None)
 
 
@@ -202,7 +162,7 @@ def _c_claim1_sep_lambda(ctx):
 
 
 def _c_claim1_ext_classes(ctx):
-    classes = ctx.s8_ext_classes
+    classes = enumerate_growth_classes(ctx.m("S8"), "extension")
     cands = {str(v) for v in extension_candidates(ctx.m("S8"))}
     named = _named_classes(ctx, classes, ["Z4", "P9"], ["1110", "0011"])
     p9_gens = named["P9"]["generators"] or []
@@ -217,8 +177,8 @@ def _c_claim1_ext_classes(ctx):
 
 
 def _c_claim1_z4_lambda(ctx):
-    child = extend(ctx.m("S8"), _vec("1110"))
-    return {"set": _els(SIDE_S8), "lambda": 2}, {"set": _els(SIDE_S8), "lambda": lam(child, SIDE_S8)}
+    child = extend(ctx.m("S8"), BitVector.parse("1110"))
+    return {"set": sorted(SIDE_S8), "lambda": 2}, {"set": sorted(SIDE_S8), "lambda": lam(child, SIDE_S8)}
 
 
 def _c_claim1_coext(ctx):
@@ -232,23 +192,23 @@ def _c_claim1_coext(ctx):
 
 
 def _c_claim1_coext_lambda(ctx):
-    child = coextend(ctx.m("S8"), _vec("1110"))
+    child = coextend(ctx.m("S8"), BitVector.parse("1110"))
     shifted = shift_labels(SIDE_S8, ctx.m("S8").rank)
     return (
         {"set": [1, 2, 6, 7], "lambda": 2},
-        {"set": _els(shifted), "lambda": lam(child, shifted)},
+        {"set": sorted(shifted), "lambda": lam(child, shifted)},
     )
 
 
 def _c_claim1_decomposer(ctx):
-    return "induced", ctx.s8_report.overall
+    return "induced", theorem21_check(ctx.m("S8"), SIDE_S8, 3, ctx.ex_p9).overall
 
 
 def _c_claim2_3seps(ctx):
     printed = [[1, 2, 5, 6], [3, 4, 7, 8], [3, 4, 7, 9]]
     ground = ctx.m("P9").ground_set()
     computed = [
-        _els(side if _els(side) in printed else ground - side)
+        sorted(side if sorted(side) in printed else ground - side)
         for side in nonminimal_exact_3seps(ctx.m("P9"), require_unions=False)
     ]
     return printed, sorted(computed)
@@ -289,15 +249,16 @@ def _c_claim2_ext_classes(ctx):
         "D3": {"generators": ["[0011]"], "isomorphic": True},
         "class-count": 3,
     }
-    computed = _named_classes(ctx, ctx.p9_ext_classes, ["D1", "S10", "D3"], ["1110", "0101", "0011"])
-    computed["class-count"] = len(ctx.p9_ext_classes)
+    classes = enumerate_growth_classes(ctx.m("P9"), "extension")
+    computed = _named_classes(ctx, classes, ["D1", "S10", "D3"], ["1110", "0101", "0011"])
+    computed["class-count"] = len(classes)
     return expected, computed
 
 
 def _c_claim2_ext_lambda(ctx):
     computed = {}
     for bits in ("1110", "0011"):
-        child = extend(ctx.m("P9"), _vec(bits))
+        child = extend(ctx.m("P9"), BitVector.parse(bits))
         computed[_vs(bits)] = lam(child, SIDE_S8)
     return {"[1110]": 2, "[0011]": 2}, computed
 
@@ -339,16 +300,16 @@ def _c_claim2_coext_lambda(ctx):
         for b in _CLAIM2_COEXT_BULLETS[name]
     ]
     shifted = shift_labels(SIDE_S8, ctx.m("P9").rank)
-    computed = {"set": _els(shifted), "lambda": {}}
+    computed = {"set": sorted(shifted), "lambda": {}}
     for bits in sorted(rows):
-        child = coextend(ctx.m("P9"), _vec(bits))
+        child = coextend(ctx.m("P9"), BitVector.parse(bits))
         computed["lambda"][_vs(bits)] = lam(child, shifted)
     expected = {"set": [1, 2, 6, 7], "lambda": {_vs(b): 2 for b in sorted(rows)}}
     return expected, computed
 
 
 def _c_claim2_decomposer(ctx):
-    return "induced", ctx.p9_report.overall
+    return "induced", theorem21_check(ctx.m("P9"), SIDE_S8, 3, ctx.ex_p9_decomposer).overall
 
 
 def _c_self_dual(name):
@@ -426,7 +387,10 @@ _E4_COEXT_BULLETS = {
 }
 
 
-def _e4_growth(ctx, classes, bullets, iso_name, kind):
+def _e4_growth(ctx, kind, bullets, iso_name):
+    """E4's in-class growths of one kind against the printed bullets.  The
+    decomposer's one-step records say which growths have an S10 minor."""
+    classes = _in_class(enumerate_growth_classes(ctx.m("E4"), kind), ctx.ex_s10)
     expected = {name: [_vs(b) for b in sorted(gens)] for name, gens in bullets.items()}
     expected["escalation-isomorphic"] = True
     expected["all-others-have-s10-minor"] = True
@@ -437,23 +401,23 @@ def _e4_growth(ctx, classes, bullets, iso_name, kind):
     )
     kept = {v for c in classes for v in c.members}
     computed["all-others-have-s10-minor"] = all(
-        child not in ctx.ex_s10 for v, child in growths(ctx.m("E4"), kind) if v not in kept
+        not r.in_class for r in ctx.e4_report.one_step if r.kind == kind and r.vector not in kept
     )
     return expected, computed
 
 
 def _c_e4_extensions(ctx):
-    return _e4_growth(ctx, ctx.e4_ext_classes, _E4_EXT_BULLETS, "T12/e", "extension")
+    return _e4_growth(ctx, "extension", _E4_EXT_BULLETS, "T12/e")
 
 
 def _c_e4_coextensions(ctx):
-    return _e4_growth(ctx, ctx.e4_coext_classes, _E4_COEXT_BULLETS, "T12\\e", "coextension")
+    return _e4_growth(ctx, "coextension", _E4_COEXT_BULLETS, "T12\\e")
 
 
 def _c_e4_3seps(ctx):
-    printed = sorted([_els(SIDE_1), _els(SIDE_2)])
+    printed = sorted([sorted(SIDE_1), sorted(SIDE_2)])
     seps = nonminimal_exact_3seps(ctx.m("E4"), require_unions=True)
-    return printed, sorted(_els(s) for s in seps)
+    return printed, sorted(sorted(s) for s in seps)
 
 
 _E4_SEP_COVERS = [
@@ -480,7 +444,7 @@ def _c_e4_sep_unions(ctx):
 
 
 def _c_mk33star(ctx):
-    classes = ctx.mk33star_classes
+    classes = enumerate_growth_classes(ctx.m("M*(K3,3)"), "extension")
     computed = {
         "class-count": len(classes),
         "isomorphic-to-S10": len(classes) == 1
@@ -493,10 +457,9 @@ def _c_mk33star(ctx):
 # Table claims
 
 
-def _growth_cell_claim(cell):
+def _growth_cell_claim(cell, kind):
     def check(ctx):
-        kind = "extension" if cell in TABLE_1A else "coextension"
-        rec = ctx.e4_records[kind, _vec(cell.vector)]
+        rec = ctx.e4_records[kind, BitVector.parse(cell.vector)]
         r = ctx.m("E4").rank
         side = (SIDE_1, SIDE_2)[cell.side]
         if kind == "coextension":
@@ -504,13 +467,13 @@ def _growth_cell_claim(cell):
             x = r + 1
         else:
             x = ctx.m("E4").size + 1
-        expected = {"set": _els(cell.printed_set), "lambda": cell.printed_value}
+        expected = {"set": sorted(cell.printed_set), "lambda": cell.printed_value}
         if cell.printed_set == side:
             value = rec.sides[cell.side].lam_a if rec.sides else None
-            computed_set = _els(side)
+            computed_set = sorted(side)
         elif cell.printed_set == side | {x}:
             value = rec.sides[cell.side].lam_ax if rec.sides else None
-            computed_set = _els(side | {x})
+            computed_set = sorted(side | {x})
         else:
             value, computed_set = None, None
         if cell.printed_value is None and value == 2:
@@ -530,9 +493,9 @@ def _verdict_state(rec, side_index):
     state = {"s10-minor": False, "row": outcome.verdict.value}
     if outcome.verdict is Verdict.GOOD:
         if outcome.witness_set is not None:
-            state["witness"] = _els(outcome.witness_set)
+            state["witness"] = sorted(outcome.witness_set)
         else:
-            state["witness"] = {"triangle": _els(outcome.triangle_witness)}
+            state["witness"] = {"triangle": sorted(outcome.triangle_witness)}
     return state
 
 
@@ -546,7 +509,7 @@ def _row_cell_claim(cell, side_index):
             exp_state = {"s10-minor": False, "row": "bad"}
         expected, computed = {}, {}
         for parent in cell.parents:
-            rec = ctx.e4_records.get((_vec(parent), _vec(cell.row)))
+            rec = ctx.e4_records.get((BitVector.parse(parent), BitVector.parse(cell.row)))
             expected[_vs(parent)] = exp_state
             if rec is None:
                 # The literal row duplicates a D row of this parent, so it
@@ -570,8 +533,8 @@ def _printed_witness_valid(ctx, parent, row, side_index, witness) -> bool:
     the child's connectivity on W equals 2 (different valid witnesses for
     the same row are not a disagreement)."""
     e4 = ctx.m("E4")
-    type_i = extend(e4, _vec(parent))
-    child = coextend(type_i, _vec(row))
+    type_i = extend(e4, BitVector.parse(parent))
+    child = coextend(type_i, BitVector.parse(row))
     r = type_i.rank
     side_s = shift_labels((SIDE_1, SIDE_2)[side_index], r)
     e = shift_labels({type_i.labels[-1]}, r)
@@ -582,7 +545,7 @@ def _printed_witness_valid(ctx, parent, row, side_index, witness) -> bool:
 
 def _c_claim4_disjoint(ctx):
     report = ctx.e4_report
-    c = _vec("11000")
+    c = BitVector.parse("11000")
     c1 = {r for p, r in report.bad_rows(0) if p == c}
     c2 = {r for p, r in report.bad_rows(1) if p == c}
     return (
@@ -702,19 +665,16 @@ def _registry():
     def group_id(group: str) -> str:
         return group.lower().replace("*", "-star")
 
-    for cell in TABLE_1A:
-        cid = f"table1a.{group_id(cell.group)}.{cell.label}.lambda-a{cell.side + 1}"
-        claims.append((cid, "printed", "Table 1a", _growth_cell_claim(cell)))
-    for cell in TABLE_1B:
-        cid = f"table1b.{group_id(cell.group)}.{cell.label}.lambda-a{cell.side + 1}"
-        claims.append((cid, "printed", "Table 1b", _growth_cell_claim(cell)))
+    for table, cells, kind in (("1a", TABLE_1A, "extension"), ("1b", TABLE_1B, "coextension")):
+        for cell in cells:
+            cid = f"table{table}.{group_id(cell.group)}.{cell.label}.lambda-a{cell.side + 1}"
+            claims.append((cid, "printed", f"Table {table}", _growth_cell_claim(cell, kind)))
 
     block_names = {("10110", "01111"): "ab1", ("00110", "11100"): "ab2", ("11000",): "c"}
-    for table, cells, side_index in (("table2a", TABLE_2A, 0), ("table2b", TABLE_2B, 1)):
-        ref = "Table 2a" if side_index == 0 else "Table 2b"
+    for table, cells, side_index in (("2a", TABLE_2A, 0), ("2b", TABLE_2B, 1)):
         for cell in cells:
-            cid = f"{table}.{block_names[cell.parents]}.{cell.label}"
-            claims.append((cid, "printed", ref, _row_cell_claim(cell, side_index)))
+            cid = f"table{table}.{block_names[cell.parents]}.{cell.label}"
+            claims.append((cid, "printed", f"Table {table}", _row_cell_claim(cell, side_index)))
 
     claims += [
         ("claim4.c-bad-rows-disjoint", "printed", "Claim 4, disjoint bad-row sets for C", _c_claim4_disjoint),

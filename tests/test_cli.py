@@ -46,6 +46,12 @@ class TestBmxFormat:
         with pytest.raises(InputError, match=f"^bmx: bad row {row!r}"):
             parse_bmx(f"bmx 1\n2 3\n101\n{row}\n")
 
+    @pytest.mark.parametrize("dims", ["-1 3", "2 -3", "2", "2 3 4", "2 x"])
+    def test_bad_dimension_lines_are_named(self, dims):
+        with pytest.raises(InputError) as exc:
+            parse_bmx(f"bmx 1\n{dims}\n")
+        assert str(exc.value) == f"bmx: bad dimension line {dims!r}"
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -182,6 +188,21 @@ class TestErrorHandling:
         code, out, err = run(capsys, "lambda", str(path), "1,2")
         assert (code, out) == (2, "")
         assert err == "binmat: bmx: bad row '121': entries must be 0 or 1\n"
+
+    def test_non_ascii_bmx_file_exits_2_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "arabic_digit.bmx"
+        path.write_text("bmx 1\n2 3\n101\n1\u06611\n", encoding="utf-8")
+        code, out, err = run(capsys, "lambda", str(path), "1,2")
+        assert (code, out) == (2, "")
+        assert err == f"binmat: bmx: {path}: byte 0xd9 at offset 15 is not ASCII\n"
+
+    def test_negative_dimension_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "negative.bmx"
+        path.write_text("bmx 1\n-1 3\n")
+        assert run(capsys, "lambda", str(path), "1") == (2, "", "binmat: bmx: bad dimension line '-1 3'\n")
+
+    def test_unknown_lambda_label_exits_2(self, capsys):
+        assert run(capsys, "lambda", "S8", "1,99") == (2, "", "binmat: unknown element label 99\n")
 
     def test_coextensions_of_non_cosimple_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "coloop.bmx"

@@ -1,10 +1,12 @@
 """Tests for the claim registry and verification reporting."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from binmat import structure
+from binmat import structure, verify
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 from binmat.verify import claim_ids, report_to_json, report_to_text, run_verification
 
@@ -113,3 +115,54 @@ class TestFullReport:
         monkeypatch.setattr(structure, "has_any_minor", counting)
         run_verification()
         assert len(searched) <= 162
+
+
+def _context_values_read_once(source: str) -> list[str]:
+    """The `_Context` cached properties, other than `ExcludedClass`
+    families, that fewer than two functions of `source` read as
+    ``ctx.<name>`` or ``self.<name>``.  A read inside a nested function
+    belongs to that function alone."""
+    tree = ast.parse(source)
+    context = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Context")
+    values = []
+    for node in context.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if not any(isinstance(d, ast.Name) and d.id == "cached_property" for d in node.decorator_list):
+            continue
+        ret = node.body[-1]
+        family = (
+            isinstance(ret, ast.Return)
+            and isinstance(ret.value, ast.Call)
+            and isinstance(ret.value.func, ast.Name)
+            and ret.value.func.id == "ExcludedClass"
+        )
+        if not family:
+            values.append(node.name)
+    assert values
+    readers = dict.fromkeys(values, 0)
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        read, stack = set(), list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("ctx", "self")
+            ):
+                read.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+        for name in read & readers.keys():
+            readers[name] += 1
+    return sorted(name for name, count in readers.items() if count < 2)
+
+
+def test_context_holds_only_families_and_shared_values():
+    # A value that one claim reads belongs in that claim, not in the
+    # run's shared context.
+    source = Path(verify.__file__).read_text()
+    assert _context_values_read_once(source) == []
