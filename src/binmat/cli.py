@@ -84,10 +84,11 @@ def _load(token: str) -> Matroid:
 
 
 def _parse_set(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
+    """Comma-separated labels, each ASCII decimal digits; empty tokens are skipped."""
+    tokens = [tok for tok in text.split(",") if tok]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise InputError(f"bad element set {text!r}; expected comma-separated labels")
+    return frozenset(map(int, tokens))
 
 
 def _parse_matroid_list(text: str) -> list[Matroid]:

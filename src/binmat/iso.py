@@ -29,9 +29,10 @@ avoiding e are those of M / e, whose cycles are M's with e removed.
 
 `canonical_key` is for hashing many matroids at once: it minimizes the
 D block over all bases and all row orders (columns kept sorted), with
-branch-and-bound pruning on the partial sorted column prefixes.  Keys
-are deterministic byte strings, invariant under relabeling, row
-operations and column permutation.
+branch-and-bound pruning on the partial sorted column prefixes: while a
+prefix equals the best leaf's, each child is compared at its new depth
+alone.  Keys are deterministic byte strings, invariant under relabeling,
+row operations and column permutation.
 
 The basis loop is pruned by automorphisms, after the idea in McKay and
 Piperno, "Practical graph isomorphism II" (J. Symb. Comput. 2014).  A
@@ -39,8 +40,9 @@ row-order search that reaches a leaf equal to the best one so far has
 found two presentations of the same [I_r | D]; matching their elements
 column by column is an automorphism.  Bases in the orbit of a searched
 basis under the group these generate give the same D blocks, so they are
-skipped.  This only saves work: the key is still the minimum over every
-basis and row order.
+skipped.  An automorphism is kept as a generator only if it enlarges the
+set of skipped bases when found.  This only saves work: the key is still
+the minimum over every basis and row order.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
         for j in range(m.size)
         if j not in basis_set
     ]
-
-
-def _projections(t: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
-    """Per-depth prefix projections of a sorted depth-``depth`` tuple."""
-    return [tuple(x >> (depth - s) for x in t) for s in range(1, depth + 1)]
 
 
 def _fixed_form(t: Matroid):
@@ -194,62 +191,60 @@ def _min_key_for_basis(basis: tuple[int, ...], coords: list[int], best, automorp
     p_1 as the most significant bit; the key is the sorted column tuple
     of the row-major-minimal matrix.  Branch and bound on the sorted
     prefixes, which determine the row-major string exactly at each depth.
-    The incumbent's projections are cached; candidate projections are
-    built shallowest-first with early exit.
+    A node is tight when its sorted prefixes equal the incumbent's through
+    its depth; otherwise it is strictly below the incumbent.  A tight node
+    compares each child at the child's depth alone, and stops at the first
+    child above the incumbent (children come sorted); children of a node
+    strictly below need no comparison.  A new incumbent makes every node
+    on the current path tight.
 
     ``best`` is the incumbent leaf as (key, projections, frame) or None,
     and the improved incumbent is returned.  A leaf's frame lists its
     element positions in presentation order: the basis by row, then the
-    non-basis columns by value, equal values by position.  A leaf equal
-    to the incumbent presents the matroid exactly as the incumbent does,
-    so mapping its frame onto the incumbent's is an automorphism, which
-    is appended to ``automorphisms`` as a position map.
+    non-basis columns by value, equal values by position.  A tight leaf
+    presents the matroid exactly as the incumbent does, so mapping its
+    frame onto the incumbent's is an automorphism, which is appended to
+    ``automorphisms`` as a position map.
     """
     r, nd = len(basis), len(coords)
     nonbasis = [j for j in range(r + nd) if j not in basis]
     state = [best]
 
-    def rm_vs_best(skey: tuple[int, ...], depth: int) -> int:
-        projs = state[0][1]
-        for s in range(1, depth + 1):
-            pa = tuple(x >> (depth - s) for x in skey)
-            pb = projs[s - 1]
-            if pa != pb:
-                return -1 if pa < pb else 1
-        return 0
-
     def frame(order: tuple[int, ...], values: list[int]) -> list[int]:
         by_value = sorted(range(nd), key=values.__getitem__)
         return [basis[p] for p in order] + [nonbasis[j] for j in by_value]
 
-    def recurse(partial: list[int], remaining: list[int], order: tuple[int, ...]):
+    def recurse(partial: list[int], remaining: list[int], order: tuple[int, ...], tight: bool) -> bool:
+        """Search below one node; True when it set a new incumbent."""
         depth = r - len(remaining)
         if not remaining:
-            leaf = tuple(sorted(partial))
-            cmp = -1 if state[0] is None else rm_vs_best(leaf, r)
-            if cmp < 0:
-                state[0] = (leaf, _projections(leaf, r), frame(order, partial))
-            elif cmp == 0:
+            if tight:
                 pairs = sorted(zip(frame(order, partial), state[0][2]))
                 automorphisms.append(tuple(dst for _, dst in pairs))
-            return
+                return False
+            leaf = tuple(sorted(partial))
+            prefixes = [tuple(x >> (r - 1 - d) for x in leaf) for d in range(r)]  # depths 1..r
+            state[0] = (leaf, prefixes, frame(order, partial))
+            return True
         children = []
         for idx, p in enumerate(remaining):
             nxt = [(partial[j] << 1) | ((coords[j] >> p) & 1) for j in range(nd)]
             children.append((tuple(sorted(nxt)), tuple(nxt), idx, nxt))
         children.sort()  # siblings share ancestry, so sorted tuples rank them
         seen = set()
+        improved = False
         for skey, exact, idx, nxt in children:
-            if exact in seen:
-                # Equal exact nxt vectors mean the two rows have identical
-                # bit patterns across all columns, so their subtrees coincide.
+            if exact in seen:  # the two rows are equal, so their subtrees coincide
                 continue
             seen.add(exact)
-            if state[0] is not None and rm_vs_best(skey, depth + 1) > 0:
-                continue
-            recurse(nxt, remaining[:idx] + remaining[idx + 1 :], order + (remaining[idx],))
+            if tight and skey > state[0][1][depth]:
+                break
+            rest = remaining[:idx] + remaining[idx + 1 :]
+            if recurse(nxt, rest, order + (remaining[idx],), tight and skey == state[0][1][depth]):
+                improved = tight = True
+        return improved
 
-    recurse([0] * nd, list(range(r)), ())
+    recurse([0] * nd, list(range(r)), (), best is not None)
     return state[0]
 
 
@@ -281,21 +276,24 @@ def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
     carrying a searched basis B onto B' carries each row order of B to a
     row order of B' with the same D columns, so B' need not be searched:
     ``covered`` holds the orbits of the searched bases, as position
-    masks, under the group that the automorphisms found so far generate,
-    and the bases in it are skipped.  The key is the same as without the
-    pruning.
+    masks, under the group that the kept automorphisms generate, and the
+    bases in it are skipped.  An automorphism is kept as a generator only
+    if it carries ``covered`` beyond itself when found; one that does not
+    is dropped and not tested again.  Dropping one only skips fewer bases,
+    so the key is the same as without the pruning.
     """
     r, n = m.rank, m.size
     if r == 0:
         return (0, n, (0,) * n)
     best = None
-    generators: dict[tuple[int, ...], Callable[[int], int]] = {}  # position map -> its mask map
+    # position map -> its mask map if kept as a generator, None if dropped
+    generators: dict[tuple[int, ...], Callable[[int], int] | None] = {}
     covered: set[int] = set()
 
     def close(new: set[int]) -> None:
         while new:
             covered.update(new)
-            new = {image for g in generators.values() for image in map(g, new)} - covered
+            new = {image for g in generators.values() if g for image in map(g, new)} - covered
 
     bits = [1 << p for p in range(n)]
     for basis, mask in zip(combinations(range(n), r), map(sum, combinations(bits, r))):
@@ -309,8 +307,10 @@ def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
         close({mask})
         for g in found:
             if g not in generators:
-                generators[g] = _mask_map(g)
-                close(set(map(generators[g], covered)) - covered)
+                image = _mask_map(g)
+                new = set(map(image, covered)) - covered
+                generators[g] = image if new else None
+                close(new)
     return (r, n, best[0])
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from binmat.catalog import get
-from binmat.cli import InputError, main, matroid_to_bmx, parse_bmx
+from binmat.cli import InputError, _parse_set, main, matroid_to_bmx, parse_bmx
 
 
 def run(capsys, *argv):
@@ -212,8 +212,19 @@ class TestErrorHandling:
         assert "cosimple" in err
 
     def test_bad_set_argument_exits_2(self, capsys):
-        code, _, _ = run(capsys, "lambda", "S8", "1,x")
-        assert code == 2
+        message = "binmat: bad element set '1,x'; expected comma-separated labels\n"
+        assert run(capsys, "lambda", "S8", "1,x") == (2, "", message)
+
+    # int() would read the first three as {1, 2}, 1 and 20.
+    @pytest.mark.parametrize("text", ["١,٢", "+1", "2_0", " 1", "1,-2"])
+    def test_set_labels_are_ascii_decimal_digits(self, capsys, text):
+        message = f"binmat: bad element set {text!r}; expected comma-separated labels\n"
+        assert run(capsys, "lambda", "S8", text) == (2, "", message)
+
+    def test_empty_set_tokens_are_skipped(self, capsys):
+        assert _parse_set("1,,2,") == {1, 2}
+        assert _parse_set("") == _parse_set(",") == frozenset()
+        assert run(capsys, "lambda", "S8", "") == (0, "0\n", "")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,13 @@
 """Unit and property tests for canonical forms and isomorphism testing."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from binmat import iso
 from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix
 from binmat.iso import (
@@ -98,6 +100,15 @@ class TestCanonicalKey:
         # branch, the others the plain one.
         assert {name: canonical_key(fresh(name)) for name in KEYS} == KEYS
 
+    def test_every_catalog_key_is_pinned(self):
+        # sha256 of b"name=key" lines over the sorted catalog names, recorded
+        # before the row-order search compared search nodes only at their new
+        # depth and before redundant automorphisms were dropped.
+        lines = [name.encode() + b"=" + canonical_key(fresh(name)) for name in sorted(list_names())]
+        assert len(lines) == 42
+        digest = hashlib.sha256(b"\n".join(lines)).hexdigest()
+        assert digest == "8b25c2c96358a2a25acdcf71a7ec72ae14c1ad69331c717e4bb418f69580f8a7"
+
 
 def brute_canonical_form(m):
     """The definition of the canonical form, with no pruning: over every
@@ -162,13 +173,49 @@ class TestCanonicalFormOracle:
                 assert canonical_form(copy) == brute_canonical_form(m), (m.matrix.rows, r, n)
         assert seen == {"rank 0", "corank 0", "other", "loop", "coloop", "parallel pair"}
 
-    @pytest.mark.parametrize("name", ["F7", "S8", "AG(3,2)", "P9", "PG(3,2)"])
+    # S10 and M(K3,3) and its dual have large automorphism groups, so the
+    # search drops automorphisms that add nothing to the skipped bases.
+    @pytest.mark.parametrize(
+        "name", ["F7", "S8", "AG(3,2)", "P9", "PG(3,2)", "S10", "M(K3,3)", "M*(K3,3)"]
+    )
     def test_catalog_matroids_match_the_definition(self, name):
         m = M(name)
         expected = brute_canonical_form(m)
         rng = random.Random(len(name))
         for copy in (fresh(name), relabeled_copy(m, rng), _scrambled(m, rng)):
             assert canonical_form(copy) == expected
+
+
+def _image(perm, mask):
+    """The position mask ``mask`` carried through the position map ``perm``."""
+    return sum(1 << perm[p] for p in range(len(perm)) if (mask >> p) & 1)
+
+
+class TestAutomorphismPruning:
+    def test_reported_maps_are_automorphisms(self, monkeypatch):
+        # Skipping a basis is sound only if every position map the row-order
+        # search reports carries the cocycle space onto itself.
+        maps = []
+        real = iso._mask_map
+
+        def spy(perm):
+            maps.append(perm)
+            return real(perm)
+
+        monkeypatch.setattr(iso, "_mask_map", spy)
+        rng = random.Random(16)
+        cases = [fresh(name) for name in ("PG(3,2)", "T12", "S10", "M(K3,3)")]
+        cases += [_with_loops_coloops_and_parallels(rng, rng.randint(4, 9), rng.randint(1, 4)) for _ in range(20)]
+        reported = []
+        for m in cases:
+            maps.clear()
+            canonical_form(m)
+            reported.append(len(maps))
+            cocycles = set(m.cocycle_masks())
+            for perm in maps:
+                assert sorted(perm) == list(range(m.size))
+                assert {_image(perm, c) for c in cocycles} == cocycles, (m.matrix.rows, perm)
+        assert all(reported[:4]) and sum(map(bool, reported[4:])) >= 10, reported
 
 
 class TestAreIsomorphic:
