@@ -2,7 +2,8 @@
 and the verification driver with machine-readable reports.
 
 Matrices travel in the bmx text format: a `bmx 1` header line, a
-`<r> <n>` dimension line, then r rows of n characters over {0, 1}
+`<r> <n>` dimension line of two ASCII decimal numbers, then r rows of n
+characters over {0, 1}
 (columns are elements 1..n in order); comment lines starting with `#`
 may appear anywhere after the header.
 
@@ -52,12 +53,10 @@ def parse_bmx(text: str) -> Matroid:
     body = [ln.strip() for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("#")]
     if not body:
         raise InputError("bmx: missing dimension line")
-    try:
-        r, n = map(int, body[0].split())
-        if r < 0 or n < 0:
-            raise ValueError
-    except ValueError:
+    dims = body[0].split()
+    if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
         raise InputError(f"bmx: bad dimension line {body[0]!r}")
+    r, n = map(int, dims)
     rows = body[1:]
     if len(rows) != r:
         raise InputError(f"bmx: expected {r} matrix rows, found {len(rows)}")

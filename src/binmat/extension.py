@@ -6,13 +6,16 @@ ascending order of that numeric reading.  Coextensions are duals of
 extensions: a coextension row of m is an extension column of dual(m),
 and the child is the dual of that extension.  Coextensions relabel: the
 new element takes label r+1 and every parent label greater than r moves
-up by one.
+up by one.  `enumerate_growth_classes` groups the growths of one kind
+into isomorphism classes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .gf2 import BitMatrix, BitVector
-from .iso import IsoClass, partition_into_classes
+from .iso import IsoIndex
 from .matroid import Matroid, dual, simplicity
 
 
@@ -111,9 +114,27 @@ def growths(m: Matroid, kind: str):
     raise ValueError(f"unknown growth kind {kind!r}")
 
 
+@dataclass
+class IsoClass:
+    """A group of generator vectors whose children are pairwise isomorphic."""
+
+    representative: Matroid
+    members: list[BitVector]
+
+
 def enumerate_growth_classes(m: Matroid, kind: str) -> list[IsoClass]:
     """All growth candidates of one kind (see `growths`) grouped into
-    isomorphism classes.  To keep the classes inside an excluded-minor
-    class, filter on ``c.representative in cls`` with a
+    isomorphism classes by an `IsoIndex`.  Growths come in ascending
+    bracket order, so each class lists its generators in ascending order,
+    its representative is the child of the least one, and classes are
+    ordered by their least generator.  To keep the classes inside an
+    excluded-minor class, filter on ``c.representative in cls`` with a
     `structure.ExcludedClass`."""
-    return partition_into_classes(growths(m, kind))
+    classes: list[IsoClass] = []
+    index = IsoIndex()
+    for v, child in growths(m, kind):
+        cls = index.setdefault(child, lambda: IsoClass(child, []))
+        if not cls.members:  # a new class
+            classes.append(cls)
+        cls.members.append(v)
+    return classes

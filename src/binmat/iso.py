@@ -26,6 +26,8 @@ in a systematic code", Bell Syst. Tech. J. 1963) the cocycle weight
 enumerator of a matroid of known size fixes its cycle enumerator.  An
 element's cocycle colour likewise fixes its cycle colour: the cocycles
 avoiding e are those of M / e, whose cycles are M's with e removed.
+`minor_weight_profile` reads the enumerator of a minor off its parent's
+cocycle masks; `weight_profile` is the case with nothing removed.
 
 `canonical_key` is for hashing many matroids at once: it minimizes the
 D block over all bases and all row orders (columns kept sorted), with
@@ -48,10 +50,9 @@ the minimum over every basis and row order.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import BitVector, reduce_rows
+from .gf2 import reduce_rows
 from .matroid import Matroid, dual
 
 
@@ -326,12 +327,21 @@ def canonical_key(m: Matroid) -> bytes:
     return (("d" if use_dual else "") + f"{r}|{n}|" + ",".join(map(str, cols))).encode()
 
 
+def minor_weight_profile(m: Matroid, drop: int, keep: int) -> tuple[int, ...]:
+    """Cocycle weight enumerator of the minor of m that contracts the
+    positions in ``drop`` and keeps those in ``keep``: its cocycles are the
+    distinct {c & keep : c a cocycle of m, c & drop = 0}."""
+    counts = [0] * (keep.bit_count() + 1)
+    for c in m.cocycle_masks():
+        if not c & drop:
+            counts[(c & keep).bit_count()] += 1
+    kernel = counts[0]  # each vector is hit once per kernel vector
+    return tuple(counts) if kernel == 1 else tuple(c // kernel for c in counts)
+
+
 def weight_profile(m: Matroid) -> tuple[int, ...]:
     """Weight enumerator of the cocycle space (iso invariant)."""
-    counts = [0] * (m.size + 1)
-    for mk in m.cocycle_masks():
-        counts[mk.bit_count()] += 1
-    return tuple(counts)
+    return minor_weight_profile(m, 0, m.full_mask)
 
 
 def are_isomorphic(m: Matroid, other: Matroid) -> bool:
@@ -340,46 +350,21 @@ def are_isomorphic(m: Matroid, other: Matroid) -> bool:
 
 
 class IsoIndex:
-    """One value per isomorphism class: matroids are bucketed by rank,
-    size and weight profile, and `isomorphism` onto a kept copy confirms."""
+    """One value per isomorphism class: matroids are bucketed by weight
+    profile, which fixes rank and size, and `isomorphism` onto a kept
+    copy confirms."""
 
     def __init__(self):
         self._buckets: dict[tuple, list[tuple[Matroid, object]]] = {}
 
     def setdefault(self, m: Matroid, make: Callable[[], object]):
         """The value of m's class; for a new class ``make()``, kept with a copy of m."""
-        bucket = self._buckets.setdefault((m.rank, m.size, weight_profile(m)), [])
+        bucket = self._buckets.setdefault(weight_profile(m), [])
         for kept, value in bucket:
             if isomorphism(m, kept) is not None:
                 return value
         value = make()
-        # A fresh copy: m's rank cache and cycle masks are not kept.
+        # A fresh copy: m's rank cache, cocycle masks and colours are not kept.
         bucket.append((Matroid(m.matrix, m.labels), value))
         return value
 
-
-@dataclass
-class IsoClass:
-    """A group of generator vectors whose children are pairwise isomorphic."""
-
-    representative: Matroid
-    members: list[BitVector]
-
-
-def partition_into_classes(candidates) -> list[IsoClass]:
-    """Group (generator, matroid) pairs into isomorphism classes.
-
-    Candidates are walked in ascending bracket-value order; each joins
-    its class in an `IsoIndex`, or opens a new one.  Each class records
-    all generators in ascending order; the representative is the child
-    of the least generator, and classes are ordered by their least
-    generator.
-    """
-    classes: list[IsoClass] = []
-    index = IsoIndex()
-    for gen, child in sorted(candidates, key=lambda t: t[0].value):
-        cls = index.setdefault(child, lambda: IsoClass(child, []))
-        if not cls.members:  # a new class
-            classes.append(cls)
-        cls.members.append(gen)
-    return classes

@@ -2,14 +2,15 @@
 decomposer verification engine.
 
 `in_class` is one `has_any_minor` search.  The search filters every
-deletion/contraction split on its cocycle weight enumerator, one pass
-over the parent's cached cocycle masks, and builds only the minors that
-pass.  Every other membership question goes through an `ExcludedClass`,
-which runs `in_class` once per isomorphism class of the matroids it is
-asked about.  One object serves the splitter test, the decomposer's
-children in both orientations, and every caller that keeps it, such as
-one verification run.  Only in-class children without a deferred minor
-get per-side records.
+deletion/contraction split on its cocycle weight enumerator, which
+`iso.minor_weight_profile` reads off the parent's cached cocycle masks,
+and builds only the minors that pass.  Every other membership question
+goes through an `ExcludedClass`, which runs `in_class` once per
+isomorphism class of the matroids it is asked about.  One object
+serves the splitter test, the decomposer's children in both
+orientations, and every caller that keeps it, such as one verification
+run.  Only in-class children without a deferred minor get per-side
+records.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -39,7 +40,7 @@ from itertools import combinations
 from .connectivity import bridging_value, is_n_connected, lam
 from .extension import extend, growths, shift_label, shift_labels
 from .gf2 import BitVector
-from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
+from .iso import IsoIndex, are_isomorphic, isomorphism, minor_weight_profile, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
 from .matroid import Matroid, dual, is_union_of_circuits_and_cocircuits, remove, simplicity
 
@@ -62,16 +63,6 @@ class Verdict(enum.Enum):
 # Minor search
 
 
-def _histogram(masks, drop: int, keep: int) -> tuple[int, ...]:
-    """Weight histogram of the distinct {v & keep : v in masks, v & drop = 0}."""
-    counts = [0] * (keep.bit_count() + 1)
-    for v in masks:
-        if not v & drop:
-            counts[(v & keep).bit_count()] += 1
-    kernel = counts[0]  # each vector is hit once per kernel vector
-    return tuple(c // kernel for c in counts)
-
-
 def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
@@ -80,9 +71,8 @@ def has_any_minor(m: Matroid, targets):
     checking a matroid against a family costs barely more than against
     one member.  Splits are visited by the number of removed elements,
     smallest first (gap 0's only split is m itself), as position masks
-    taken in label order.  The cocycles of m \\ D / C are
-    {c - D : c a cocycle of m, c & C = 0}, so each split's cocycle
-    enumerator is one pass over m's cached cocycle masks.  Split and
+    taken in label order.  `minor_weight_profile` reads each split's
+    cocycle enumerator off m's cached cocycle masks.  Split and
     target have the same size, so equal cocycle enumerators also mean
     equal rank and cycle enumerator (see `iso`).  Only a split matching
     a target's `weight_profile` is built with `remove` and handed to a
@@ -105,7 +95,7 @@ def has_any_minor(m: Matroid, targets):
             for c in range(gap + 1):
                 for cons in combinations(removed, c):
                     cmask = sum(cons)
-                    hits = wanted.get(_histogram(m.cocycle_masks(), cmask, keep))
+                    hits = wanted.get(minor_weight_profile(m, cmask, keep))
                     if hits is None:
                         continue
                     dels = m.labels_of(rmask ^ cmask)

@@ -46,7 +46,8 @@ class TestBmxFormat:
         with pytest.raises(InputError, match=f"^bmx: bad row {row!r}"):
             parse_bmx(f"bmx 1\n2 3\n101\n{row}\n")
 
-    @pytest.mark.parametrize("dims", ["-1 3", "2 -3", "2", "2 3 4", "2 x"])
+    # int() would read the last three as 1 3, 10 3 and 2 3.
+    @pytest.mark.parametrize("dims", ["-1 3", "2 -3", "2", "2 3 4", "2 x", "+1 3", "1_0 3", "\u0662 3"])
     def test_bad_dimension_lines_are_named(self, dims):
         with pytest.raises(InputError) as exc:
             parse_bmx(f"bmx 1\n{dims}\n")
@@ -108,6 +109,18 @@ class TestCommands:
         code, out, _ = run(capsys, "splitter", "S8", "--exclude", "P9,P9*")
         assert code == 0
         assert "no" in out.lower() or "not" in out.lower()
+        assert run(capsys, "splitter", "T12", "--exclude", "S10,S10*") == (0, "splitter: yes\n", "")
+
+    def test_decomposer_two_sides(self, capsys):
+        argv = [*E4_DECOMPOSER, "--sep2", "1,2,3,4,8,9", "--exclude", "S10,S10*", "--defer", "T12/e,T12\\e"]
+        assert run(capsys, *argv) == (
+            0,
+            "induced-one-of-two\n"
+            "note: dual-orientation check performed explicitly\n"
+            "bad rows for separation 1: 12\n"
+            "bad rows for separation 2: 12\n",
+            "",
+        )
 
     def test_verify_single_claim(self, capsys):
         code, out, _ = run(

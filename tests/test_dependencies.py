@@ -74,23 +74,23 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_every_private_module_name_is_read():
-    # A module-level `_name` (helper, constant or class) that no code in the
-    # package reads is dead: its definition is the only mention.
-    trees = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+def _read_names(paths) -> set[str]:
+    """Every name the files read: loaded names and attribute names."""
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    orphans = []
-    for filename, tree in trees.items():
-        for node in tree.body:
+    return read
+
+
+def _module_level_names():
+    """(file, line, name) for each function, class and assigned name at
+    the top level of a package module."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -99,6 +99,28 @@ def test_every_private_module_name_is_read():
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__") and name not in read:
-                    orphans.append(f"{filename}:{node.lineno}: {name}")
+                yield path.name, node.lineno, name
+
+
+def test_every_private_module_name_is_read():
+    # A module-level `_name` (helper, constant or class) that no code in the
+    # package reads is dead: its definition is the only mention.
+    read = _read_names(SRC.glob("*.py"))
+    orphans = [
+        f"{filename}:{line}: {name}"
+        for filename, line, name in _module_level_names()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert orphans == []
+
+
+def test_every_public_module_name_is_read():
+    # A public module-level name that neither the package, its tests nor
+    # its benchmark reads is dead.
+    read = _read_names([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    orphans = [
+        f"{filename}:{line}: {name}"
+        for filename, line, name in _module_level_names()
+        if not name.startswith("_") and name not in read
+    ]
     assert orphans == []

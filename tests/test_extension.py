@@ -75,6 +75,11 @@ class TestExtend:
                 assert new == m.size + 1
                 assert remove(child, deletions={new}) == m
 
+    def test_new_label_skips_a_label_in_use(self):
+        # S8 without 3 has labels 1, 2, 4, ..., 8: label 8 = n + 1 is taken.
+        child = extend(remove(M("S8"), {3}), BitVector.parse("[1100]"))
+        assert child.labels[-1] == 9
+
     def test_extend_rejects_duplicate_column(self):
         m = M("P9")
         with pytest.raises(ValueError):
@@ -158,6 +163,23 @@ class TestGrowthClasses:
     def test_f7star_extension_classes(self):
         classes = enumerate_growth_classes(M("F7*"), "extension")
         assert sorted(len(c.members) for c in classes) == [1, 7]
+
+    @pytest.mark.parametrize("name", ["S8", "P9", "E4", "E5"])
+    @pytest.mark.parametrize("kind", ["extension", "coextension"])
+    def test_classes_are_ordered_by_least_generator(self, name, kind):
+        # Growths arrive in ascending bracket order, so the classes need no
+        # sorting: members ascend, each representative is the child of its
+        # class's least member, and classes ascend by least member.
+        m = M(name)
+        children = dict(growths(m, kind))
+        classes = enumerate_growth_classes(m, kind)
+        assert len(classes) > 1
+        for cls in classes:
+            values = [v.value for v in cls.members]
+            assert values == sorted(values)
+            assert cls.representative == children[cls.members[0]]
+        least = [cls.members[0].value for cls in classes]
+        assert least == sorted(least)
 
     def test_classes_partition_all_candidates(self):
         m = M("P9")

@@ -16,7 +16,6 @@ from binmat.iso import (
     canonical_key,
     element_colours,
     isomorphism,
-    partition_into_classes,
     weight_profile,
 )
 from binmat.matroid import Matroid, dual, make_matroid
@@ -296,11 +295,10 @@ class TestWeightProfile:
 
 class TestPartition:
     def test_partition_groups_by_isomorphism(self):
-        from binmat.extension import extend, extension_candidates
+        from binmat.extension import enumerate_growth_classes, extend
 
         m = M("F7*")
-        pairs = [(v, extend(m, v)) for v in extension_candidates(m)]
-        classes = partition_into_classes(pairs)
+        classes = enumerate_growth_classes(m, "extension")
         assert sorted(len(c.members) for c in classes) == [1, 7]
         for cls in classes:
             for v in cls.members:
@@ -446,6 +444,35 @@ class TestIsomorphism:
             f = isomorphism(copy, m)
             assert f is not None, name
             _assert_carries_cycles(copy, m, f)
+
+    def test_colours_cut_only_failing_branches(self, monkeypatch):
+        # With one colour for every element the search is unguided; its
+        # first match must be the one the colour-guided search returns.
+        rng = random.Random(41)
+        names = [name for name in list_names() if M(name).size <= 12]
+        pairs = [(_scrambled(M(name), rng), M(name)) for name in names for _ in range(3)]
+        guided = [isomorphism(m, t) for m, t in pairs]
+        monkeypatch.setattr(iso, "element_colours", lambda m: ((0,),) * m.size)
+        assert [isomorphism(m, t) for m, t in pairs] == guided
+
+    def test_unguided_search_that_fails_returns_none(self, monkeypatch):
+        # Pairs with one weight profile whose colour multisets differ are
+        # not isomorphic.  With the colours hidden, the search must try
+        # every basis and fail.
+        rng = random.Random(5)
+        by_profile: dict[tuple, list] = {}
+        pairs = []
+        while len(pairs) < 6:
+            n = rng.randint(8, 10)
+            m = _random_simple_cosimple(rng, n, n // 2)
+            bucket = by_profile.setdefault(weight_profile(m), [])
+            colours = sorted(element_colours(m))
+            other = next((o for o in bucket if sorted(element_colours(o)) != colours), None)
+            if other is not None:
+                pairs.append((_scrambled(m, rng), other))
+            bucket.append(m)
+        monkeypatch.setattr(iso, "element_colours", lambda m: ((0,),) * m.size)
+        assert [isomorphism(m, t) for m, t in pairs] == [None] * 6
 
     def test_rank_zero_and_corank_zero(self):
         loops = Matroid(BitMatrix(0, 3, ()), (1, 2, 3))

@@ -207,6 +207,10 @@ class TestRemove:
         with pytest.raises((KeyError, ValueError)):
             remove(M("S8"), deletions={99})
 
+    def test_overlapping_deletions_and_contractions_rejected(self):
+        with pytest.raises(ValueError, match="^deletions and contractions overlap$"):
+            remove(M("S8"), deletions={1, 2}, contractions={2, 3})
+
 
 @settings(max_examples=60, deadline=None)
 @given(

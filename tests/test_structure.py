@@ -8,15 +8,14 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, extend, extension_candidates, shift_label, shift_labels
+from binmat.extension import coextend, enumerate_growth_classes, extend, shift_label, shift_labels
 from binmat.gf2 import BitMatrix
-from binmat.iso import are_isomorphic, partition_into_classes, weight_profile
+from binmat.iso import are_isomorphic, minor_weight_profile, weight_profile
 from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
 from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
-    _histogram,
     _triangle_escape,
     corollary22_check,
     has_any_minor,
@@ -193,7 +192,7 @@ def test_split_profile_matches_built_minors():
                         minor = remove(m, dels, cons)
                         cmask = m.mask_of(cons)
                         keep = m.full_mask & ~m.mask_of(removed)
-                        profile = _histogram(m.cocycle_masks(), cmask, keep)
+                        profile = minor_weight_profile(m, cmask, keep)
                         assert profile == weight_profile(minor)
                         assert sum(profile) == 1 << minor.rank
                         kernels += m.rank_of(minor.labels + cons) < m.rank
@@ -214,8 +213,7 @@ def test_decisions_compute_no_canonical_form(monkeypatch):
     assert has_any_minor(fresh("E4"), [fresh("S10")]) is None
     assert are_isomorphic(fresh("S8"), dual(fresh("S8")))
     assert not are_isomorphic(fresh("S10"), dual(fresh("S10")))
-    f7s = fresh("F7*")
-    classes = partition_into_classes([(v, extend(f7s, v)) for v in extension_candidates(f7s)])
+    classes = enumerate_growth_classes(fresh("F7*"), "extension")
     assert sorted(len(c.members) for c in classes) == [1, 7]
 
 
@@ -335,10 +333,20 @@ class TestTheorem21:
     def test_hypothesis_errors_carry_reasons(self):
         from binmat.catalog import graphic_matroid
 
-        not_cosimple = graphic_matroid([(0, 1), (0, 1), (1, 2), (0, 2)], 3)
-        with pytest.raises(HypothesisError) as exc:
-            theorem21_check(not_cosimple, frozenset({1, 2}), 2, [M("S10")])
-        assert exc.value.reason
+        # Elements 1 and 2 of the first graph are parallel edges; the
+        # second graph, K4 minus an edge, has two vertices of degree 2,
+        # each a series pair.  {1, 2, 3} is a triad of F7* and {2, 3, 4} a
+        # triangle of F7, each with lambda 2; neither is the other kind.
+        cases = [
+            (graphic_matroid([(0, 1), (0, 1), (1, 2), (0, 2)], 3), {1, 2}, 2, "not-simple"),
+            (graphic_matroid([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)], 4), {1, 2}, 2, "not-cosimple"),
+            (M("F7*"), {1, 2, 3}, 3, "not-union-of-circuits"),
+            (M("F7"), {2, 3, 4}, 3, "not-union-of-cocircuits"),
+        ]
+        for base, side, k, reason in cases:
+            with pytest.raises(HypothesisError) as exc:
+                theorem21_check(base, frozenset(side), k, [M("S10")])
+            assert exc.value.reason == reason
 
     def test_separation_must_be_exact(self):
         # lambda({1,2,3,4}) = 4 in S10, not k - 1 = 2.
@@ -439,6 +447,22 @@ def _triangle_escape_by_circuit_lists(child, e, f, side_s):
             if len(c) == 3 and e in c and f in c and next(iter(c - {e, f})) in side_s:
                 return c
     return None
+
+
+def test_triangle_escape_on_k4():
+    # In M(K4) the edges 1, 2 and 4 form the only triangle through 1 and 2,
+    # and the edges 1, 2 and 3 meet at vertex 1: the only such triad.  The
+    # E4 children give triads alone.
+    from binmat.catalog import graphic_matroid
+
+    k4 = graphic_matroid([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 4)
+    tri = _triangle_escape(k4, 1, 2, {4, 5})
+    assert tri == {1, 2, 4} and tri in circuits(k4)
+    tri = _triangle_escape(k4, 1, 2, {3, 5})
+    assert tri == {1, 2, 3} and tri in cocircuits(k4)
+    for side in ({4, 5}, {3, 5}, {5, 6}):
+        assert _triangle_escape(k4, 1, 2, side) == _triangle_escape_by_circuit_lists(k4, 1, 2, side)
+    assert _triangle_escape(k4, 1, 2, {5, 6}) is None
 
 
 def test_triangle_escape_matches_circuit_lists_on_e4_children():
