@@ -4,10 +4,11 @@ Extension columns follow the bracket convention [b1 b2 ... br] with b1
 the top row of the displayed matrix; candidates are enumerated in
 ascending order of that numeric reading.  Coextensions are duals of
 extensions: a coextension row of m is an extension column of dual(m),
-and the child is the dual of that extension.  Coextensions relabel: the
-new element takes label r+1 and every parent label greater than r moves
-up by one.  `enumerate_growth_classes` groups the growths of one kind
-into isomorphism classes.
+and the child is the dual of that extension.  `growth_labels` is the
+one statement of where a growth puts its labels: an extension keeps
+every parent label and adds n+1; a coextension adds r+1 and moves every
+parent label greater than r up by one.  `enumerate_growth_classes`
+groups the growths of one kind into isomorphism classes.
 """
 
 from __future__ import annotations
@@ -38,18 +39,32 @@ def extension_candidates(m: Matroid) -> list[BitVector]:
     return out
 
 
+def growth_labels(m: Matroid, kind: str):
+    """(move, new) for a growth of m of `kind`: ``move`` maps a parent label
+    to its child label and ``new`` labels the new element.  An extension
+    keeps every label and adds n + 1, or the largest label + 1 when n + 1
+    is taken; a coextension adds r + 1 and moves labels above r up by one.
+    The only statement of the paper's labelling of growth children."""
+    if kind == "extension":
+        n = m.size
+        return (lambda x: x), (n + 1 if n + 1 not in m.labels else max(m.labels) + 1)
+    if kind == "coextension":
+        r = m.rank
+        return (lambda x: x + 1 if x > r else x), r + 1
+    raise ValueError(f"unknown growth kind {kind!r}")
+
+
 def extend(m: Matroid, col: BitVector) -> Matroid:
-    """Append `col` as a new element labeled n + 1."""
+    """Append `col` as a new element labeled per `growth_labels`: n + 1,
+    or the largest label + 1 when n + 1 is taken."""
     if col.length != m.rank:
         raise ValueError("column length must equal the rank")
     if col.bits == 0 or col.bits in m._cols:
         raise ValueError("column must be nonzero and distinct from existing columns")
     n = m.size
-    new_label = n + 1
-    if new_label in m.labels:
-        new_label = max(m.labels) + 1
+    _, new = growth_labels(m, "extension")
     rows = tuple(m.matrix.rows[i] | (((col.bits >> i) & 1) << n) for i in range(m.rank))
-    return Matroid(BitMatrix(m.rank, n + 1, rows), m.labels + (new_label,))
+    return Matroid(BitMatrix(m.rank, n + 1, rows), m.labels + (new,))
 
 
 def coextension_candidates(m: Matroid) -> list[BitVector]:
@@ -62,39 +77,21 @@ def coextension_candidates(m: Matroid) -> list[BitVector]:
     return extension_candidates(dual(m))
 
 
-def shift_label(label: int, r: int) -> int:
-    """The coextension relabeling rule: labels beyond r move up by one."""
-    return label + 1 if label > r else label
-
-
-def shift_labels(labels, r: int) -> frozenset[int]:
-    return frozenset(shift_label(x, r) for x in labels)
-
-
 def coextend(m: Matroid, row: BitVector) -> Matroid:
-    """Add a coextension row; the new element is labeled r + 1.
+    """Add a coextension row, relabeling per `growth_labels`: the new
+    element is labeled r + 1 and parent labels greater than r move up by one.
 
     The child is dual(extend(dual(m), row)): its matrix is m's with
     ``row`` appended below D, and the new element sits at position r.
-    Parent labels greater than r are shifted up by one.  The new element
-    forms a cocircuit with the elements whose D columns carry a 1 in the
-    new row; this is verified on the constructed child.
+    The new element forms a cocircuit with the elements whose D columns
+    carry a 1 in the new row; this is verified on the constructed child.
     """
     r = m.rank
+    move, new = growth_labels(m, "coextension")
     grown = dual(extend(dual(m), row))
-    labels = tuple(r + 1 if p == r else shift_label(lab, r) for p, lab in enumerate(grown.labels))
+    labels = tuple(new if p == r else move(x) for p, x in enumerate(grown.labels))
     child = Matroid(grown.matrix, labels)
-    _check_coextension_cocircuit(m, child, row)
-    return child
-
-
-def _check_coextension_cocircuit(parent: Matroid, child: Matroid, row: BitVector):
-    r = parent.rank
-    members = {r + 1}
-    for j, lab in enumerate(parent.labels[r:]):
-        if row.coord(j + 1):
-            members.add(shift_label(lab, r))
-    members = frozenset(members)
+    members = {new} | {move(x) for j, x in enumerate(m.labels[r:]) if row.coord(j + 1)}
     # Cocircuit test via ranks: r(E - S) = rank - 1 and minimality.
     rest = child.ground_set() - members
     if child.rank_of(rest) != child.rank - 1:
@@ -102,6 +99,7 @@ def _check_coextension_cocircuit(parent: Matroid, child: Matroid, row: BitVector
     for e in members:
         if child.rank_of(rest | {e}) != child.rank:
             raise AssertionError("coextension cocircuit is not minimal")
+    return child
 
 
 def growths(m: Matroid, kind: str):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import bridging_value, is_n_connected, lam
-from .extension import extend, growths, shift_label, shift_labels
+from .extension import extend, growth_labels, growths
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, minor_weight_profile, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
@@ -252,15 +252,13 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
 
 def _one_step_phase(n: Matroid, sides, k, excluded, defer):
     """Check conditions (i)/(ii) for every candidate; returns records."""
-    r = n.rank
-    shifted = [shift_labels(a, r) for a in sides]
-    return [
-        _one_step_record("extension", v, child, child.labels[-1], sides, k, excluded, defer)
-        for v, child in growths(n, "extension")
-    ] + [
-        _one_step_record("coextension", v, child, r + 1, shifted, k, excluded, defer)
-        for v, child in growths(n, "coextension")
-    ]
+    records = []
+    for kind in ("extension", "coextension"):
+        move, x = growth_labels(n, kind)
+        moved = [frozenset(map(move, a)) for a in sides]
+        for v, child in growths(n, kind):
+            records.append(_one_step_record(kind, v, child, x, moved, k, excluded, defer))
+    return records
 
 
 def _membership(child, excluded, defer) -> tuple[bool, bool]:
@@ -343,17 +341,18 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every in-class extension; only
     in-class, non-deferred rows get per-side outcomes."""
     records = []
+    _, x = growth_labels(n, "extension")
     for ext in one_step:
         if ext.kind != "extension" or not ext.in_class or ext.deferred:
             continue
         type_i = extend(n, ext.vector)
-        r = type_i.rank
-        e, f = shift_label(type_i.labels[-1], r), r + 1
-        shifted = [shift_labels(a, r) for a in sides]
+        move, f = growth_labels(type_i, "coextension")
+        e = move(x)
+        moved = [frozenset(map(move, a)) for a in sides]
         for row, child in growths(type_i, "coextension"):
             rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
             if rec.in_class and not rec.deferred:
-                rec.sides = [_classify_built(child, e, f, a, k) for a in shifted]
+                rec.sides = [_classify_built(child, e, f, a, k) for a in moved]
             records.append(rec)
     return records
 

@@ -10,8 +10,9 @@ printed value disagrees with the recomputation.
 
 Conventions: vectors are bit strings with the first character the top
 row (extension columns) or leftmost column (coextension rows); ground
-set labels follow the standard-form numbering, with a coextension
-renumbering every label above the old rank up by one.
+set labels follow the standard-form numbering, with the growth children
+labeled as `extension.growth_labels` states (a coextension renumbers
+every label above the old rank up by one).
 """
 
 from __future__ import annotations

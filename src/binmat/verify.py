@@ -28,7 +28,7 @@ from .connectivity import (
     lam,
     nonminimal_exact_3seps,
 )
-from .extension import coextend, enumerate_growth_classes, extend, extension_candidates, shift_labels
+from .extension import coextend, enumerate_growth_classes, extend, extension_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
@@ -193,7 +193,8 @@ def _c_claim1_coext(ctx):
 
 def _c_claim1_coext_lambda(ctx):
     child = coextend(ctx.m("S8"), BitVector.parse("1110"))
-    shifted = shift_labels(SIDE_S8, ctx.m("S8").rank)
+    move, _ = growth_labels(ctx.m("S8"), "coextension")
+    shifted = frozenset(map(move, SIDE_S8))
     return (
         {"set": [1, 2, 6, 7], "lambda": 2},
         {"set": sorted(shifted), "lambda": lam(child, shifted)},
@@ -299,7 +300,8 @@ def _c_claim2_coext_lambda(ctx):
         for name in ("E1", "E2", "E3", "E6", "E6*", "E7")
         for b in _CLAIM2_COEXT_BULLETS[name]
     ]
-    shifted = shift_labels(SIDE_S8, ctx.m("P9").rank)
+    move, _ = growth_labels(ctx.m("P9"), "coextension")
+    shifted = frozenset(map(move, SIDE_S8))
     computed = {"set": sorted(shifted), "lambda": {}}
     for bits in sorted(rows):
         child = coextend(ctx.m("P9"), BitVector.parse(bits))
@@ -460,13 +462,8 @@ def _c_mk33star(ctx):
 def _growth_cell_claim(cell, kind):
     def check(ctx):
         rec = ctx.e4_records[kind, BitVector.parse(cell.vector)]
-        r = ctx.m("E4").rank
-        side = (SIDE_1, SIDE_2)[cell.side]
-        if kind == "coextension":
-            side = shift_labels(side, r)
-            x = r + 1
-        else:
-            x = ctx.m("E4").size + 1
+        move, x = growth_labels(ctx.m("E4"), kind)
+        side = frozenset(map(move, (SIDE_1, SIDE_2)[cell.side]))
         expected = {"set": sorted(cell.printed_set), "lambda": cell.printed_value}
         if cell.printed_set == side:
             value = rec.sides[cell.side].lam_a if rec.sides else None
@@ -532,15 +529,13 @@ def _printed_witness_valid(ctx, parent, row, side_index, witness) -> bool:
     """A printed good-row witness W is valid when A ⊆ W ⊆ A ∪ {e, f} and
     the child's connectivity on W equals 2 (different valid witnesses for
     the same row are not a disagreement)."""
-    e4 = ctx.m("E4")
-    type_i = extend(e4, BitVector.parse(parent))
+    _, x = growth_labels(ctx.m("E4"), "extension")
+    type_i = extend(ctx.m("E4"), BitVector.parse(parent))
     child = coextend(type_i, BitVector.parse(row))
-    r = type_i.rank
-    side_s = shift_labels((SIDE_1, SIDE_2)[side_index], r)
-    e = shift_labels({type_i.labels[-1]}, r)
-    f = r + 1
+    move, f = growth_labels(type_i, "coextension")
+    side_s = frozenset(map(move, (SIDE_1, SIDE_2)[side_index]))
     w = frozenset(witness)
-    return side_s <= w <= (side_s | e | {f}) and lam(child, w) == 2
+    return side_s <= w <= (side_s | {move(x), f}) and lam(child, w) == 2
 
 
 def _c_claim4_disjoint(ctx):

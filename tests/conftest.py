@@ -3,8 +3,9 @@
 A full verification run takes under a second on a 2-core box, but it is
 still computed once per session, timed, and shared by the reporting and
 acceptance tests.
-Relabeling and brute-force rank helpers live here so property tests can
-check the fast implementations against independent definitions.
+Relabeling, brute-force rank and coextension-shift helpers live here so
+property tests can check the fast implementations against independent
+definitions.
 """
 
 import random
@@ -53,6 +54,16 @@ def oracle_rank(m: Matroid, elements) -> int:
 def oracle_lam(m: Matroid, x) -> int:
     x = frozenset(x)
     return oracle_rank(m, x) + oracle_rank(m, m.ground_set() - x) - m.rank
+
+
+def oracle_shift_label(label: int, r: int) -> int:
+    """The paper's coextension relabeling, stated apart from the package:
+    a coextension of a rank-r matroid moves every label above r up by one."""
+    return label + 1 if label > r else label
+
+
+def oracle_shift_labels(labels, r: int) -> frozenset[int]:
+    return frozenset(oracle_shift_label(x, r) for x in labels)
 
 
 @pytest.fixture(scope="session")

@@ -209,6 +209,11 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"binmat: bmx: {path}: byte 0xd9 at offset 15 is not ASCII\n"
 
+    def test_bmx_file_of_only_comments_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "comments.bmx"
+        path.write_text("bmx 1\n# no matrix follows\n\n")
+        assert run(capsys, "lambda", str(path), "1") == (2, "", "binmat: bmx: missing dimension line\n")
+
     def test_negative_dimension_exits_2(self, capsys, tmp_path):
         path = tmp_path / "negative.bmx"
         path.write_text("bmx 1\n-1 3\n")

@@ -9,16 +9,15 @@ from binmat.extension import (
     enumerate_growth_classes,
     extend,
     extension_candidates,
+    growth_labels,
     growths,
-    shift_label,
-    shift_labels,
 )
-from binmat.gf2 import BitVector
+from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic
-from binmat.matroid import circuits, cocircuits, dual, remove, simplicity
+from binmat.matroid import circuits, cocircuits, dual, make_matroid, remove, simplicity
 from binmat.structure import ExcludedClass, in_class
 
-from conftest import fresh
+from conftest import fresh, oracle_shift_label, oracle_shift_labels
 
 
 def M(name):
@@ -52,6 +51,16 @@ class TestCandidates:
         for v in coextension_candidates(m):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing_rows
+
+    def test_extension_candidates_require_a_simple_matroid(self):
+        # Two parallel elements: columns 1 and 3 are equal.
+        m = make_matroid(BitMatrix.from_rows(["101", "010"]))
+        with pytest.raises(ValueError, match="^extension candidates require a simple matroid$"):
+            extension_candidates(m)
+
+    def test_extend_rejects_a_column_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^column length must equal the rank$"):
+            extend(M("S8"), BitVector.parse("11100"))
 
     def test_candidates_sorted_by_bracket_value(self):
         vals = [v.value for v in extension_candidates(M("P9"))]
@@ -97,11 +106,25 @@ class TestExtend:
 
 
 class TestCoextend:
-    def test_shift_rule(self):
-        assert shift_label(3, 5) == 3
-        assert shift_label(6, 5) == 7
-        assert shift_labels({1, 2, 5, 6, 7, 10}, 5) == {1, 2, 5, 7, 8, 11}
-        assert shift_labels({1, 2, 3, 4, 8, 9}, 5) == {1, 2, 3, 4, 9, 10}
+    def test_growth_labels(self):
+        assert oracle_shift_label(3, 5) == 3
+        assert oracle_shift_label(6, 5) == 7
+        assert oracle_shift_labels({1, 2, 5, 6, 7, 10}, 5) == {1, 2, 5, 7, 8, 11}
+        assert oracle_shift_labels({1, 2, 3, 4, 8, 9}, 5) == {1, 2, 3, 4, 9, 10}
+        # E4 has rank 5 and 10 elements.
+        e4 = M("E4")
+        move, new = growth_labels(e4, "coextension")
+        assert (move(3), move(6), new) == (3, 7, 6)
+        assert set(map(move, {1, 2, 5, 6, 7, 10})) == {1, 2, 5, 7, 8, 11}
+        assert set(map(move, {1, 2, 3, 4, 8, 9})) == {1, 2, 3, 4, 9, 10}
+        move, new = growth_labels(e4, "extension")
+        assert list(map(move, e4.labels)) == list(e4.labels) and new == 11
+        # n + 1 is taken once a label below it is gone: the largest label + 1.
+        m = remove(M("S8"), deletions={3})
+        assert growth_labels(m, "extension")[1] == 9
+        assert extend(m, BitVector.parse("1100")).labels[-1] == 9
+        with pytest.raises(ValueError, match="unknown growth kind 'growth'"):
+            growth_labels(e4, "growth")
 
     def test_coextend_contract_round_trip(self):
         for name in ("S8", "P9", "E4"):
@@ -110,12 +133,12 @@ class TestCoextend:
             for row in coextension_candidates(m)[:3]:
                 child = coextend(m, row)
                 assert child.size == m.size + 1 and child.rank == r + 1
-                assert child.ground_set() == shift_labels(m.ground_set(), r) | {r + 1}
+                assert child.ground_set() == oracle_shift_labels(m.ground_set(), r) | {r + 1}
                 back = remove(child, contractions={r + 1})
                 assert are_isomorphic(back, m)
                 # Exact labeled correspondence under the shift rule.
                 shifted = {
-                    frozenset(shift_label(x, r) for x in c) for c in circuits(m)
+                    frozenset(oracle_shift_label(x, r) for x in c) for c in circuits(m)
                 }
                 assert {frozenset(c) for c in circuits(back)} == shifted
 
@@ -133,9 +156,9 @@ class TestCoextend:
                 assert (child.rank, child.size) == (r + 1, n + 1), name
                 assert list(child.matrix.rows) == rows, name
                 assert child.labels == (
-                    tuple(shift_label(lab, r) for lab in m.labels[:r])
+                    tuple(oracle_shift_label(lab, r) for lab in m.labels[:r])
                     + (r + 1,)
-                    + tuple(shift_label(lab, r) for lab in m.labels[r:])
+                    + tuple(oracle_shift_label(lab, r) for lab in m.labels[r:])
                 ), name
 
     def test_coextension_dual_to_extension(self):

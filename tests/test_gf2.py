@@ -64,8 +64,29 @@ class TestBitVector:
         assert list(v.coords()) == coords
         assert v.bits.bit_count() == sum(coords)
 
+    def test_from_coords_rejects_non_bits(self):
+        with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
+            BitVector.from_coords([1, 2, 0])
+
 
 class TestBitMatrix:
+    @pytest.mark.parametrize(
+        "nrows, ncols, rows, message",
+        [
+            (2, 3, (0b101,), "inconsistent dimensions"),
+            (1, -1, (0,), "inconsistent dimensions"),
+            (2, 3, (0b101, 0b1000), "row has bits beyond declared width"),
+        ],
+    )
+    def test_constructor_rejects_bad_shapes(self, nrows, ncols, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BitMatrix(nrows, ncols, rows)
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_column_out_of_range(self, j):
+        with pytest.raises(ValueError, match=f"^column {j} out of range$"):
+            BitMatrix.from_rows(["101", "011"]).column(j)
+
     def test_from_rows_strings(self):
         m = BitMatrix.from_rows(["101", "011"])
         assert (m.nrows, m.ncols) == (2, 3)

@@ -71,6 +71,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="one label per column"):
             make_matroid(mat, labels=[1, 2, 3])
 
+    def test_constructor_rejects_wrong_label_count_and_non_standard_form(self):
+        with pytest.raises(ValueError, match="^one label per column required$"):
+            Matroid(BitMatrix.from_rows(["1011", "0111"]), (1, 2, 3))
+        with pytest.raises(ValueError, match=r"^matrix is not in standard form \[I_r \| D\]$"):
+            Matroid(BitMatrix.from_rows(["0111", "1011"]), (1, 2, 3, 4))
+
+    def test_column_of_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="^unknown element label 99$"):
+            M("S8").column_of(99)
+
     def test_equality_is_labeled(self):
         a = fresh("S8")
         b = fresh("S8")

@@ -8,7 +8,7 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, enumerate_growth_classes, extend, shift_label, shift_labels
+from binmat.extension import coextend, enumerate_growth_classes, extend
 from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, minor_weight_profile, weight_profile
 from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
@@ -24,7 +24,7 @@ from binmat.structure import (
     theorem21_check,
 )
 
-from conftest import fresh
+from conftest import fresh, oracle_shift_label, oracle_shift_labels
 
 
 def M(name):
@@ -484,9 +484,9 @@ def test_triangle_escape_matches_circuit_lists_on_e4_children():
                 continue
             type_i = extend(n, rec.parent_vector)
             child = coextend(type_i, rec.row)
-            e, f = shift_label(type_i.labels[-1], r), r + 1
+            e, f = oracle_shift_label(type_i.labels[-1], r), r + 1
             for side in (SIDE_A1, SIDE_A2):
-                side_s = shift_labels(side, r)
+                side_s = oracle_shift_labels(side, r)
                 tri = _triangle_escape(child, e, f, side_s)
                 assert tri == _triangle_escape_by_circuit_lists(child, e, f, side_s)
                 found += tri is not None

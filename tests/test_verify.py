@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from binmat import structure, verify
-from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
+from binmat.catalog import get
+from binmat.gf2 import BitVector
+from binmat.structure import OneStepRecord, OneStepSide, TwoStepRecord
+from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B, GrowthCell
 from binmat.verify import claim_ids, report_to_json, report_to_text, run_verification
 
 
@@ -115,6 +118,36 @@ class TestFullReport:
         monkeypatch.setattr(structure, "has_any_minor", counting)
         run_verification()
         assert len(searched) <= 162
+
+
+class _RecordsOnly:
+    """The catalog and a fixed table of E4 records: all that one table
+    claim reads from a run's context."""
+
+    def __init__(self, records):
+        self.e4_records = records
+
+    def m(self, name):
+        return get(name).matroid
+
+
+@pytest.mark.parametrize("kind", ["extension", "coextension"])
+def test_growth_cell_with_a_foreign_set_reads_no_value(kind):
+    # A printed set that is neither the side A nor A u x matches no
+    # recomputed value, so the cell is a discrepancy rather than a crash.
+    cell = GrowthCell("A", "alpha", "11000", 0, frozenset({1, 2, 3}))
+    side = OneStepSide(lam_a=2, lam_ax=2, satisfied=True, direct=True)
+    rec = OneStepRecord(kind, BitVector.parse("11000"), True, False, [side, side])
+    context = _RecordsOnly({(kind, rec.vector): rec})
+    expected, computed = verify._growth_cell_claim(cell, kind)(context)
+    assert expected == {"set": [1, 2, 3], "lambda": 2}
+    assert computed == {"set": None, "lambda": None}
+
+
+def test_deferred_two_step_row_reads_deferred():
+    rec = TwoStepRecord(BitVector.parse("11000"), BitVector.parse("110000"), True, True)
+    assert verify._verdict_state(rec, 0) == {"s10-minor": False, "row": "deferred"}
+    assert verify._verdict_state(rec, 1) == {"s10-minor": False, "row": "deferred"}
 
 
 def _context_values_read_once(source: str) -> list[str]:
