@@ -4,7 +4,10 @@ Extension columns follow the bracket convention [b1 b2 ... br] with b1
 the top row of the displayed matrix; candidates are enumerated in
 ascending order of that numeric reading.  Coextensions are duals of
 extensions: a coextension row of m is an extension column of dual(m),
-and the child is the dual of that extension.  `growth_labels` is the
+and the child is the dual of that extension.  `coextend` builds the
+child directly, appending the row below m's D block and a unit column
+at position r, and the result still equals the dual of the extension of
+the dual, with its labels moved.  `growth_labels` is the
 one statement of where a growth puts its labels: an extension keeps
 every parent label and adds n+1; a coextension adds r+1 and moves every
 parent label greater than r up by one.  `enumerate_growth_classes`
@@ -81,23 +84,33 @@ def coextend(m: Matroid, row: BitVector) -> Matroid:
     """Add a coextension row, relabeling per `growth_labels`: the new
     element is labeled r + 1 and parent labels greater than r move up by one.
 
-    The child is dual(extend(dual(m), row)): its matrix is m's with
-    ``row`` appended below D, and the new element sits at position r.
-    The new element forms a cocircuit with the elements whose D columns
-    carry a 1 in the new row; this is verified on the constructed child.
+    The child is built directly: its matrix is m's [I_r | D] with ``row``
+    appended below D and a new unit column at position r, which is
+    dual(extend(dual(m), row)) with its labels moved.  ``row`` is
+    rejected as extend would reject it as a column of the dual: it must
+    have length n - r, be nonzero, not be a unit vector and differ from
+    every row of D.  The new element forms a cocircuit with the elements
+    whose D columns carry a 1 in the new row; this is verified on the
+    built child.
     """
-    r = m.rank
+    r, n = m.rank, m.size
+    d_rows = [x >> r for x in m.matrix.rows]
+    if row.length != n - r:
+        raise ValueError("column length must equal the rank")
+    if row.bits == 0 or row.bits.bit_count() == 1 or row.bits in d_rows:
+        raise ValueError("column must be nonzero and distinct from existing columns")
     move, new = growth_labels(m, "coextension")
-    grown = dual(extend(dual(m), row))
-    labels = tuple(new if p == r else move(x) for p, x in enumerate(grown.labels))
-    child = Matroid(grown.matrix, labels)
-    members = {new} | {move(x) for j, x in enumerate(m.labels[r:]) if row.coord(j + 1)}
+    rows = [(1 << i) | (d << (r + 1)) for i, d in enumerate(d_rows)]
+    rows.append((1 << r) | (row.bits << (r + 1)))
+    labels = tuple(map(move, m.labels[:r])) + (new,) + tuple(map(move, m.labels[r:]))
+    child = Matroid(BitMatrix(r + 1, n + 1, tuple(rows)), labels)
     # Cocircuit test via ranks: r(E - S) = rank - 1 and minimality.
-    rest = child.ground_set() - members
-    if child.rank_of(rest) != child.rank - 1:
+    members = (1 << r) | (row.bits << (r + 1))
+    rest = child.full_mask & ~members
+    if child.rank_of_mask(rest) != r:
         raise AssertionError("coextension row did not create the expected cocircuit")
-    for e in members:
-        if child.rank_of(rest | {e}) != child.rank:
+    for p in range(r, n + 1):
+        if (members >> p) & 1 and child.rank_of_mask(rest | 1 << p) != r + 1:
             raise AssertionError("coextension cocircuit is not minimal")
     return child
 

@@ -13,11 +13,17 @@ complete assignment is returned as an element bijection.
 
 The search is guided by element colours (`element_colours`): each
 element's counts, by weight, of the cocycle-space vectors that contain
-it, after the refinement idea of McKay and Piperno (cited below).  A
-pair whose colour multisets differ is rejected at once; only bases with
-the colours of the target's basis are tried, and a row goes only to a
-target row of its colour.  Colours cut only branches that cannot
-succeed, so the first match is the one the unguided search would find.
+it, after the refinement idea of McKay and Piperno (cited below).  They
+are read off the cached cocycle masks transposed: mask i is the sum of
+the rows k with bit k of i set (`gf2.span`), so the masks that contain
+an element are found from its column alone, and a count is one
+intersection with the masks of one weight.  A pair whose colour
+multisets differ is rejected at once.  The other matroid's bases are
+enumerated by a pruned depth-first walk over positions in increasing
+order that visits only the bases with the colour multiset of the
+target's basis, in ``combinations`` order; a row goes only to a target
+row of its colour.  Colours cut only branches that cannot succeed, so
+the first match is the one the unguided search would find.
 
 Every weight invariant here reads the cocycle space alone.  Over GF(2)
 the cycle space is its orthogonal complement, so by the MacWilliams
@@ -49,7 +55,9 @@ the minimum over every basis and row order.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
+from functools import cache
 from itertools import combinations
 
 from .gf2 import reduce_rows
@@ -115,23 +123,78 @@ def _match_rows(
     return recurse((0,) * nd, list(range(r)))
 
 
+@cache
+def _index_masks(r: int) -> tuple[int, ...]:
+    """For each k < r, the 2^r-bit mask of the indices i with bit k set: the
+    indices of the cocycle masks that `gf2.span` builds with row k."""
+    full = (1 << (1 << r)) - 1
+    return tuple(full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(r))
+
+
 def element_colours(m: Matroid) -> tuple:
     """Each element's colour, in column order: the numbers of cocycle-space
     vectors of each weight that contain it, as a tuple indexed by weight.
 
     An isomorphism carries every element to one of the same colour.  The
-    colours are read off m's cached cocycle masks and cached on m.
+    colours are read off m's cached cocycle masks, transposed, and cached
+    on m.  ``cocycle_masks()[i]`` is the sum of the rows k with bit k of i
+    set, so element p lies in it iff column p and i share an odd number of
+    bits: the indices of the masks that contain p are the sum of the index
+    masks of the rows that column p meets.  Intersecting that with the
+    indices of the masks of each weight gives p's counts.
     """
     if m._element_colours is None:
-        counts = [[0] * (m.size + 1) for _ in range(m.size)]
-        for mk in m.cocycle_masks():
-            w = mk.bit_count()
-            while mk:
-                low = mk & -mk
-                counts[low.bit_length() - 1][w] += 1
-                mk ^= low
-        m._element_colours = tuple(map(tuple, counts))
+        of_weight = [0] * (m.size + 1)
+        for i, mk in enumerate(m.cocycle_masks()):
+            of_weight[mk.bit_count()] |= 1 << i
+        index = _index_masks(m.rank)
+        colours = []
+        for col in m._cols:
+            contains = 0
+            for k in range(m.rank):
+                if (col >> k) & 1:
+                    contains ^= index[k]
+            colours.append(tuple([(contains & ow).bit_count() for ow in of_weight]))
+        m._element_colours = tuple(colours)
     return m._element_colours
+
+
+def _colour_bases(colours: list, target: list):
+    """The positions 0..n-1 chosen len(target) at a time whose colours, as
+    a multiset, equal ``target``'s, in ``combinations`` order.
+
+    A depth-first walk over the positions in increasing order takes a
+    position while its colour is still needed, and may pass it over only
+    while enough positions of its colour remain after it.  Every branch
+    so ends in a basis, and no other subset is visited.
+    """
+    n = len(colours)
+    later = [0] * n  # positions after p with p's colour
+    seen: Counter = Counter()
+    for p in range(n - 1, -1, -1):
+        later[p] = seen[colours[p]]
+        seen[colours[p]] += 1
+    need = Counter(target)
+    if any(seen[c] < k for c, k in need.items()):
+        return
+    chosen: list[int] = []
+
+    def walk(start: int, todo: int):
+        if not todo:
+            yield tuple(chosen)
+            return
+        for p in range(start, n):
+            c = colours[p]
+            if need[c]:
+                need[c] -= 1
+                chosen.append(p)
+                yield from walk(p + 1, todo - 1)
+                chosen.pop()
+                need[c] += 1
+            if later[p] < need[c]:  # passing p over would leave too few of c
+                return
+
+    yield from walk(0, len(target))
 
 
 def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
@@ -142,11 +205,15 @@ def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
     to t's basis by row, and non-basis elements to the t column of equal
     value, duplicates taken in order.
 
-    Every isomorphism preserves `element_colours`, so the search returns
-    None at once when the two colour multisets differ, tries only bases
-    with the colours of t's basis, and assigns a basis row only to a
-    target row of its colour.  Only branches that cannot succeed are cut,
-    so the first match is the one the unpruned search finds.
+    Every isomorphism preserves `element_colours`, each element's counts,
+    by weight, of the cocycle-space vectors that contain it, read off m's
+    cached cocycle masks.  So the search returns None at once when the two
+    colour multisets differ, and assigns a basis row only to a target row
+    of its colour.  The bases are enumerated by `_colour_bases`: only the
+    position sets whose colour multiset equals that of t's basis, in
+    ``combinations`` order, by a depth-first walk that never enters a
+    branch without such a set.  Only branches that cannot succeed are
+    cut, so the first match is the one the unpruned search finds.
     """
     r, n = t.rank, t.size
     if (m.rank, m.size) != (r, n):
@@ -157,15 +224,8 @@ def isomorphism(m: Matroid, t: Matroid) -> dict[int, int] | None:
     ids = {c: i for i, c in enumerate(set(t_colours))}
     m_ids = [ids[c] for c in m_colours]
     t_ids = [ids[c] for c in t_colours]
-    # A basis's colour multiset as one int: a width-bit count per colour,
-    # enough since no colour occurs more than r times in a basis.
-    width = r.bit_length()
-    fields = [1 << (width * i) for i in m_ids]
-    target = sum(1 << (width * i) for i in t_ids[:r])
     cols, weights, projections = _fixed_form(t)
-    for basis, colours in zip(combinations(range(n), r), map(sum, combinations(fields, r))):
-        if colours != target:
-            continue
+    for basis in _colour_bases(m_ids, t_ids[:r]):
         coords = _reduced_coords(m, basis)
         if coords is None or sorted(c.bit_count() for c in coords) != weights:
             continue

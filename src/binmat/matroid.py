@@ -21,7 +21,13 @@ class Matroid:
             raise ValueError("one label per column required")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        self._cols = tuple(matrix.columns())
+        cols = [0] * n  # bit i of column j = row i; one pass over each row's set bits
+        for i, row in enumerate(matrix.rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        self._cols = tuple(cols)
         if self._cols[:r] != tuple(1 << i for i in range(r)):
             raise ValueError("matrix is not in standard form [I_r | D]")
         self.matrix = matrix

@@ -143,23 +143,36 @@ class TestCoextend:
                 assert {frozenset(c) for c in circuits(back)} == shifted
 
     def test_coextend_presentation(self):
-        # Table 2a/2b rows are vectors over this exact D-column order.
+        # Table 2a/2b rows are vectors over this exact D-column order.  Every
+        # row of every cosimple catalog matroid and of its cosimple
+        # single-element deletions is checked against the layout and against
+        # the dual of the extension of the dual, relabeled by the shift oracle.
+        checked = 0
         for name in list_names():
             m = M(name)
             if not simplicity(m)[1]:
                 continue
-            r, n = m.rank, m.size
-            for row in coextension_candidates(m)[:3]:
-                child = coextend(m, row)
-                rows = [(1 << i) | ((m.matrix.rows[i] >> r) << (r + 1)) for i in range(r)]
-                rows.append((1 << r) | (row.bits << (r + 1)))
-                assert (child.rank, child.size) == (r + 1, n + 1), name
-                assert list(child.matrix.rows) == rows, name
-                assert child.labels == (
-                    tuple(oracle_shift_label(lab, r) for lab in m.labels[:r])
-                    + (r + 1,)
-                    + tuple(oracle_shift_label(lab, r) for lab in m.labels[r:])
-                ), name
+            deletions = (remove(m, deletions={e}) for e in m.labels)
+            for base in [m] + [d for d in deletions if simplicity(d)[1]]:
+                r, n = base.rank, base.size
+                for row in coextension_candidates(base):
+                    child = coextend(base, row)
+                    rows = [(1 << i) | ((base.matrix.rows[i] >> r) << (r + 1)) for i in range(r)]
+                    rows.append((1 << r) | (row.bits << (r + 1)))
+                    assert (child.rank, child.size) == (r + 1, n + 1), name
+                    assert list(child.matrix.rows) == rows, (name, base.labels, row)
+                    assert child.labels == (
+                        tuple(oracle_shift_label(lab, r) for lab in base.labels[:r])
+                        + (r + 1,)
+                        + tuple(oracle_shift_label(lab, r) for lab in base.labels[r:])
+                    ), name
+                    grown = dual(extend(dual(base), row))
+                    assert grown.matrix.rows == child.matrix.rows, (name, base.labels, row)
+                    assert child.labels == tuple(
+                        r + 1 if p == r else oracle_shift_label(lab, r) for p, lab in enumerate(grown.labels)
+                    ), (name, base.labels, row)
+                    checked += 1
+        assert checked > 10000
 
     def test_coextension_dual_to_extension(self):
         m = M("P9")
@@ -177,9 +190,18 @@ class TestCoextend:
         assert any(new in c for c in cocircuits(child))
 
     def test_coextend_rejects_existing_row(self):
+        # The rows that extend rejects as columns of the dual, with its messages.
         m = M("P9")
-        with pytest.raises(ValueError):
-            coextend(m, BitVector(m.size - m.rank, m.matrix.rows[0] >> m.rank))
+        width = m.size - m.rank
+        with pytest.raises(ValueError, match="^column must be nonzero and distinct from existing columns$"):
+            coextend(m, BitVector(width, m.matrix.rows[0] >> m.rank))
+        with pytest.raises(ValueError, match="^column length must equal the rank$"):
+            coextend(m, BitVector(width + 1, 0b111))
+        with pytest.raises(ValueError, match="^column length must equal the rank$"):
+            coextend(m, BitVector(width - 1, 0b111))
+        for bits in [0] + [1 << k for k in range(width)]:
+            with pytest.raises(ValueError, match="^column must be nonzero and distinct from existing columns$"):
+                coextend(m, BitVector(width, bits))
 
 
 class TestGrowthClasses:

@@ -505,6 +505,38 @@ class TestIsomorphism:
         assert isomorphism(M("S8"), M("AG(3,2)")) is None  # same rank and size
 
 
+def _random_colouring(rng, n):
+    """n seeded colours from a palette of one to four."""
+    palette = rng.randint(1, 4)
+    return [rng.randrange(palette) for _ in range(n)]
+
+
+class TestColourBases:
+    def test_walk_matches_filtered_combinations(self):
+        # Same tuples in the same order as filtering every r-subset, for
+        # targets drawn from the colouring and for arbitrary ones, some of
+        # which no subset meets.
+        rng = random.Random(17)
+        met = unmet = one_colour = 0
+        for _ in range(150):
+            n = rng.randint(0, 13)
+            colours = _random_colouring(rng, n)
+            one_colour += len(set(colours)) == 1
+            r = rng.randint(0, n)
+            for target in (rng.sample(colours, r), [rng.randrange(5) for _ in range(r)]):
+                expected = [b for b in combinations(range(n), r) if sorted(colours[p] for p in b) == sorted(target)]
+                assert list(iso._colour_bases(colours, target)) == expected, (colours, target)
+                met += bool(expected)
+                unmet += not expected
+        assert met > 100 and unmet > 20 and one_colour > 20
+
+    def test_targets_that_cannot_be_met(self):
+        assert list(iso._colour_bases([0, 0, 1], [1, 1])) == []
+        assert list(iso._colour_bases([0, 0, 1], [2])) == []
+        assert list(iso._colour_bases([0, 1], [0, 1, 1])) == []
+        assert list(iso._colour_bases([], [])) == [()]
+
+
 def _oracle_colours(m):
     """Element colours by definition: over every subset of the ground set,
     a cycle iff its columns sum to zero, and a cocycle iff it meets every
@@ -544,9 +576,30 @@ def _colour_cases():
 
 class TestElementColours:
     def test_random_matroids_match_the_definition(self):
-        for m in _colour_cases():
+        # Rank 0 has one cocycle, the empty set; PG(3,2)* has rank 11, so its
+        # cocycle indices run past one byte.
+        cases = _colour_cases() + [Matroid(BitMatrix(0, 4, ()), (1, 2, 3, 4)), fresh("PG(3,2)*")]
+        assert min(m.rank for m in cases) == 0 and max(m.rank for m in cases) >= 8
+        for m in cases:
             expected = tuple(coc for _, coc in _oracle_colours(m))
             assert element_colours(m) == expected, (m.matrix.rows, m.rank, m.size)
+
+    def test_cocycle_masks_follow_the_span_order(self):
+        # Colours read mask i as the sum of the rows k with bit k of i set.
+        rng = random.Random(12)
+        cases = [fresh(name) for name in list_names()]
+        for n in [rng.randint(0, 12) for _ in range(40)]:
+            cases.append(_random_matroid(rng, n, rng.randint(0, n)))
+        assert min(m.rank for m in cases) == 0 and max(m.rank for m in cases) >= 8
+        for m in cases:
+            masks = m.cocycle_masks()
+            assert len(masks) == 1 << m.rank
+            for i, mask in enumerate(masks):
+                expected = 0
+                for k, row in enumerate(m.matrix.rows):
+                    if (i >> k) & 1:
+                        expected ^= row
+                assert mask == expected, (m.matrix.rows, i)
 
     def test_catalog_matroids_match_the_definition(self):
         for name in ("F7", "F7*", "S8", "AG(3,2)"):

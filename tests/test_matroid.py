@@ -77,6 +77,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^matrix is not in standard form \[I_r \| D\]$"):
             Matroid(BitMatrix.from_rows(["0111", "1011"]), (1, 2, 3, 4))
 
+    def test_columns_match_the_matrix(self):
+        # The constructor packs columns from the rows' set bits; BitMatrix.columns
+        # reads them one entry at a time.
+        cases = [M(name) for name in list_names()]
+        rng = random.Random(19)
+        for n, r in [(0, 0), (3, 0), (1, 1), (4, 4)] + [(n, rng.randint(0, n)) for n in range(1, 16)]:
+            rows = tuple((1 << i) | (rng.randrange(1 << (n - r)) << r) for i in range(r))
+            cases.append(Matroid(BitMatrix(r, n, rows), tuple(range(1, n + 1))))
+        assert {(m.rank == 0, m.size == 0) for m in cases} == {(False, False), (True, False), (True, True)}
+        for m in cases:
+            assert m._cols == tuple(m.matrix.columns()), (m.matrix.rows, m.rank, m.size)
+        # A unit column out of place, and a unit block in the wrong order.
+        for rows in (["110", "010"], ["010", "100"]):
+            with pytest.raises(ValueError, match=r"^matrix is not in standard form \[I_r \| D\]$"):
+                Matroid(BitMatrix.from_rows(rows), (1, 2, 3))
+
     def test_column_of_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="^unknown element label 99$"):
             M("S8").column_of(99)
