@@ -165,14 +165,14 @@ def _cmd_decomposer(args) -> int:
     sep = _parse_set(args.sep)
     excluded = _parse_matroid_list(args.exclude)
     defer = _parse_matroid_list(args.defer) if args.defer is not None else ()
-    if args.sep2:
+    if args.sep2 is not None:
         report = corollary22_check(n, sep, _parse_set(args.sep2), args.k, excluded, defer=defer)
     else:
         report = theorem21_check(n, sep, args.k, excluded, defer=defer)
     print(report.overall)
     for note in report.notes:
         print(f"note: {note}")
-    if args.sep2:
+    if args.sep2 is not None:
         for i in range(2):
             print(f"bad rows for separation {i + 1}: {len(report.bad_rows(i))}")
     return 0

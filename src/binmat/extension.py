@@ -1,17 +1,17 @@
 """Single-element growth: simple extensions and cosimple coextensions.
 
-Extension columns follow the bracket convention [b1 b2 ... br] with b1
-the top row of the displayed matrix; candidates are enumerated in
-ascending order of that numeric reading.  Coextensions are duals of
-extensions: a coextension row of m is an extension column of dual(m),
-and the child is the dual of that extension.  `coextend` builds the
-child directly, appending the row below m's D block and a unit column
-at position r, and the result still equals the dual of the extension of
-the dual, with its labels moved.  `growth_labels` is the
-one statement of where a growth puts its labels: an extension keeps
-every parent label and adds n+1; a coextension adds r+1 and moves every
-parent label greater than r up by one.  `enumerate_growth_classes`
-groups the growths of one kind into isomorphism classes.
+Generators follow the bracket convention [b1 b2 ... br], b1 the top
+row, and are enumerated in ascending order of that numeric reading.
+`_generator_rule` is the one statement of which vectors generate a
+growth: weight at least 2, and an extension column of length r not a
+column of D, or a coextension row of length n - r not a row of D (a row
+of m is then a column of dual(m)).  `growth_candidates`, `extend` and
+`coextend` read it; `coextend` appends the row below m's D block and a
+unit column at position r.  `growth_labels` is the one statement of
+where a growth puts its labels: an extension keeps every parent label
+and adds n+1; a coextension adds r+1 and moves labels above r up by one.
+`enumerate_growth_classes` groups the growths of one kind into
+isomorphism classes.
 """
 
 from __future__ import annotations
@@ -20,24 +20,45 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector
 from .iso import IsoIndex
-from .matroid import Matroid, dual, simplicity
+from .matroid import Matroid, simplicity
 
 
-def extension_candidates(m: Matroid) -> list[BitVector]:
-    """All columns usable for a simple single-element extension.
+def _generator_rule(m: Matroid, kind: str):
+    """Which vectors generate a growth of m of `kind`, as ``(side, length,
+    taken, words)``: ``length`` bits, weight at least 2, not in ``taken``.
+    An extension column has length r and is not a column of D (``taken``
+    holds all of m's columns; the others are unit vectors); a coextension
+    row has length n - r and is not a row of D.  `growth_candidates` needs
+    ``simplicity(m)[side]``; ``words`` name the generator, its length and
+    what it avoids in errors."""
+    r = m.rank
+    if kind == "extension":
+        return 0, r, m._cols, ("column", "the rank", "existing columns")
+    if kind == "coextension":
+        return 1, m.size - r, [x >> r for x in m.matrix.rows], ("row", "n - r", "unit vectors and rows of D")
+    raise ValueError(f"unknown growth kind {kind!r}")
 
-    These are the nonzero length-r vectors distinct from every existing
-    column; since [I_r | D] contains all unit vectors this is exactly the
-    vectors of weight >= 2 not already in D.  Ascending bracket order.
-    """
-    if not simplicity(m)[0]:
-        raise ValueError("extension candidates require a simple matroid")
-    existing = set(m._cols[m.rank :])
-    out = [
-        BitVector(m.rank, bits)
-        for bits in range(1, 1 << m.rank)
-        if bits.bit_count() >= 2 and bits not in existing
-    ]
+
+def _check_generator(m: Matroid, kind: str, v: BitVector):
+    """Raise ValueError unless `v` passes `_generator_rule` for m and
+    `kind`; return the rule's ``taken``, from which coextend builds."""
+    _, length, taken, (noun, length_name, avoid) = _generator_rule(m, kind)
+    if v.length != length:
+        raise ValueError(f"{noun} length must equal {length_name}")
+    if v.bits.bit_count() < 2 or v.bits in taken:
+        raise ValueError(f"{noun} must be nonzero and distinct from {avoid}")
+    return taken
+
+
+def growth_candidates(m: Matroid, kind: str) -> list[BitVector]:
+    """Every generator of a simple extension ("extension") of a simple m, or
+    of a cosimple coextension ("coextension") of a cosimple m, in ascending
+    bracket order, per `_generator_rule`; no dual is built."""
+    side, length, taken, _ = _generator_rule(m, kind)
+    if not simplicity(m)[side]:
+        raise ValueError(f"{kind} candidates require a {'co' * side}simple matroid")
+    taken = set(taken)
+    out = [BitVector(length, bits) for bits in range(1, 1 << length) if bits.bit_count() >= 2 and bits not in taken]
     out.sort(key=lambda v: v.value)
     return out
 
@@ -60,24 +81,11 @@ def growth_labels(m: Matroid, kind: str):
 def extend(m: Matroid, col: BitVector) -> Matroid:
     """Append `col` as a new element labeled per `growth_labels`: n + 1,
     or the largest label + 1 when n + 1 is taken."""
-    if col.length != m.rank:
-        raise ValueError("column length must equal the rank")
-    if col.bits == 0 or col.bits in m._cols:
-        raise ValueError("column must be nonzero and distinct from existing columns")
+    _check_generator(m, "extension", col)
     n = m.size
     _, new = growth_labels(m, "extension")
     rows = tuple(m.matrix.rows[i] | (((col.bits >> i) & 1) << n) for i in range(m.rank))
     return Matroid(BitMatrix(m.rank, n + 1, rows), m.labels + (new,))
-
-
-def coextension_candidates(m: Matroid) -> list[BitVector]:
-    """All rows usable for a cosimple single-element coextension: the
-    extension columns of the dual, of length n - r.  Ascending bracket
-    order.
-    """
-    if not simplicity(m)[1]:
-        raise ValueError("coextension candidates require a cosimple matroid")
-    return extension_candidates(dual(m))
 
 
 def coextend(m: Matroid, row: BitVector) -> Matroid:
@@ -86,19 +94,13 @@ def coextend(m: Matroid, row: BitVector) -> Matroid:
 
     The child is built directly: its matrix is m's [I_r | D] with ``row``
     appended below D and a new unit column at position r, which is
-    dual(extend(dual(m), row)) with its labels moved.  ``row`` is
-    rejected as extend would reject it as a column of the dual: it must
-    have length n - r, be nonzero, not be a unit vector and differ from
-    every row of D.  The new element forms a cocircuit with the elements
-    whose D columns carry a 1 in the new row; this is verified on the
-    built child.
+    dual(extend(dual(m), row)) with its labels moved.  ``row`` must pass
+    `_generator_rule`.  The new element forms a cocircuit with the
+    elements whose D columns carry a 1 in the new row; this is verified
+    on the built child.
     """
     r, n = m.rank, m.size
-    d_rows = [x >> r for x in m.matrix.rows]
-    if row.length != n - r:
-        raise ValueError("column length must equal the rank")
-    if row.bits == 0 or row.bits.bit_count() == 1 or row.bits in d_rows:
-        raise ValueError("column must be nonzero and distinct from existing columns")
+    d_rows = _check_generator(m, "coextension", row)
     move, new = growth_labels(m, "coextension")
     rows = [(1 << i) | (d << (r + 1)) for i, d in enumerate(d_rows)]
     rows.append((1 << r) | (row.bits << (r + 1)))
@@ -118,11 +120,9 @@ def coextend(m: Matroid, row: BitVector) -> Matroid:
 def growths(m: Matroid, kind: str):
     """(generator, child) for each simple extension ("extension") or cosimple
     coextension ("coextension") of m, in ascending bracket order."""
-    if kind == "extension":
-        return ((v, extend(m, v)) for v in extension_candidates(m))
-    if kind == "coextension":
-        return ((v, coextend(m, v)) for v in coextension_candidates(m))
-    raise ValueError(f"unknown growth kind {kind!r}")
+    candidates = growth_candidates(m, kind)  # raises on an unknown kind
+    grow = extend if kind == "extension" else coextend
+    return ((v, grow(m, v)) for v in candidates)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from .connectivity import (
     lam,
     nonminimal_exact_3seps,
 )
-from .extension import coextend, enumerate_growth_classes, extend, extension_candidates, growth_labels
+from .extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
@@ -163,7 +163,7 @@ def _c_claim1_sep_lambda(ctx):
 
 def _c_claim1_ext_classes(ctx):
     classes = enumerate_growth_classes(ctx.m("S8"), "extension")
-    cands = {str(v) for v in extension_candidates(ctx.m("S8"))}
+    cands = {str(v) for v in growth_candidates(ctx.m("S8"), "extension")}
     named = _named_classes(ctx, classes, ["Z4", "P9"], ["1110", "0011"])
     p9_gens = named["P9"]["generators"] or []
     rest = sorted(cands - {"[1110]"})

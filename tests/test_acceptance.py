@@ -13,10 +13,9 @@ from binmat.catalog import get, list_names
 from binmat.connectivity import is_internally_4_connected, is_n_connected, lam
 from binmat.extension import (
     coextend,
-    coextension_candidates,
     enumerate_growth_classes,
     extend,
-    extension_candidates,
+    growth_candidates,
 )
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic, canonical_key
@@ -88,7 +87,7 @@ def test_03_p9_growth_classes():
     p9, ext, coext = timed(5.0, compute)
     assert len(ext) == 3
     assert sorted(len(c.members) for c in ext) == [1, 1, 4]
-    assert sum(len(c.members) for c in ext) == len(extension_candidates(p9))
+    assert sum(len(c.members) for c in ext) == len(growth_candidates(p9, "extension"))
     assert len(coext) == 8
     assert sorted(len(c.members) for c in coext) == [1, 1, 2, 2, 2, 2, 4, 8]
     assert sum(len(c.members) for c in coext) == 22
@@ -244,7 +243,7 @@ class Test10PropertySuites:
             m = fresh(name)
             if not simplicity(m)[0] or m.rank == 0:
                 continue
-            for v in extension_candidates(m)[:2]:
+            for v in growth_candidates(m, "extension")[:2]:
                 child = extend(m, v)
                 assert remove(child, deletions={child.labels[-1]}) == m, name
 
@@ -255,7 +254,7 @@ class Test10PropertySuites:
             m = fresh(name)
             if not simplicity(m)[1] or m.rank == m.size:
                 continue
-            for v in coextension_candidates(m)[:2]:
+            for v in growth_candidates(m, "coextension")[:2]:
                 child = coextend(m, v)
                 back = remove(child, contractions={m.rank + 1})
                 assert are_isomorphic(back, m), name

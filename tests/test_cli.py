@@ -183,6 +183,8 @@ class TestErrorHandling:
             (["--sep", "1,2"], "both sides must have at least 3 elements"),
             (["--sep", "1,2,5,6,7,99"], "unknown element label 99"),
             (["--sep", "1,2,5,6,7,10", "--sep2", "1,2"], "both sides must have at least 3 elements"),
+            (["--sep", "1,2,5,6,7,10", "--sep2", ""], "both sides must have at least 3 elements"),
+            (["--sep", "1,2,5,6,7,10", "--sep2", ","], "both sides must have at least 3 elements"),
         ],
     )
     def test_bad_separation_exits_2(self, capsys, seps, message):
@@ -225,9 +227,8 @@ class TestErrorHandling:
     def test_coextensions_of_non_cosimple_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "coloop.bmx"
         path.write_text("bmx 1\n2 3\n100\n011\n")
-        code, _, err = run(capsys, "exts", str(path), "--co")
-        assert code == 2
-        assert "cosimple" in err
+        message = "binmat: coextension candidates require a cosimple matroid\n"
+        assert run(capsys, "exts", str(path), "--co") == (2, "", message)
 
     def test_bad_set_argument_exits_2(self, capsys):
         message = "binmat: bad element set '1,x'; expected comma-separated labels\n"

@@ -1,20 +1,21 @@
 """Unit and property tests for single-element growth steps."""
 
+import random
+
 import pytest
 
 from binmat.catalog import get, list_names
 from binmat.extension import (
     coextend,
-    coextension_candidates,
     enumerate_growth_classes,
     extend,
-    extension_candidates,
+    growth_candidates,
     growth_labels,
     growths,
 )
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic
-from binmat.matroid import circuits, cocircuits, dual, make_matroid, remove, simplicity
+from binmat.matroid import Matroid, circuits, cocircuits, dual, make_matroid, remove, simplicity
 from binmat.structure import ExcludedClass, in_class
 
 from conftest import fresh, oracle_shift_label, oracle_shift_labels
@@ -38,17 +39,17 @@ class TestCandidates:
         }
         for name, (next_, ncoext) in expected.items():
             m = M(name)
-            assert len(extension_candidates(m)) == next_, name
-            assert len(coextension_candidates(m)) == ncoext, name
+            assert len(growth_candidates(m, "extension")) == next_, name
+            assert len(growth_candidates(m, "coextension")) == ncoext, name
 
     def test_candidates_exclude_existing_columns_and_units(self):
         m = M("P9")
         existing = set(m._cols[m.rank :])
-        for v in extension_candidates(m):
+        for v in growth_candidates(m, "extension"):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing
         existing_rows = {row >> m.rank for row in m.matrix.rows}
-        for v in coextension_candidates(m):
+        for v in growth_candidates(m, "coextension"):
             assert v.bits.bit_count() >= 2
             assert v.bits not in existing_rows
 
@@ -56,20 +57,20 @@ class TestCandidates:
         # Two parallel elements: columns 1 and 3 are equal.
         m = make_matroid(BitMatrix.from_rows(["101", "010"]))
         with pytest.raises(ValueError, match="^extension candidates require a simple matroid$"):
-            extension_candidates(m)
+            growth_candidates(m, "extension")
 
     def test_extend_rejects_a_column_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="^column length must equal the rank$"):
             extend(M("S8"), BitVector.parse("11100"))
 
     def test_candidates_sorted_by_bracket_value(self):
-        vals = [v.value for v in extension_candidates(M("P9"))]
+        vals = [v.value for v in growth_candidates(M("P9"), "extension")]
         assert vals == sorted(vals)
 
     def test_duality_swaps_candidate_kinds(self):
         m = M("P9")
-        ext = {v.bits for v in extension_candidates(m)}
-        coext_dual = {v.bits for v in coextension_candidates(dual(m))}
+        ext = {v.bits for v in growth_candidates(m, "extension")}
+        coext_dual = {v.bits for v in growth_candidates(dual(m), "coextension")}
         assert ext == coext_dual
 
 
@@ -77,7 +78,7 @@ class TestExtend:
     def test_extend_remove_round_trip(self):
         for name in ("F7*", "S8", "P9", "E4"):
             m = fresh(name)
-            for v in extension_candidates(m)[:3]:
+            for v in growth_candidates(m, "extension")[:3]:
                 child = extend(m, v)
                 assert child.size == m.size + 1
                 new = child.labels[-1]
@@ -98,7 +99,7 @@ class TestExtend:
 
     def test_new_element_extends_circuits_only_through_itself(self):
         m = M("S8")
-        v = extension_candidates(m)[0]
+        v = growth_candidates(m, "extension")[0]
         child = extend(m, v)
         new = child.labels[-1]
         old = {c for c in circuits(child) if new not in c}
@@ -130,7 +131,7 @@ class TestCoextend:
         for name in ("S8", "P9", "E4"):
             m = fresh(name)
             r = m.rank
-            for row in coextension_candidates(m)[:3]:
+            for row in growth_candidates(m, "coextension")[:3]:
                 child = coextend(m, row)
                 assert child.size == m.size + 1 and child.rank == r + 1
                 assert child.ground_set() == oracle_shift_labels(m.ground_set(), r) | {r + 1}
@@ -155,7 +156,7 @@ class TestCoextend:
             deletions = (remove(m, deletions={e}) for e in m.labels)
             for base in [m] + [d for d in deletions if simplicity(d)[1]]:
                 r, n = base.rank, base.size
-                for row in coextension_candidates(base):
+                for row in growth_candidates(base, "coextension"):
                     child = coextend(base, row)
                     rows = [(1 << i) | ((base.matrix.rows[i] >> r) << (r + 1)) for i in range(r)]
                     rows.append((1 << r) | (row.bits << (r + 1)))
@@ -176,7 +177,7 @@ class TestCoextend:
 
     def test_coextension_dual_to_extension(self):
         m = M("P9")
-        row = coextension_candidates(m)[0]
+        row = growth_candidates(m, "coextension")[0]
         child = coextend(m, row)
         # The dual of a coextension is an extension of the dual (up to iso).
         dext = extend(dual(m), BitVector(row.length, row.bits))
@@ -184,24 +185,115 @@ class TestCoextend:
 
     def test_new_element_is_in_a_cocircuit_with_marked_columns(self):
         m = M("E4")
-        row = coextension_candidates(m)[0]
+        row = growth_candidates(m, "coextension")[0]
         child = coextend(m, row)
         new = m.rank + 1
         assert any(new in c for c in cocircuits(child))
 
     def test_coextend_rejects_existing_row(self):
-        # The rows that extend rejects as columns of the dual, with its messages.
+        # The rows that extend rejects as columns of the dual, named as rows.
         m = M("P9")
         width = m.size - m.rank
-        with pytest.raises(ValueError, match="^column must be nonzero and distinct from existing columns$"):
+        with pytest.raises(ValueError, match="^row must be nonzero and distinct from unit vectors and rows of D$"):
             coextend(m, BitVector(width, m.matrix.rows[0] >> m.rank))
-        with pytest.raises(ValueError, match="^column length must equal the rank$"):
+        with pytest.raises(ValueError, match="^row length must equal n - r$"):
             coextend(m, BitVector(width + 1, 0b111))
-        with pytest.raises(ValueError, match="^column length must equal the rank$"):
+        with pytest.raises(ValueError, match="^row length must equal n - r$"):
             coextend(m, BitVector(width - 1, 0b111))
         for bits in [0] + [1 << k for k in range(width)]:
-            with pytest.raises(ValueError, match="^column must be nonzero and distinct from existing columns$"):
+            with pytest.raises(ValueError, match="^row must be nonzero and distinct from unit vectors and rows of D$"):
                 coextend(m, BitVector(width, bits))
+
+
+def _random_simple_cosimple(rng):
+    """A seeded [I_r | D] with n <= 9 whose D columns and rows are distinct,
+    of weight >= 2."""
+    while True:
+        n = rng.randint(4, 9)
+        r = rng.randint(2, n - 2)
+        rows = tuple((1 << i) | (rng.randrange(1 << (n - r)) << r) for i in range(r))
+        m = make_matroid(BitMatrix(r, n, rows))
+        if simplicity(m) == (True, True):
+            return m
+
+
+def _grow(kind):
+    return extend if kind == "extension" else coextend
+
+
+class TestGeneratorRule:
+    def test_coextension_candidates_are_the_duals_extension_candidates(self):
+        rng = random.Random(20)
+        bases = [M(name) for name in list_names()] + [_random_simple_cosimple(rng) for _ in range(40)]
+        compared = 0
+        for m in bases:
+            if not simplicity(m)[1]:
+                with pytest.raises(ValueError):
+                    growth_candidates(m, "coextension")
+                with pytest.raises(ValueError):
+                    growth_candidates(dual(m), "extension")
+                continue
+            rows = growth_candidates(m, "coextension")
+            cols = growth_candidates(dual(m), "extension")
+            assert [(v.length, v.bits) for v in rows] == [(v.length, v.bits) for v in cols], m.matrix.rows
+            compared += 1
+        assert compared >= 60
+
+    @pytest.mark.parametrize("kind", ["extension", "coextension"])
+    def test_growth_is_built_iff_its_generator_is_a_candidate(self, kind):
+        # Oracle: a generator must differ from every column of m (for an
+        # extension) or of dual(m) (for a coextension), as BitMatrix reads
+        # them, and be nonzero.
+        checked = 0
+        for name in list_names():
+            m = M(name)
+            other = m if kind == "extension" else dual(m)
+            length = other.rank
+            if length > 8:
+                continue
+            columns = set(other.matrix.columns())
+            allowed = {bits for bits in range(1, 1 << length) if bits not in columns}
+            if simplicity(other)[0]:
+                assert {v.bits for v in growth_candidates(m, kind)} == allowed, name
+            for bits in range(1 << length):
+                v = BitVector(length, bits)
+                if bits in allowed:
+                    assert _grow(kind)(m, v).size == m.size + 1
+                    checked += 1
+                else:
+                    with pytest.raises(ValueError):
+                        _grow(kind)(m, v)
+            message = "^column length must equal the rank$" if kind == "extension" else "^row length must equal n - r$"
+            for wrong in (length - 1, length + 1):
+                if wrong >= 0:
+                    with pytest.raises(ValueError, match=message):
+                        _grow(kind)(m, BitVector(wrong, 0))
+        assert checked > 100
+
+    def test_coextension_candidates_build_no_matroid(self, monkeypatch):
+        built = []
+        init = Matroid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        bases = [M(name) for name in list_names()]
+        monkeypatch.setattr(Matroid, "__init__", counting_init)
+        rows = [growth_candidates(m, "coextension") for m in bases if simplicity(m)[1]]
+        assert sum(map(len, rows)) > 0
+        assert built == []
+
+    def test_unknown_kind_is_named(self):
+        for fn in (growth_candidates, growths):
+            with pytest.raises(ValueError, match="^unknown growth kind 'growth'$"):
+                fn(M("S8"), "growth")
+
+    def test_coextension_candidates_require_a_cosimple_matroid(self):
+        # Element 3 is a coloop: D's first row is zero.
+        m = make_matroid(BitMatrix.from_rows(["100", "011"]))
+        with pytest.raises(ValueError, match="^coextension candidates require a cosimple matroid$"):
+            growth_candidates(m, "coextension")
 
 
 class TestGrowthClasses:
@@ -230,7 +322,7 @@ class TestGrowthClasses:
         m = M("P9")
         classes = enumerate_growth_classes(m, "coextension")
         members = [v.bits for c in classes for v in c.members]
-        assert sorted(members) == sorted(v.bits for v in coextension_candidates(m))
+        assert sorted(members) == sorted(v.bits for v in growth_candidates(m, "coextension"))
 
     def test_excluded_filter_drops_children_with_minors(self):
         # A class is kept iff its representative has no excluded minor,
@@ -244,9 +336,9 @@ class TestGrowthClasses:
 
     def test_growths_are_the_candidates_children(self):
         m = M("P9")
-        assert list(growths(m, "extension")) == [(v, extend(m, v)) for v in extension_candidates(m)]
+        assert list(growths(m, "extension")) == [(v, extend(m, v)) for v in growth_candidates(m, "extension")]
         assert list(growths(m, "coextension")) == [
-            (v, coextend(m, v)) for v in coextension_candidates(m)
+            (v, coextend(m, v)) for v in growth_candidates(m, "coextension")
         ]
         with pytest.raises(ValueError):
             growths(m, "growth")
