@@ -2,9 +2,11 @@
 
 A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
-per column.  All public operations speak in labels; bit positions are an
-internal detail.  Instances are immutable after construction and cache
-ranks, the cocycle space and element colours internally.
+per column.  Public operations speak in labels, except those named for
+masks, which work on bit positions.  Instances are immutable after
+construction and cache ranks, the cocycle space and element colours
+internally.  Circuits and cocircuits are decided by rank (`is_circuit`,
+`is_cocircuit`), never listed.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class Matroid:
 
     def cycle_masks(self) -> list[int]:
         """All vectors of the cycle space (null space) as position masks,
-        computed on each call: no run reads one matroid's twice."""
+        computed on each call: only `cycle_key` reads it."""
         return cycle_space_masks(self.matrix)
 
     def cocycle_masks(self) -> list[int]:
@@ -178,25 +180,6 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     return Matroid(matrix, tuple(m.labels[p] for p in order))
 
 
-def _minimal_supports(masks: list[int]) -> list[int]:
-    supports = sorted((mk for mk in masks if mk), key=lambda x: x.bit_count())
-    minimal: list[int] = []
-    for s in supports:
-        if not any(t & s == t for t in minimal):
-            minimal.append(s)
-    return minimal
-
-
-def circuits(m: Matroid) -> list[frozenset[int]]:
-    """All circuits, as minimal supports of the cycle space."""
-    return [m.labels_of(mk) for mk in _minimal_supports(m.cycle_masks())]
-
-
-def cocircuits(m: Matroid) -> list[frozenset[int]]:
-    """All cocircuits: minimal supports of the cocycle (row) space."""
-    return [m.labels_of(mk) for mk in _minimal_supports(m.cocycle_masks())]
-
-
 def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:
     """Whether `a` is a union of circuits, and a union of cocircuits.
 
@@ -205,13 +188,37 @@ def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:
     cocircuits iff no a in A lies in the closure of E - A.
     """
     mask = m.mask_of(a)
+    return _union_of_circuits(m, mask), _union_of_cocircuits(m, mask)
+
+
+def is_circuit(m: Matroid, s) -> bool:
+    """Whether the label set `s` is a circuit: a union of circuits with
+    |s| - r(s) = 1, since a set holding two circuits has nullity at least
+    2 (J. Oxley, *Matroid Theory*, 2nd ed., 2011)."""
+    mask = m.mask_of(s)
+    return mask.bit_count() - m.rank_of_mask(mask) == 1 and _union_of_circuits(m, mask)
+
+
+def is_cocircuit(m: Matroid, s) -> bool:
+    """Whether the label set `s` is a cocircuit; see `is_cocircuit_mask`."""
+    return is_cocircuit_mask(m, m.mask_of(s))
+
+
+def is_cocircuit_mask(m: Matroid, mask: int) -> bool:
+    """Whether the positions in `mask` form a cocircuit: a union of
+    cocircuits with r(E - s) = r - 1, the dual of `is_circuit`'s test."""
+    return m.rank_of_mask(m.full_mask & ~mask) == m.rank - 1 and _union_of_cocircuits(m, mask)
+
+
+def _union_of_circuits(m: Matroid, mask: int) -> bool:
+    r_a = m.rank_of_mask(mask)
+    return all(m.rank_of_mask(mask & ~(1 << p)) == r_a for p in range(m.size) if (mask >> p) & 1)
+
+
+def _union_of_cocircuits(m: Matroid, mask: int) -> bool:
     rest = m.full_mask & ~mask
-    bits = [1 << p for p in range(m.size) if (mask >> p) & 1]
-    r_a, r_rest = m.rank_of_mask(mask), m.rank_of_mask(rest)
-    return (
-        all(m.rank_of_mask(mask ^ b) == r_a for b in bits),
-        all(m.rank_of_mask(rest | b) > r_rest for b in bits),
-    )
+    r_rest = m.rank_of_mask(rest)
+    return all(m.rank_of_mask(rest | 1 << p) > r_rest for p in range(m.size) if (mask >> p) & 1)
 
 
 def simplicity(m: Matroid) -> tuple[bool, bool]:

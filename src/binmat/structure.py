@@ -10,7 +10,7 @@ isomorphism class of the matroids it is asked about.  One object
 serves the splitter test, the decomposer's children in both
 orientations, and every caller that keeps it, such as one verification
 run.  Only in-class children without a deferred minor get per-side
-records.
+records; the records' `active` property states this once.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -27,8 +27,8 @@ The engine reads every structural fact off one source, the rank
 function: the hypotheses (exactness, unions of circuits and of
 cocircuits), the lambda values of conditions (a)-(d) in the child's
 minors (`lam` with deletions and contractions), and the triangle or
-triad through the two new elements.  It builds no minor and no cycle
-space.
+triad through the two new elements (`matroid.is_circuit` and
+`is_cocircuit`).  It builds no minor and no cycle space.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .extension import extend, growth_labels, growths
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, minor_weight_profile, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
-from .matroid import Matroid, dual, is_union_of_circuits_and_cocircuits, remove, simplicity
+from .matroid import Matroid, dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, remove, simplicity
 
 
 class HypothesisError(ValueError):
@@ -175,8 +175,15 @@ class OneStepSide:
     direct: bool  # lambda(A) = k-1 without the new element
 
 
+class _Active:
+    @property
+    def active(self) -> bool:
+        """In the class and not deferred: the records with per-side outcomes."""
+        return self.in_class and not self.deferred
+
+
 @dataclass
-class OneStepRecord:
+class OneStepRecord(_Active):
     kind: str  # "extension" or "coextension"
     vector: BitVector
     in_class: bool
@@ -192,7 +199,7 @@ class SideOutcome:
 
 
 @dataclass
-class TwoStepRecord:
+class TwoStepRecord(_Active):
     parent_vector: BitVector  # generator of the one-step extension
     row: BitVector
     in_class: bool
@@ -213,7 +220,7 @@ class DecomposerReport:
         return {
             (rec.parent_vector, rec.row)
             for rec in self.two_step
-            if rec.in_class and not rec.deferred and rec.sides[side_index].verdict is Verdict.BAD
+            if rec.active and rec.sides[side_index].verdict is Verdict.BAD
         }
 
 
@@ -222,6 +229,8 @@ class DecomposerReport:
 
 
 def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
+    if k < 1:
+        raise ValueError(f"separation order k must be at least 1, not {k}")
     simple, cosimple = simplicity(n)
     if not simple:
         raise HypothesisError("not-simple", "base matroid must be simple")
@@ -271,7 +280,7 @@ def _membership(child, excluded, defer) -> tuple[bool, bool]:
 
 def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
     rec = OneStepRecord(kind, v, *_membership(child, excluded, defer))
-    if not rec.in_class or rec.deferred:
+    if not rec.active:
         return rec
     for a in sides:
         la = lam(child, a)
@@ -320,30 +329,23 @@ def _classify_built(child, e, f, side_s, k):
 
 
 def _triangle_escape(child, e, f, side_s):
-    """The triangle {e, f, g} with g in the side, else such a triad, else None.
-
-    A 3-set is a triangle iff it has rank 2 and a triad iff its complement
-    has rank r - 1: the child is simple and cosimple.  So {e, f} lies in at
-    most one triangle and at most one triad.
-    """
+    """The first triangle {e, f, g} with g in the side, in ascending g,
+    else the first such triad, else None."""
     candidates = [frozenset({e, f, g}) for g in sorted(side_s)]
-    for t in candidates:
-        if child.rank_of(t) == 2:
-            return t
-    ground = child.ground_set()
-    for t in candidates:
-        if child.rank_of(ground - t) == child.rank - 1:
-            return t
+    for test in (is_circuit, is_cocircuit):
+        for t in candidates:
+            if test(child, t):
+                return t
     return None
 
 
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
-    """Classify every coextension row over every in-class extension; only
-    in-class, non-deferred rows get per-side outcomes."""
+    """Classify every coextension row over every active extension; only
+    active rows get per-side outcomes."""
     records = []
     _, x = growth_labels(n, "extension")
     for ext in one_step:
-        if ext.kind != "extension" or not ext.in_class or ext.deferred:
+        if ext.kind != "extension" or not ext.active:
             continue
         type_i = extend(n, ext.vector)
         move, f = growth_labels(type_i, "coextension")
@@ -351,7 +353,7 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
         moved = [frozenset(map(move, a)) for a in sides]
         for row, child in growths(type_i, "coextension"):
             rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
-            if rec.in_class and not rec.deferred:
+            if rec.active:
                 rec.sides = [_classify_built(child, e, f, a, k) for a in moved]
             records.append(rec)
     return records
@@ -381,7 +383,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
         report.notes.append(note)
 
     report.one_step = _one_step_phase(n, sides, k, excluded, defer)
-    active = [r for r in report.one_step if r.in_class and not r.deferred]
+    active = [r for r in report.one_step if r.active]
     for rec in active:
         for i, side in enumerate(rec.sides):
             if not side.satisfied:
@@ -394,7 +396,7 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     elif report.overall != "failed":
         report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step)
         for rec in report.two_step:
-            if not rec.in_class or rec.deferred:
+            if not rec.active:
                 continue
             verdicts = [s.verdict for s in rec.sides]
             if Verdict.BRIDGING in verdicts:

@@ -31,7 +31,7 @@ from .connectivity import (
 from .extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
-from .matroid import circuits, cocircuits, dual, is_union_of_circuits_and_cocircuits, make_matroid
+from .matroid import dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, make_matroid
 from .structure import ExcludedClass, Verdict, corollary22_check, is_splitter, theorem21_check
 from .tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 
@@ -222,8 +222,8 @@ def _c_claim2_sep_unions(ctx):
     a1 = frozenset({3, 4, 7, 8})
     a2 = frozenset({3, 4, 7, 9})
     computed = {
-        "A-is-circuit": a in circuits(p9),
-        "A-is-cocircuit": a in cocircuits(p9),
+        "A-is-circuit": is_circuit(p9, a),
+        "A-is-cocircuit": is_cocircuit(p9, a),
         # (circuits_ok, cocircuits_ok) covered-support tests.
         "B-union-of-cocircuits": is_union_of_circuits_and_cocircuits(p9, ground - a)[1],
         "B1-union-of-cocircuits": is_union_of_circuits_and_cocircuits(p9, ground - a1)[1],
@@ -432,14 +432,12 @@ _E4_SEP_COVERS = [
 
 def _c_e4_sep_unions(ctx):
     e4 = ctx.m("E4")
-    circ = circuits(e4)
-    cocirc = cocircuits(e4)
     sides = {"A1": SIDE_1, "A2": SIDE_2}
     expected, computed = [], []
     for name, pair in _E4_SEP_COVERS:
         members = [frozenset(s) for s in pair]
         union_ok = frozenset().union(*members) == sides[name]
-        uniform = all(s in circ for s in members) or all(s in cocirc for s in members)
+        uniform = any(all(test(e4, s) for s in members) for test in (is_circuit, is_cocircuit))
         expected.append({"side": name, "covers": True, "uniform-kind": True})
         computed.append({"side": name, "covers": union_ok, "uniform-kind": uniform})
     return expected, computed
@@ -550,14 +548,10 @@ def _c_claim4_disjoint(ctx):
 
 
 def _all_good_parents(report, side_index):
-    ext = [r for r in report.one_step if r.kind == "extension" and r.in_class and not r.deferred]
+    ext = [r for r in report.one_step if r.kind == "extension" and r.active]
     out = []
     for rec in ext:
-        rows = [
-            t
-            for t in report.two_step
-            if t.parent_vector == rec.vector and t.in_class and not t.deferred
-        ]
+        rows = [t for t in report.two_step if t.parent_vector == rec.vector and t.active]
         if rows and all(t.sides[side_index].verdict is Verdict.GOOD for t in rows):
             out.append(str(rec.vector))
     return sorted(out)
@@ -573,7 +567,7 @@ def _c_claim4_a2_good(ctx):
 
 def _c_claim4_coupling(ctx):
     report = ctx.e4_report
-    active = [r for r in report.one_step if r.in_class and not r.deferred]
+    active = [r for r in report.one_step if r.active]
     ok = True
     for rec in active:
         for i, j in ((0, 1), (1, 0)):

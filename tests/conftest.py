@@ -3,9 +3,12 @@
 A full verification run takes under a second on a 2-core box, but it is
 still computed once per session, timed, and shared by the reporting and
 acceptance tests.
-Relabeling, brute-force rank and coextension-shift helpers live here so
-property tests can check the fast implementations against independent
-definitions.
+Relabeling, brute-force rank, circuit-list and coextension-shift helpers
+live here so property tests can check the fast implementations against
+independent definitions.  The package decides circuits and cocircuits by
+rank alone (`matroid.is_circuit`, `is_cocircuit`); the lists here are the
+minimal supports of the cycle and cocycle spaces, so they share no rank
+code with it.
 """
 
 import random
@@ -37,6 +40,29 @@ def relabeled_copy(m: Matroid, rng: random.Random) -> Matroid:
     )
 
 
+def random_matroids(seed: int, count: int, max_size: int = 9) -> list[Matroid]:
+    """`count` seeded random binary matroids of 1..max_size elements with
+    shuffled columns and labels.  In turn each one's last D column is
+    zeroed (a loop), its first basis element is cleared from D (a coloop),
+    or its last D column copies an earlier column (a parallel pair)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(1, max_size)
+        r = rng.randint(0, n)
+        cols = [1 << j for j in range(r)] + [rng.getrandbits(r) for _ in range(n - r)]
+        if i % 3 == 0 and n > r:
+            cols[-1] = 0
+        elif i % 3 == 1:
+            cols[r:] = [c & ~1 for c in cols[r:]]
+        elif n > max(r, 1):
+            cols[-1] = cols[rng.randrange(n - 1)]
+        perm = rng.sample(range(n), n)
+        rows = tuple(sum(((cols[p] >> k) & 1) << j for j, p in enumerate(perm)) for k in range(r))
+        out.append(make_matroid(BitMatrix(r, n, rows), labels=rng.sample(range(1, n + 1), n)))
+    return out
+
+
 def span_size(cols) -> int:
     """Size of the GF(2) span of the given column values (oracle)."""
     span = {0}
@@ -54,6 +80,26 @@ def oracle_rank(m: Matroid, elements) -> int:
 def oracle_lam(m: Matroid, x) -> int:
     x = frozenset(x)
     return oracle_rank(m, x) + oracle_rank(m, m.ground_set() - x) - m.rank
+
+
+def _minimal_supports(m: Matroid, masks) -> list[frozenset[int]]:
+    """The minimal nonzero masks, smallest first, as label sets."""
+    minimal: list[int] = []
+    for s in sorted((mk for mk in masks if mk), key=int.bit_count):
+        if not any(t & s == t for t in minimal):
+            minimal.append(s)
+    return [m.labels_of(mk) for mk in minimal]
+
+
+def oracle_circuits(m: Matroid) -> list[frozenset[int]]:
+    """All circuits, as the minimal supports of the cycle space: no rank
+    code is shared with `matroid.is_circuit`."""
+    return _minimal_supports(m, m.cycle_masks())
+
+
+def oracle_cocircuits(m: Matroid) -> list[frozenset[int]]:
+    """All cocircuits, as the minimal supports of the cocycle space."""
+    return _minimal_supports(m, m.cocycle_masks())
 
 
 def oracle_shift_label(label: int, r: int) -> int:

@@ -6,7 +6,9 @@ from binmat.catalog import CatalogEntry, get, graphic_matroid, list_names
 from binmat.extension import coextend, extend
 from binmat.gf2 import BitVector
 from binmat.iso import are_isomorphic
-from binmat.matroid import circuits, dual, simplicity
+from binmat.matroid import dual, simplicity
+
+from conftest import oracle_circuits
 
 
 EXPECTED_NAMES = [
@@ -99,10 +101,10 @@ class TestDerivedConstructions:
         k4 = graphic_matroid([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)
         assert (k4.rank, k4.size) == (3, 6)
         # Circuit count of K4: 3 triangles + ... = 7 cycles total.
-        assert len(circuits(k4)) == 7
+        assert len(oracle_circuits(k4)) == 7
         mk5 = get("M(K5)").matroid
         assert (mk5.rank, mk5.size) == (4, 10)
-        assert len([c for c in circuits(mk5) if len(c) == 3]) == 10
+        assert len([c for c in oracle_circuits(mk5) if len(c) == 3]) == 10
 
     def test_s10_extends_mk33_star(self):
         # S10 restricted away from its tenth element is M*(K3,3).

@@ -191,6 +191,12 @@ class TestErrorHandling:
         argv = ["decomposer", "E4", *seps, "--k", "3", "--exclude", "S10,S10*"]
         assert run(capsys, *argv) == (2, "", f"binmat: {message}\n")
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_separation_order_below_1_exits_2(self, capsys, k):
+        # Rejected before lambda is computed, with a message naming k.
+        argv = ["decomposer", "F7", "--sep", "1,2,3", "--k", k, "--exclude", "F7*"]
+        assert run(capsys, *argv) == (2, "", f"binmat: separation order k must be at least 1, not {k}\n")
+
     def test_malformed_bmx_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.bmx"
         path.write_text("not a matrix\n")

@@ -15,10 +15,10 @@ from binmat.connectivity import (
     nonminimal_exact_3seps,
 )
 from binmat.gf2 import BitMatrix
-from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
+from binmat.matroid import Matroid, dual, remove
 from binmat.structure import HypothesisError, theorem21_check
 
-from conftest import oracle_lam, oracle_rank
+from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank
 
 
 def M(name):
@@ -157,7 +157,7 @@ class TestSeparations:
         # partitions qualify on their larger side only.
         for name in ("S8", "P9", "E4", "Z4"):
             m = M(name)
-            circ, cocirc = circuits(m), cocircuits(m)
+            circ, cocirc = oracle_circuits(m), oracle_cocircuits(m)
             got = nonminimal_exact_3seps(m, require_unions=True)
             expected = oracle_3seps(m, lambda s: covered_by(s, circ) and covered_by(s, cocirc))
             assert [tuple(sorted(s)) for s in got] == expected, name

@@ -124,3 +124,14 @@ def test_every_public_module_name_is_read():
         if not name.startswith("_") and name not in read
     ]
     assert orphans == []
+
+
+def test_only_matroid_reads_the_cycle_space():
+    # Circuits and cocircuits are decided by rank; the cycle space stays
+    # behind `Matroid` as the tests' labelled-equality oracle.
+    readers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if path.name != "matroid.py" and {"cycle_masks", "cycle_space_masks"} & _read_names([path])
+    )
+    assert readers == []

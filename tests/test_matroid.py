@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,16 +12,16 @@ from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.matroid import (
     Matroid,
-    circuits,
-    cocircuits,
     dual,
+    is_circuit,
+    is_cocircuit,
     is_union_of_circuits_and_cocircuits,
     make_matroid,
     remove,
     simplicity,
 )
 
-from conftest import fresh, oracle_rank
+from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_rank, random_matroids
 
 
 def M(name):
@@ -107,23 +108,23 @@ class TestConstruction:
 class TestCircuits:
     def test_f7_circuits_match_brute_force(self):
         m = M("F7")
-        assert sorted(circuits(m), key=lambda c: tuple(sorted(c))) == brute_circuits(m)
+        assert sorted(oracle_circuits(m), key=lambda c: tuple(sorted(c))) == brute_circuits(m)
 
     def test_s8_circuits_match_brute_force(self):
         m = M("S8")
-        assert sorted(circuits(m), key=lambda c: tuple(sorted(c))) == brute_circuits(m)
+        assert sorted(oracle_circuits(m), key=lambda c: tuple(sorted(c))) == brute_circuits(m)
 
     def test_cocircuits_are_dual_circuits(self):
         for name in ("F7", "P9", "E4"):
             m = M(name)
-            assert sorted(cocircuits(m), key=sorted) == sorted(
-                circuits(dual(m)), key=sorted
+            assert sorted(oracle_cocircuits(m), key=sorted) == sorted(
+                oracle_circuits(dual(m)), key=sorted
             )
 
     def test_union_of_circuits_and_cocircuits(self):
         m = M("F7")
         # Any circuit is a union of circuits; the full ground set is both.
-        c = min(circuits(m), key=sorted)
+        c = min(oracle_circuits(m), key=sorted)
         assert is_union_of_circuits_and_cocircuits(m, c)[0]
         full = m.ground_set()
         assert is_union_of_circuits_and_cocircuits(m, full) == (True, True)
@@ -143,7 +144,7 @@ class TestCircuits:
             subsets = [frozenset(), m.ground_set()] + [
                 frozenset(rng.sample(labels, rng.randint(1, m.size - 1))) for _ in range(200)
             ]
-            fams = circuits(m), cocircuits(m)
+            fams = oracle_circuits(m), oracle_cocircuits(m)
             for a in subsets:
                 expected = tuple(
                     frozenset().union(*(c for c in fam if c <= a)) == a for fam in fams
@@ -151,6 +152,40 @@ class TestCircuits:
                 assert is_union_of_circuits_and_cocircuits(m, a) == expected, (name, a)
                 checked += 1
         assert checked > 7000
+
+    def test_rank_predicates_match_the_lists_on_every_subset_of_random_matroids(self):
+        # Loops, coloops and parallel pairs are where a test that leans on
+        # simplicity would go wrong.
+        seen = Counter()
+        for m in random_matroids(seed=21, count=48):
+            circs, cocircs = set(oracle_circuits(m)), set(oracle_cocircuits(m))
+            seen.update(
+                loop=any(len(c) == 1 for c in circs),
+                coloop=any(len(c) == 1 for c in cocircs),
+                parallel=any(len(c) == 2 for c in circs),
+            )
+            labels = sorted(m.ground_set())
+            for size in range(m.size + 1):
+                for s in map(frozenset, combinations(labels, size)):
+                    assert is_circuit(m, s) == (s in circs), (m, sorted(s))
+                    assert is_cocircuit(m, s) == (s in cocircs), (m, sorted(s))
+        assert min(seen["loop"], seen["coloop"], seen["parallel"]) >= 10
+
+    def test_rank_predicates_match_the_lists_on_the_catalog(self):
+        # Every listed circuit and cocircuit, every set of at most 4
+        # elements, and a seeded sample of larger sets, on all 42 entries.
+        rng = random.Random(9)
+        names = list_names()
+        assert len(names) == 42
+        for name in names:
+            m = fresh(name)
+            circs, cocircs = set(oracle_circuits(m)), set(oracle_cocircuits(m))
+            labels = sorted(m.ground_set())
+            small = [frozenset(c) for size in range(5) for c in combinations(labels, size)]
+            large = [frozenset(rng.sample(labels, rng.randint(5, m.size))) for _ in range(200)]
+            for s in [*circs, *cocircs, *small, *large]:
+                assert is_circuit(m, s) == (s in circs), (name, sorted(s))
+                assert is_cocircuit(m, s) == (s in cocircs), (name, sorted(s))
 
     def test_simplicity_flags(self):
         m = M("S10")
@@ -187,8 +222,8 @@ class TestRemove:
     def test_deletion_keeps_contained_circuits(self):
         m = M("P9")
         mm = remove(m, deletions={9})
-        kept = {c for c in circuits(m) if 9 not in c}
-        assert set(circuits(mm)) == kept
+        kept = {c for c in oracle_circuits(m) if 9 not in c}
+        assert set(oracle_circuits(mm)) == kept
         assert mm.ground_set() == m.ground_set() - {9}
 
     def test_contraction_rank_formula(self):
@@ -253,12 +288,12 @@ def test_remove_rank_matches_oracle(name, contract_circuit, delete_cocircuit, rn
     m = M(name)
     labels = sorted(m.ground_set())
     if contract_circuit:
-        smallest = min(len(c) for c in circuits(m))
-        cons = rng.choice([c for c in circuits(m) if len(c) == smallest])
+        smallest = min(len(c) for c in oracle_circuits(m))
+        cons = rng.choice([c for c in oracle_circuits(m) if len(c) == smallest])
     else:
         cons = frozenset(rng.sample(labels, rng.randint(0, 3)))
     rest = [e for e in labels if e not in cons]
-    cocircs = [c for c in cocircuits(m) if not c & cons and len(c) < len(rest)]
+    cocircs = [c for c in oracle_cocircuits(m) if not c & cons and len(c) < len(rest)]
     if delete_cocircuit and cocircs:
         dels = rng.choice(cocircs)
     else:

@@ -11,7 +11,7 @@ from binmat.catalog import get
 from binmat.extension import coextend, enumerate_growth_classes, extend
 from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, minor_weight_profile, weight_profile
-from binmat.matroid import Matroid, circuits, cocircuits, dual, remove
+from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     ExcludedClass,
     HypothesisError,
@@ -23,8 +23,9 @@ from binmat.structure import (
     is_splitter,
     theorem21_check,
 )
+from binmat.verify import report_to_json, run_verification
 
-from conftest import fresh, oracle_shift_label, oracle_shift_labels
+from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_shift_label, oracle_shift_labels
 
 
 def M(name):
@@ -439,10 +440,19 @@ class TestCorollary22:
         assert report.overall == "induced-one-of-two"
         assert report.dual_report.overall == "induced-one-of-two"
 
+    def test_verification_run_builds_no_cycle_space(self, monkeypatch, verification):
+        # Every claim, the circuit and cocircuit claims included, reads
+        # ranks and cocycle masks only, and the report does not change.
+        def no_cycle_space(self):
+            raise AssertionError("cycle space built")
+
+        monkeypatch.setattr(Matroid, "cycle_masks", no_cycle_space)
+        assert report_to_json(run_verification()) == report_to_json(verification[0])
+
 
 def _triangle_escape_by_circuit_lists(child, e, f, side_s):
     """The first 3-circuit, else 3-cocircuit, {e, f, g} with g in the side."""
-    for fam in (circuits(child), cocircuits(child)):
+    for fam in (oracle_circuits(child), oracle_cocircuits(child)):
         for c in fam:
             if len(c) == 3 and e in c and f in c and next(iter(c - {e, f})) in side_s:
                 return c
@@ -457,9 +467,9 @@ def test_triangle_escape_on_k4():
 
     k4 = graphic_matroid([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 4)
     tri = _triangle_escape(k4, 1, 2, {4, 5})
-    assert tri == {1, 2, 4} and tri in circuits(k4)
+    assert tri == {1, 2, 4} and tri in oracle_circuits(k4)
     tri = _triangle_escape(k4, 1, 2, {3, 5})
-    assert tri == {1, 2, 3} and tri in cocircuits(k4)
+    assert tri == {1, 2, 3} and tri in oracle_cocircuits(k4)
     for side in ({4, 5}, {3, 5}, {5, 6}):
         assert _triangle_escape(k4, 1, 2, side) == _triangle_escape_by_circuit_lists(k4, 1, 2, side)
     assert _triangle_escape(k4, 1, 2, {5, 6}) is None
