@@ -14,16 +14,17 @@ complete assignment is returned as an element bijection.
 The search is guided by element colours (`element_colours`): each
 element's counts, by weight, of the cocycle-space vectors that contain
 it, after the refinement idea of McKay and Piperno (cited below).  They
-are read off the cached cocycle masks transposed: mask i is the sum of
-the rows k with bit k of i set (`gf2.span`), so the masks that contain
-an element are found from its column alone, and a count is one
-intersection with the masks of one weight.  A pair whose colour
-multisets differ is rejected at once.  The other matroid's bases are
-enumerated by a pruned depth-first walk over positions in increasing
-order that visits only the bases with the colour multiset of the
-target's basis, in ``combinations`` order; a row goes only to a target
-row of its colour.  Colours cut only branches that cannot succeed, so
-the first match is the one the unguided search would find.
+are read off `cocycle_index`, the cocycle masks transposed and cached: mask
+i is the sum of the rows k with bit k of i set (`gf2.span`), so the
+masks that contain an element are found from its column alone, as one
+index mask, and a count is one intersection with the index mask of the
+masks of one weight.  A pair whose colour multisets differ is rejected at
+once.  The other matroid's bases are enumerated by a pruned depth-first
+walk over positions in increasing order that visits only the bases with
+the colour multiset of the target's basis, in ``combinations`` order; a
+row goes only to a target row of its colour.  Colours cut only branches
+that cannot succeed, so the first match is the one the unguided search
+would find.
 
 Every weight invariant here reads the cocycle space alone.  Over GF(2)
 the cycle space is its orthogonal complement, so by the MacWilliams
@@ -32,8 +33,9 @@ in a systematic code", Bell Syst. Tech. J. 1963) the cocycle weight
 enumerator of a matroid of known size fixes its cycle enumerator.  An
 element's cocycle colour likewise fixes its cycle colour: the cocycles
 avoiding e are those of M / e, whose cycles are M's with e removed.
-`minor_weight_profile` reads the enumerator of a minor off its parent's
-cocycle masks; `weight_profile` is the case with nothing removed.
+`weight_profile` counts the index masks of each weight, and the minor
+search (`structure.has_any_minor`) reads the enumerator of each minor
+it considers off its parent's index, without building the minor.
 
 `canonical_key` is for hashing many matroids at once: it minimizes the
 D block over all bases and all row orders (columns kept sorted), with
@@ -131,31 +133,44 @@ def _index_masks(r: int) -> tuple[int, ...]:
     return tuple(full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(r))
 
 
+def cocycle_index(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """m's cocycle space transposed, as (of_weight, contains), cached on m.
+
+    Both hold index masks over ``cocycle_masks()``: bit i stands for mask
+    i.  ``of_weight[w]`` holds the masks of weight w, for w = 0..n.
+    ``contains[p]`` holds the masks that contain position p.  Mask i is
+    the sum of the rows k with bit k of i set, so p lies in it iff column
+    p and i share an odd number of bits: ``contains[p]`` is the sum of
+    the index masks of the rows that column p meets.
+    """
+    if m._cocycle_index is None:
+        of_weight = [0] * (m.size + 1)
+        for i, mk in enumerate(m.cocycle_masks()):
+            of_weight[mk.bit_count()] |= 1 << i
+        index = _index_masks(m.rank)
+        contains = list(index)  # column p < r is the unit vector of row p
+        for col in m._cols[m.rank :]:
+            acc = 0
+            while col:
+                low = col & -col
+                acc ^= index[low.bit_length() - 1]
+                col ^= low
+            contains.append(acc)
+        m._cocycle_index = (tuple(of_weight), tuple(contains))
+    return m._cocycle_index
+
+
 def element_colours(m: Matroid) -> tuple:
     """Each element's colour, in column order: the numbers of cocycle-space
     vectors of each weight that contain it, as a tuple indexed by weight.
 
     An isomorphism carries every element to one of the same colour.  The
-    colours are read off m's cached cocycle masks, transposed, and cached
-    on m.  ``cocycle_masks()[i]`` is the sum of the rows k with bit k of i
-    set, so element p lies in it iff column p and i share an odd number of
-    bits: the indices of the masks that contain p are the sum of the index
-    masks of the rows that column p meets.  Intersecting that with the
-    indices of the masks of each weight gives p's counts.
+    colours are read off `cocycle_index`, intersecting the masks that
+    contain an element with those of each weight, and cached on m.
     """
     if m._element_colours is None:
-        of_weight = [0] * (m.size + 1)
-        for i, mk in enumerate(m.cocycle_masks()):
-            of_weight[mk.bit_count()] |= 1 << i
-        index = _index_masks(m.rank)
-        colours = []
-        for col in m._cols:
-            contains = 0
-            for k in range(m.rank):
-                if (col >> k) & 1:
-                    contains ^= index[k]
-            colours.append(tuple([(contains & ow).bit_count() for ow in of_weight]))
-        m._element_colours = tuple(colours)
+        of_weight, contains = cocycle_index(m)
+        m._element_colours = tuple(tuple([(c & ow).bit_count() for ow in of_weight]) for c in contains)
     return m._element_colours
 
 
@@ -387,21 +402,10 @@ def canonical_key(m: Matroid) -> bytes:
     return (("d" if use_dual else "") + f"{r}|{n}|" + ",".join(map(str, cols))).encode()
 
 
-def minor_weight_profile(m: Matroid, drop: int, keep: int) -> tuple[int, ...]:
-    """Cocycle weight enumerator of the minor of m that contracts the
-    positions in ``drop`` and keeps those in ``keep``: its cocycles are the
-    distinct {c & keep : c a cocycle of m, c & drop = 0}."""
-    counts = [0] * (keep.bit_count() + 1)
-    for c in m.cocycle_masks():
-        if not c & drop:
-            counts[(c & keep).bit_count()] += 1
-    kernel = counts[0]  # each vector is hit once per kernel vector
-    return tuple(counts) if kernel == 1 else tuple(c // kernel for c in counts)
-
-
 def weight_profile(m: Matroid) -> tuple[int, ...]:
-    """Weight enumerator of the cocycle space (iso invariant)."""
-    return minor_weight_profile(m, 0, m.full_mask)
+    """Weight enumerator of the cocycle space (iso invariant), read off
+    `cocycle_index`."""
+    return tuple(ow.bit_count() for ow in cocycle_index(m)[0])
 
 
 def are_isomorphic(m: Matroid, other: Matroid) -> bool:
@@ -424,7 +428,7 @@ class IsoIndex:
             if isomorphism(m, kept) is not None:
                 return value
         value = make()
-        # A fresh copy: m's rank cache, cocycle masks and colours are not kept.
+        # A fresh copy: m's rank cache, cocycle index and colours are not kept.
         bucket.append((Matroid(m.matrix, m.labels), value))
         return value
 

@@ -4,9 +4,10 @@ A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
 per column.  Public operations speak in labels, except those named for
 masks, which work on bit positions.  Instances are immutable after
-construction and cache ranks, the cocycle space and element colours
-internally.  Circuits and cocircuits are decided by rank (`is_circuit`,
-`is_cocircuit`), never listed.
+construction and cache ranks, the cocycle space transposed
+(`iso.cocycle_index`) and element colours internally.  Circuits and
+cocircuits are decided by rank (`is_circuit`, `is_cocircuit`), never
+listed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Matroid:
         self.size = n
         self._pos = {lab: p for p, lab in enumerate(self.labels)}
         self._rank_cache: dict[int, int] = {0: 0}
-        self._cocycle_masks: list[int] | None = None
+        self._cocycle_index: tuple | None = None
         self._element_colours: tuple | None = None
 
     # -- label/mask bookkeeping -------------------------------------------
@@ -89,10 +90,10 @@ class Matroid:
         return cycle_space_masks(self.matrix)
 
     def cocycle_masks(self) -> list[int]:
-        """All vectors of the cocycle space (row space) as position masks."""
-        if self._cocycle_masks is None:
-            self._cocycle_masks = span(self.matrix.rows)
-        return self._cocycle_masks
+        """All vectors of the cocycle space (row space) as position masks,
+        computed on each call: `iso.cocycle_index` reads it once and
+        caches the transposed view instead."""
+        return span(self.matrix.rows)
 
     def cycle_key(self) -> frozenset[int]:
         """The cycle space as masks over label values (bit l = label l);

@@ -2,9 +2,10 @@
 decomposer verification engine.
 
 `in_class` is one `has_any_minor` search.  The search filters every
-deletion/contraction split on its cocycle weight enumerator, which
-`iso.minor_weight_profile` reads off the parent's cached cocycle masks,
-and builds only the minors that pass.  Every other membership question
+deletion/contraction split on its rank and cocycle weight enumerator,
+read off the parent's `iso.cocycle_index` with a few ANDs and popcounts
+per split after one count per removed set (`_KeptWeights`), and builds
+only the minors that pass.  Every other membership question
 goes through an `ExcludedClass`, which runs `in_class` once per
 isomorphism class of the matroids it is asked about.  One object
 serves the splitter test, the decomposer's children in both
@@ -40,7 +41,7 @@ from itertools import combinations
 from .connectivity import bridging_value, is_n_connected, lam
 from .extension import extend, growth_labels, growths
 from .gf2 import BitVector
-from .iso import IsoIndex, are_isomorphic, isomorphism, minor_weight_profile, weight_profile
+from .iso import IsoIndex, are_isomorphic, cocycle_index, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
 from .matroid import Matroid, dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, remove, simplicity
 
@@ -63,6 +64,44 @@ class Verdict(enum.Enum):
 # Minor search
 
 
+class _KeptWeights(dict):
+    """m's cocycles seen from one removed set R of positions: w -> the
+    index mask (see `iso.cocycle_index`) of the cocycles of m that meet
+    E - R in exactly w positions, built on first lookup.
+
+    A split of R contracts C and deletes R - C.  The minor's cocycles are
+    the sets c - R for the cocycles c of m that avoid C, each reached by
+    as many c as m has cocycles inside R - C, the kernel.  So with
+    ``avoid`` the cocycles that avoid C, ``(kept[w] & avoid).bit_count()``
+    is the minor's count at weight w times the kernel, its count at 0.
+    ``exactly[j]`` holds the cocycles that meet R in j positions, counted
+    once per removed set, and ``kept[w]`` ORs ``of_weight[w + j] &
+    exactly[j]`` over j.
+    """
+
+    __slots__ = ("_of_weight", "_exactly")
+
+    def __init__(self, index, removed: tuple[int, ...]):
+        of_weight, contains = index
+        exactly = [-1]  # every cocycle meets no position yet; -1 is all ones
+        for p in removed:
+            c = contains[p]
+            prev, step = 0, []
+            for e in exactly:  # meeting j positions so far: without p, or j - 1 and p
+                step.append((e & ~c) | (prev & c))
+                prev = e
+            exactly = step + [prev & c]
+        self._of_weight = of_weight
+        self._exactly = exactly
+
+    def __missing__(self, w: int) -> int:
+        kept = 0
+        for j, e in enumerate(self._exactly):
+            kept |= self._of_weight[w + j] & e
+        self[w] = kept
+        return kept
+
+
 def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
@@ -70,11 +109,15 @@ def has_any_minor(m: Matroid, targets):
     Targets of equal size share one traversal of the removal splits, so
     checking a matroid against a family costs barely more than against
     one member.  Splits are visited by the number of removed elements,
-    smallest first (gap 0's only split is m itself), as position masks
-    taken in label order.  `minor_weight_profile` reads each split's
-    cocycle enumerator off m's cached cocycle masks.  Split and
-    target have the same size, so equal cocycle enumerators also mean
-    equal rank and cycle enumerator (see `iso`).  Only a split matching
+    smallest first (gap 0's only split is m itself), as position sets
+    taken in label order.  Each split is filtered on its cocycle weight
+    enumerator, read off m's `iso.cocycle_index` through `_KeptWeights`,
+    built once per removed set: first its rank, log2 of the cocycles
+    that avoid the contracted positions over the kernel, then its weights
+    from 1 up, stopping at the first that differs from the target's.
+    Weight 0 is the kernel, and the last weight follows from the total.
+    Split and target have the same size, so equal cocycle enumerators
+    also mean equal cycle enumerators (see `iso`).  Only a split matching
     a target's `weight_profile` is built with `remove` and handed to a
     first-match isomorphism search onto the target's fixed presentation.
     """
@@ -85,25 +128,34 @@ def has_any_minor(m: Matroid, targets):
             m.size - m.rank
         ):
             continue
-        by_gap.setdefault(gap, {}).setdefault(weight_profile(target), []).append((idx, target))
+        # per gap: the number of cocycles, 2^rank -> profile -> targets
+        of_rank = by_gap.setdefault(gap, {}).setdefault(1 << target.rank, {})
+        of_rank.setdefault(weight_profile(target), []).append((idx, target))
 
-    bits = [1 << p for p in sorted(range(m.size), key=m.labels.__getitem__)]
+    order = sorted(range(m.size), key=m.labels.__getitem__)
     for gap, wanted in sorted(by_gap.items()):
-        for removed in combinations(bits, gap):
-            rmask = sum(removed)
-            keep = m.full_mask ^ rmask
+        of_weight, contains = index = cocycle_index(m)
+        every = sum(of_weight)  # the weight classes partition the cocycles
+        for removed in combinations(order, gap):
+            kept = _KeptWeights(index, removed)
+            inside = kept[0]
             for c in range(gap + 1):
                 for cons in combinations(removed, c):
-                    cmask = sum(cons)
-                    hits = wanted.get(minor_weight_profile(m, cmask, keep))
-                    if hits is None:
-                        continue
-                    dels = m.labels_of(rmask ^ cmask)
-                    cons_set = m.labels_of(cmask)
-                    minor = remove(m, dels, cons_set)
-                    for idx, target in hits:
-                        if isomorphism(minor, target) is not None:
-                            return idx, dels, cons_set
+                    avoid = every
+                    for p in cons:
+                        avoid &= ~contains[p]
+                    kernel = (inside & avoid).bit_count()
+                    for profile, hits in wanted.get(avoid.bit_count() // kernel, {}).items():
+                        for w in range(1, len(profile) - 1):
+                            if (kept[w] & avoid).bit_count() != profile[w] * kernel:
+                                break
+                        else:
+                            cons_set = frozenset(m.labels[p] for p in cons)
+                            dels = frozenset(m.labels[p] for p in removed) - cons_set
+                            minor = remove(m, dels, cons_set)
+                            for idx, target in hits:
+                                if isomorphism(minor, target) is not None:
+                                    return idx, dels, cons_set
     return None
 
 

@@ -3,12 +3,12 @@
 A full verification run takes under a second on a 2-core box, but it is
 still computed once per session, timed, and shared by the reporting and
 acceptance tests.
-Relabeling, brute-force rank, circuit-list and coextension-shift helpers
-live here so property tests can check the fast implementations against
-independent definitions.  The package decides circuits and cocircuits by
-rank alone (`matroid.is_circuit`, `is_cocircuit`); the lists here are the
-minimal supports of the cycle and cocycle spaces, so they share no rank
-code with it.
+Relabeling, brute-force rank, weight-profile, circuit-list and
+coextension-shift helpers live here so property tests can check the
+fast implementations against independent definitions.  The package
+decides circuits and cocircuits by rank alone (`matroid.is_circuit`,
+`is_cocircuit`); the lists here are the minimal supports of the cycle
+and cocycle spaces, so they share no rank code with it.
 """
 
 import random
@@ -75,6 +75,18 @@ def oracle_rank(m: Matroid, elements) -> int:
     """Brute-force rank of a label set: log2 of the span of its columns."""
     size = span_size(m.column_of(lab) for lab in elements)
     return size.bit_length() - 1
+
+
+def oracle_weight_profile(m: Matroid) -> tuple[int, ...]:
+    """The cocycle weight enumerator by a loop over the row space, built
+    here from the rows: neither `gf2.span` nor `iso.cocycle_index`."""
+    space = {0}
+    for row in m.matrix.rows:
+        space |= {s ^ row for s in space}
+    counts = [0] * (m.size + 1)
+    for s in space:
+        counts[s.bit_count()] += 1
+    return tuple(counts)
 
 
 def oracle_lam(m: Matroid, x) -> int:

@@ -14,13 +14,14 @@ from binmat.iso import (
     are_isomorphic,
     canonical_form,
     canonical_key,
+    cocycle_index,
     element_colours,
     isomorphism,
     weight_profile,
 )
 from binmat.matroid import Matroid, dual, make_matroid
 
-from conftest import fresh, relabeled_copy
+from conftest import fresh, oracle_weight_profile, random_matroids, relabeled_copy
 
 
 def M(name):
@@ -625,3 +626,29 @@ class TestElementColours:
     def test_colours_are_cached_on_the_matroid(self):
         m = fresh("P9")
         assert element_colours(m) is element_colours(m)
+
+
+class TestCocycleIndex:
+    def test_index_matches_the_masks_bit_by_bit(self):
+        # Every catalog entry (PG(3,2)* has rank 11, so index masks run to
+        # 2048 bits), a rank-0 matroid and 40 seeded random matroids with
+        # loops, coloops and parallel pairs.
+        cases = [fresh(name) for name in list_names()] + [Matroid(BitMatrix(0, 3, ()), (1, 2, 3))]
+        cases += random_matroids(seed=14, count=40, max_size=12)
+        assert len(cases) == 42 + 1 + 40
+        assert min(m.rank for m in cases) == 0 and max(m.rank for m in cases) == 11
+        for m in cases:
+            masks = m.cocycle_masks()
+            of_weight = [0] * (m.size + 1)
+            contains = [0] * m.size
+            for i, mask in enumerate(masks):
+                of_weight[mask.bit_count()] |= 1 << i
+                for p in range(m.size):
+                    if (mask >> p) & 1:
+                        contains[p] |= 1 << i
+            assert cocycle_index(m) == (tuple(of_weight), tuple(contains)), (m.matrix.rows, m.labels)
+            assert weight_profile(m) == oracle_weight_profile(m), (m.matrix.rows, m.labels)
+
+    def test_index_is_cached_on_the_matroid(self):
+        m = fresh("P9")
+        assert cocycle_index(m) is cocycle_index(m)

@@ -8,9 +8,9 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, enumerate_growth_classes, extend
+from binmat.extension import coextend, enumerate_growth_classes, extend, growths
 from binmat.gf2 import BitMatrix
-from binmat.iso import are_isomorphic, minor_weight_profile, weight_profile
+from binmat.iso import are_isomorphic, canonical_key, cocycle_index, weight_profile
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     ExcludedClass,
@@ -25,7 +25,15 @@ from binmat.structure import (
 )
 from binmat.verify import report_to_json, run_verification
 
-from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_shift_label, oracle_shift_labels
+from conftest import (
+    fresh,
+    oracle_circuits,
+    oracle_cocircuits,
+    oracle_shift_label,
+    oracle_shift_labels,
+    random_matroids,
+    relabeled_copy,
+)
 
 
 def M(name):
@@ -175,9 +183,80 @@ def test_has_any_minor_matches_f7_oracle():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def _brute_force_search(m, targets):
+    """(first witness, indices of the targets found, splits to build) from
+    every split of m built with `remove` and compared by `canonical_key`:
+    no filter, no colours and no `isomorphism`.  Splits are taken in the
+    search's order: by gap, then removed labels in `combinations` order
+    over the sorted labels, then by the number contracted.  The first
+    witness names the first target whose key its minor has; the splits
+    to build are those up to it whose minor has a target's profile."""
+    by_gap: dict[int, dict] = {}
+    for idx, t in enumerate(targets):
+        if t.size <= m.size:
+            by_gap.setdefault(m.size - t.size, {}).setdefault(canonical_key(t), []).append(idx)
+    first, found, passed = None, set(), []
+    for gap, keys in sorted(by_gap.items()):
+        profiles = {weight_profile(targets[idx[0]]) for idx in keys.values()}
+        for removed in combinations(sorted(m.labels), gap):
+            for c in range(gap + 1):
+                for cons in combinations(removed, c):
+                    dels = frozenset(removed) - frozenset(cons)
+                    minor = remove(m, dels, cons)
+                    hits = keys.get(canonical_key(minor), [])
+                    found.update(hits)
+                    if first is None and weight_profile(minor) in profiles:
+                        passed.append((dels, frozenset(cons)))
+                    if hits and first is None:
+                        first = (hits[0], dels, frozenset(cons))
+    return first, found, passed
+
+
+def test_has_any_minor_matches_a_brute_force_decider(monkeypatch):
+    # Seeded random matroids of at most 9 elements (loops, coloops and
+    # parallel pairs in turn) against random targets of at most 7 with
+    # gaps 0-3, and a re-presented minor of each so that hits occur.  The
+    # verdicts and first witnesses agree, and the filter passes exactly
+    # the splits whose minors have a target's profile.
+    built = []
+    real_remove = structure.remove
+
+    def recording_remove(m, dels, cons):
+        built.append((frozenset(dels), frozenset(cons)))
+        return real_remove(m, dels, cons)
+
+    monkeypatch.setattr(structure, "remove", recording_remove)
+    rng = random.Random(20142)
+    pool = random_matroids(seed=32, count=90, max_size=7)
+    verdicts = Counter()
+    for m in random_matroids(seed=31, count=60):
+        if m.size < 2:
+            continue
+        targets = rng.sample([t for t in pool if 0 <= m.size - t.size <= 3], 2)
+        removed = rng.sample(sorted(m.labels), rng.randint(max(0, m.size - 7), min(3, m.size - 1)))
+        cons = removed[: rng.randint(0, len(removed))]
+        targets.append(relabeled_copy(remove(m, set(removed) - set(cons), cons), rng))
+        first, found, passed = _brute_force_search(m, targets)
+        built.clear()
+        assert has_any_minor(m, targets) == first, (m.matrix.rows, m.labels)
+        assert built == passed, (m.matrix.rows, m.labels)
+        for idx, t in enumerate(targets):
+            hit = has_any_minor(m, [t])
+            assert (hit is not None) == (idx in found), (m.matrix.rows, m.labels, idx)
+            if hit is not None:
+                assert canonical_key(remove(m, hit[1], hit[2])) == canonical_key(t)
+            verdicts[m.size - t.size, hit is not None] += 1
+    # Both verdicts occur at every gap.
+    assert all(verdicts[gap, hit] for gap in range(4) for hit in (False, True)), verdicts
+
+
 def test_split_profile_matches_built_minors():
     # Random [I_r | D] with loops, parallel pairs, rank 0 and corank 0
-    # allowed, and shuffled labels so positions and labels differ.
+    # allowed, and shuffled labels so positions and labels differ.  For
+    # every split, the search's own per-removed-set masks, intersected
+    # with the cocycles that avoid the contracted positions, count the
+    # built minor's profile at every weight, times the kernel, and the
+    # cocycles avoiding them number the kernel times 2^rank.
     rng = random.Random(20141)
     kernels = 0
     for _ in range(60):
@@ -185,20 +264,61 @@ def test_split_profile_matches_built_minors():
         r = rng.randint(0, n)
         rows = tuple((1 << i) | (rng.getrandbits(n - r) << r) for i in range(r))
         m = Matroid(BitMatrix(r, n, rows), tuple(rng.sample(range(1, 20), n)))
+        masks = m.cocycle_masks()
         for k in range(1, min(3, n - 1) + 1):
-            for removed in combinations(m.labels, k):
+            for removed in combinations(range(n), k):
+                kept = structure._KeptWeights(cocycle_index(m), removed)
                 for c in range(k + 1):
                     for cons in combinations(removed, c):
-                        dels = set(removed) - set(cons)
-                        minor = remove(m, dels, cons)
-                        cmask = m.mask_of(cons)
-                        keep = m.full_mask & ~m.mask_of(removed)
-                        profile = minor_weight_profile(m, cmask, keep)
-                        assert profile == weight_profile(minor)
-                        assert sum(profile) == 1 << minor.rank
-                        kernels += m.rank_of(minor.labels + cons) < m.rank
+                        cmask = sum(1 << p for p in cons)
+                        dels = m.labels_of(sum(1 << p for p in removed) ^ cmask)
+                        minor = remove(m, dels, m.labels_of(cmask))
+                        profile = weight_profile(minor)
+                        avoid = sum(1 << i for i, mk in enumerate(masks) if not mk & cmask)
+                        counts = [(kept[w] & avoid).bit_count() for w in range(n - k + 1)]
+                        kernel = counts[0]
+                        assert counts == [kernel * x for x in profile], (rows, removed, cons)
+                        assert avoid.bit_count() == kernel << minor.rank  # the search's rank test
+                        kernels += kernel > 1
     # The cocycle kernel is nontrivial on some splits, so the division is exercised.
     assert kernels
+
+
+def test_one_search_builds_the_index_once(monkeypatch):
+    # The cocycle index of the searched matroid is built once for the
+    # whole search, never per split; the only other builds are the
+    # targets' and one per minor that the filter passes.
+    builds = Counter()
+    made = []
+    real_index, real_remove = iso.cocycle_index, structure.remove
+
+    def counting_index(m):
+        builds[id(m)] += m._cocycle_index is None
+        return real_index(m)
+
+    def counting_remove(*args):
+        made.append(real_remove(*args))
+        return made[-1]
+
+    # The first E4 two-step child in EX[S10, S10*], so every split is visited.
+    child = next(
+        Matroid(child.matrix, child.labels)
+        for _, type_i in growths(M("E4"), "extension")
+        for _, child in growths(type_i, "coextension")
+        if has_any_minor(child, [M("S10"), M("S10*")]) is None
+    )
+    monkeypatch.setattr(iso, "cocycle_index", counting_index)
+    monkeypatch.setattr(structure, "cocycle_index", counting_index)
+    monkeypatch.setattr(structure, "remove", counting_remove)
+    targets = [fresh("S10"), fresh("S10*")]
+    assert child.size == 12 and has_any_minor(child, targets) is None
+    assert builds[id(child)] == 1
+    assert sum(builds.values()) <= 1 + len(targets) + len(made)
+    assert all(n <= 1 for n in builds.values())
+    builds.clear()
+    m = fresh("E4")
+    assert has_any_minor(m, []) is None
+    assert not builds and m._cocycle_index is None
 
 
 def test_decisions_compute_no_canonical_form(monkeypatch):
