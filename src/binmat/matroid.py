@@ -6,8 +6,10 @@ per column.  Public operations speak in labels, except those named for
 masks, which work on bit positions.  Instances are immutable after
 construction and cache ranks, the cocycle space transposed
 (`iso.cocycle_index`) and element colours internally.  Circuits and
-cocircuits are decided by rank (`is_circuit`, `is_cocircuit`), never
-listed.
+cocircuits are decided by rank on label sets (`is_circuit`,
+`is_cocircuit`), never listed.  Row i of [I_r | D] is always the
+fundamental cocircuit of basis element i, so code that builds a row
+(`extension.coextend`) knows its cocircuit without asking.
 """
 
 from __future__ import annotations
@@ -201,13 +203,9 @@ def is_circuit(m: Matroid, s) -> bool:
 
 
 def is_cocircuit(m: Matroid, s) -> bool:
-    """Whether the label set `s` is a cocircuit; see `is_cocircuit_mask`."""
-    return is_cocircuit_mask(m, m.mask_of(s))
-
-
-def is_cocircuit_mask(m: Matroid, mask: int) -> bool:
-    """Whether the positions in `mask` form a cocircuit: a union of
-    cocircuits with r(E - s) = r - 1, the dual of `is_circuit`'s test."""
+    """Whether the label set `s` is a cocircuit: a union of cocircuits
+    with r(E - s) = r - 1, the dual of `is_circuit`'s test."""
+    mask = m.mask_of(s)
     return m.rank_of_mask(m.full_mask & ~mask) == m.rank - 1 and _union_of_cocircuits(m, mask)
 
 

@@ -18,7 +18,7 @@ from binmat.gf2 import BitMatrix
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import HypothesisError, theorem21_check
 
-from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank
+from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids
 
 
 def M(name):
@@ -259,18 +259,22 @@ class TestConnectivityPredicates:
 
 class TestBridging:
     def test_matches_exhaustive_oracle(self):
-        m = M("P9")
-        a, b = frozenset({1, 2, 5}), frozenset({3, 4, 9})
-        rest = sorted(m.ground_set() - a - b)
-        best = None
-        for sub in range(1 << len(rest)):
-            x = set(a)
-            for i, lab in enumerate(rest):
-                if (sub >> i) & 1:
-                    x.add(lab)
-            lv = oracle_lam(m, x)
-            best = lv if best is None else min(best, lv)
-        assert bridging_value(m, a, b) == best
+        # Every X with A <= X <= E - B, on P9 and on seeded random matroids
+        # with loops, coloops and parallel pairs and random disjoint sides.
+        # The sample must hold sides whose only minimum is X = A itself.
+        rng = random.Random(71)
+        cases = [(M("P9"), frozenset({1, 2, 5}), frozenset({3, 4, 9}))]
+        for m in random_matroids(71, 80, max_size=8):
+            labels = rng.sample(m.labels, m.size)
+            cut_a, cut_b = sorted(rng.randint(0, m.size) for _ in range(2))
+            cases.append((m, frozenset(labels[:cut_a]), frozenset(labels[cut_b:])))
+        only_at_a = 0
+        for m, a, b in cases:
+            rest = sorted(m.ground_set() - a - b)
+            values = [oracle_lam(m, a | set(y)) for j in range(len(rest) + 1) for y in combinations(rest, j)]
+            assert bridging_value(m, a, b) == min(values), (m.matrix.rows, m.labels, a, b)
+            only_at_a += values.count(values[0]) == 1 and values[0] == min(values)
+        assert only_at_a
 
     def test_bounded_by_lambda_of_either_side(self):
         m = M("E4")

@@ -184,11 +184,22 @@ class TestCoextend:
         assert are_isomorphic(dual(child), dext)
 
     def test_new_element_is_in_a_cocircuit_with_marked_columns(self):
-        m = M("E4")
-        row = growth_candidates(m, "coextension")[0]
-        child = coextend(m, row)
-        new = m.rank + 1
-        assert any(new in c for c in oracle_cocircuits(child))
+        # coextend checks nothing after building: the new element and the
+        # parent's D columns marked by the row must form a cocircuit of
+        # every child.  Every coextension of every cosimple catalog entry
+        # of rank at most 6, against the list oracle, which asks no rank.
+        checked = 0
+        for name in list_names():
+            m = M(name)
+            r = m.rank
+            if r > 6 or not simplicity(m)[1]:
+                continue
+            for row in growth_candidates(m, "coextension"):
+                child = coextend(m, row)
+                marked = {oracle_shift_label(m.labels[r + j], r) for j in range(row.length) if (row.bits >> j) & 1}
+                assert frozenset({r + 1} | marked) in oracle_cocircuits(child), (name, row)
+                checked += 1
+        assert checked == 2924
 
     def test_coextend_rejects_existing_row(self):
         # The rows that extend rejects as columns of the dual, named as rows.
@@ -283,6 +294,19 @@ class TestGeneratorRule:
         rows = [growth_candidates(m, "coextension") for m in bases if simplicity(m)[1]]
         assert sum(map(len, rows)) > 0
         assert built == []
+
+    def test_growths_compute_no_rank(self, monkeypatch):
+        # Building a growth reads and writes matrices only: a coextension's
+        # new cocircuit follows from the standard form and is not asked for.
+        def no_rank(self, mask):
+            raise AssertionError("rank computed")
+
+        bases = {name: M(name) for name in ("S8", "P9", "E4")}
+        monkeypatch.setattr(Matroid, "rank_of_mask", no_rank)
+        for name, m in bases.items():
+            for kind in ("extension", "coextension"):
+                children = [child for _, child in growths(m, kind)]
+                assert len(children) == len(growth_candidates(m, kind)) > 0, (name, kind)
 
     def test_unknown_kind_is_named(self):
         for fn in (growth_candidates, growths):

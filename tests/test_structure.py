@@ -8,7 +8,7 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, enumerate_growth_classes, extend, growths
+from binmat.extension import coextend, enumerate_growth_classes, extend, growth_candidates, growths
 from binmat.gf2 import BitMatrix
 from binmat.iso import are_isomorphic, canonical_key, cocycle_index, weight_profile
 from binmat.matroid import Matroid, dual, remove
@@ -16,6 +16,7 @@ from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
+    _classify_built,
     _triangle_escape,
     corollary22_check,
     has_any_minor,
@@ -29,6 +30,7 @@ from conftest import (
     fresh,
     oracle_circuits,
     oracle_cocircuits,
+    oracle_lam,
     oracle_shift_label,
     oracle_shift_labels,
     random_matroids,
@@ -621,3 +623,76 @@ def test_triangle_escape_matches_circuit_lists_on_e4_children():
                 assert tri == _triangle_escape_by_circuit_lists(child, e, f, side_s)
                 found += tri is not None
     assert found
+
+
+def _oracle_classify(child, e, f, side_s, k):
+    """`_classify_built`'s rule from the definitions, as (verdict,
+    witness_set, triangle_witness).  child/f and child\\e are built with
+    `remove`, every lambda is `oracle_lam`, and triangles and triads are
+    read off the circuit and cocircuit lists; no `structure` code is used.
+
+    With t = k - 1 the child is GOOD by (a) lambda(S) = t in child/f and
+    in child\\e (witness S); (b) lambda(S) = t in child/f, lambda(S u f)
+    = t in child\\e, and lambda(S u f) = t in the child (witness S u f)
+    or a triangle; (c) the same with e and f swapped (witness S u e); or
+    (d) lambda(S u e) = t in child/f, lambda(S u f) = t in child\\e and a
+    triangle.  A triangle is a 3-circuit, else a 3-cocircuit, {e, f, g}
+    with g in S, least g first, and a set witness comes before it.  A
+    child that is not GOOD is BRIDGING if lambda(X) >= k for every X with
+    S <= X <= E - B, where B = E - S - {e, f}, and BAD otherwise.
+    """
+    t = k - 1
+    over_f, under_e = remove(child, contractions={f}), remove(child, deletions={e})
+    pa, qa = (oracle_lam(over_f, x) == t for x in (side_s, side_s | {e}))
+    pb, qb = (oracle_lam(under_e, x) == t for x in (side_s, side_s | {f}))
+    triangle = None
+    for family in (oracle_circuits(child), oracle_cocircuits(child)):
+        through = [c for c in family if len(c) == 3 and {e, f} < c and c - {e, f} <= side_s]
+        if through:
+            triangle = min(through, key=lambda c: min(c - {e, f}))
+            break
+    good = []
+    if pa and pb:
+        good.append((side_s, None))
+    if pa and qb and oracle_lam(child, side_s | {f}) == t:
+        good.append((side_s | {f}, None))
+    if qa and pb and oracle_lam(child, side_s | {e}) == t:
+        good.append((side_s | {e}, None))
+    if triangle and ((pa and qb) or (qa and pb) or (qa and qb)):
+        good.append((None, triangle))
+    if good:
+        return (Verdict.GOOD, *good[0])
+    b_side = child.ground_set() - side_s - {e, f}
+    free = sorted(child.ground_set() - b_side - side_s)
+    sandwiched = [side_s | set(y) for j in range(len(free) + 1) for y in combinations(free, j)]
+    if all(oracle_lam(child, x) >= k for x in sandwiched):
+        return Verdict.BRIDGING, None, None
+    return Verdict.BAD, None, None
+
+
+def test_classify_built_matches_a_literal_oracle():
+    # Seeded random two-step children: a simple, cosimple base on 1..n with
+    # n <= 8, a simple extension by e = n + 1 (moved to n + 2), then a
+    # coextension by f = r + 1, cosimple since the extension is; a random
+    # side S avoiding e and f, and k in {2, 3}.  Each verdict and each
+    # kind of GOOD witness must occur in the sample.
+    rng = random.Random(2014)
+    seen = Counter()
+    for _ in range(600):
+        n, r = rng.choice([(6, 3), (7, 4), (8, 4)])
+        base = _random_simple_cosimple(rng, n, r)
+        ext = extend(base, rng.choice(growth_candidates(base, "extension")))
+        child = coextend(ext, rng.choice(growth_candidates(ext, "coextension")))
+        e, f = oracle_shift_label(n + 1, r), r + 1
+        side_s = frozenset(x for x in child.labels if x not in (e, f) and rng.random() < 0.5)
+        k = rng.choice((2, 3))
+        out = _classify_built(child, e, f, side_s, k)
+        expected = _oracle_classify(child, e, f, side_s, k)
+        assert (out.verdict, out.witness_set, out.triangle_witness) == expected, (child.matrix.rows, side_s, k)
+        if out.verdict is not Verdict.GOOD:
+            seen[out.verdict.value] += 1
+        elif out.triangle_witness:
+            seen["triangle"] += 1
+        else:
+            seen[{side_s: "S", side_s | {e}: "S u e", side_s | {f}: "S u f"}[out.witness_set]] += 1
+    assert set(seen) == {"bridging", "bad", "S", "S u e", "S u f", "triangle"}, seen
