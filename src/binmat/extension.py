@@ -7,12 +7,12 @@ growth: weight at least 2, and an extension column of length r not a
 column of D, or a coextension row of length n - r not a row of D (a row
 of m is then a column of dual(m)).  `growth_candidates`, `extend` and
 `coextend` read it; `coextend` appends the row below m's D block and a
-unit column at position r, and the new row's support is then a cocircuit
-by the standard form alone, so building a growth computes no rank.
-`growth_labels` is the one statement of where a growth puts its labels:
-an extension keeps every parent label and adds n+1; a coextension adds
-r+1 and moves labels above r up by one.  `enumerate_growth_classes`
-groups the growths of one kind into isomorphism classes.
+unit column at position r and checks nothing after building, so building
+a growth computes no rank.  `growth_labels` is the one statement of
+where a growth puts its labels: an extension keeps every parent label
+and adds n+1; a coextension adds r+1 and moves labels above r up by one.
+`enumerate_growth_classes` groups the growths of one kind into
+isomorphism classes.
 """
 
 from __future__ import annotations

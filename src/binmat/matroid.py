@@ -7,9 +7,7 @@ masks, which work on bit positions.  Instances are immutable after
 construction and cache ranks, the cocycle space transposed
 (`iso.cocycle_index`) and element colours internally.  Circuits and
 cocircuits are decided by rank on label sets (`is_circuit`,
-`is_cocircuit`), never listed.  Row i of [I_r | D] is always the
-fundamental cocircuit of basis element i, so code that builds a row
-(`extension.coextend`) knows its cocircuit without asking.
+`is_cocircuit`), never listed.
 """
 
 from __future__ import annotations

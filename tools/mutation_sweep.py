@@ -1,25 +1,25 @@
 """Opt-in mutation sweep: hand-written source mutants, one at a time.
 
-    python3 tools/mutation_sweep.py [NAME ...]
+    python3 tools/mutation_sweep.py
 
 Each entry of MUTANTS names a file under ``src/binmat``, a snippet that
 must occur in it exactly once, its replacement, and the tests expected
 to kill the mutant, or the reason it survives all of ``tests/``.  For
 each mutant the sweep copies ``src/``, ``tests/`` and ``pyproject.toml``
 into a fresh temporary directory, applies the replacement there and runs
-pytest on the named tests.  The checkout itself is never written.  A mutant is killed when pytest reports a
-failing test.  The unmutated copy runs the same tests first and must
-pass.
+pytest on the named tests.  The checkout itself is never written.  A
+mutant is killed when pytest reports a failing test.  The unmutated copy
+runs the same tests first and must pass.
 
 The exit status is 0 when every outcome matches its entry (killed, or
 surviving with a recorded reason), 1 when one does not, and 2 when a run
-cannot be judged.  It is not part of the test suite: it runs pytest
+cannot be judged (the unmutated copy fails, a snippet does not occur
+exactly once, or pytest errors).  It is not part of the test suite: it runs pytest
 twice per mutant, on all of ``tests/`` for each survivor.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -106,32 +106,28 @@ def fresh_tree(parent: Path) -> Path:
     return tree
 
 
-def apply(tree: Path, mutant: Mutant) -> None:
+def apply(tree: Path, mutant: Mutant) -> bool:
+    """Write the mutant into `tree`; False if its snippet does not occur
+    exactly once."""
     path = tree / mutant.path
     text = path.read_text()
     if text.count(mutant.snippet) != 1:
-        raise SystemExit(f"{mutant.name}: snippet must occur exactly once in {mutant.path}")
+        return False
     path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    return True
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = ap.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or MUTANTS
-
+def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory(prefix="binmat-mutants-") as tmp:
-        for mutant in chosen:
+        for mutant in MUTANTS:
             tree = fresh_tree(Path(tmp))
             if run_pytest(tree, mutant.tests) != 0:
                 print(f"{mutant.name}: the unmutated copy fails {' '.join(mutant.tests)}")
                 return 2
-            apply(tree, mutant)
+            if not apply(tree, mutant):
+                print(f"{mutant.name}: snippet must occur exactly once in {mutant.path}")
+                return 2
             code = run_pytest(tree, mutant.tests)
             shutil.rmtree(tree)
             if code not in (0, 1):
