@@ -137,7 +137,7 @@ def enumerate_growth_classes(m: Matroid, kind: str) -> list[IsoClass]:
     classes: list[IsoClass] = []
     index = IsoIndex()
     for v, child in growths(m, kind):
-        cls = index.setdefault(child, lambda: IsoClass(child, []))
+        cls, _ = index.find(child, lambda: IsoClass(child, []))
         if not cls.members:  # a new class
             classes.append(cls)
         cls.members.append(v)

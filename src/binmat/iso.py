@@ -421,14 +421,17 @@ class IsoIndex:
     def __init__(self):
         self._buckets: dict[tuple, list[tuple[Matroid, object]]] = {}
 
-    def setdefault(self, m: Matroid, make: Callable[[], object]):
-        """The value of m's class; for a new class ``make()``, kept with a copy of m."""
+    def find(self, m: Matroid, make: Callable[[], object]):
+        """(value, map) for m's class: the map is `isomorphism` from m onto
+        the kept copy, which has the matrix and labels of the class's first
+        matroid.  A new class gets ``make()``, kept with a copy of m, and
+        the map None."""
         bucket = self._buckets.setdefault(weight_profile(m), [])
         for kept, value in bucket:
-            if isomorphism(m, kept) is not None:
-                return value
+            if (found := isomorphism(m, kept)) is not None:
+                return value, found
         value = make()
         # A fresh copy: m's rank cache, cocycle index and colours are not kept.
         bucket.append((Matroid(m.matrix, m.labels), value))
-        return value
+        return value, None
 

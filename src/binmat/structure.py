@@ -22,7 +22,11 @@ each separation (lambda(A) = k-1 directly, or after adding the new
 element); if every one-step check succeeds directly, the one-element
 check suffices and the two-step phase is skipped.  Otherwise every
 in-class two-step matroid (a cosimple coextension of a one-step
-extension) is classified good, bad, or bridging per side.
+extension) is classified good, bad, or bridging per side.  Isomorphic
+parents have isomorphic children, so membership is asked only of the
+first parent's children in each class; the others' children take those
+answers along the map `IsoIndex.find` gives (orbit reuse, after B. D.
+McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
 
 The engine reads every structural fact off one source, the rank
 function: the hypotheses (exactness, unions of circuits and of
@@ -175,7 +179,7 @@ class ExcludedClass:
         self._answers = IsoIndex()
 
     def __contains__(self, m: Matroid) -> bool:
-        return self._answers.setdefault(m, lambda: in_class(m, self.family))
+        return self._answers.find(m, lambda: in_class(m, self.family))[0]
 
     def dual(self) -> ExcludedClass:
         """EX[duals of the family]: M is in EX[F] iff M* is in EX[F*].
@@ -391,20 +395,42 @@ def _triangle_escape(child, e, f, side_s):
     return None
 
 
+def _carried_row(p2: Matroid, row: BitVector, sigma, p1: Matroid) -> int:
+    """p1's coextension row w', as bits, whose child is isomorphic to
+    coextend(p2, row), for an isomorphism `sigma` from p2 onto p1.  The
+    child adds S + f to p2's cocycle space, S the labels of the D columns
+    that `row` marks; adding p1's row i for each basis position i in
+    sigma(S) leaves w' in the D bits.  So sigma on the labels moved by
+    `growth_labels` (equal ranks), with f -> f, maps child onto child."""
+    r = p1.rank
+    v = p1.mask_of(sigma[p2.labels[r + j]] for j in range(row.length) if (row.bits >> j) & 1)
+    for i in range(r):
+        if (v >> i) & 1:
+            v ^= p1.matrix.rows[i]
+    return v >> r
+
+
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every active extension; only
-    active rows get per-side outcomes."""
+    active rows get per-side outcomes.  A parent isomorphic to an earlier
+    one takes each child's membership from the child by `_carried_row`."""
     records = []
+    parents = IsoIndex()
     _, x = growth_labels(n, "extension")
     for ext in one_step:
         if ext.kind != "extension" or not ext.active:
             continue
         type_i = extend(n, ext.vector)
+        (p1, answers), sigma = parents.find(type_i, lambda: (type_i, {}))
         move, f = growth_labels(type_i, "coextension")
         e = move(x)
         moved = [frozenset(map(move, a)) for a in sides]
         for row, child in growths(type_i, "coextension"):
-            rec = TwoStepRecord(ext.vector, row, *_membership(child, excluded, defer))
+            if sigma is None:
+                membership = answers[row.bits] = _membership(child, excluded, defer)
+            else:
+                membership = answers[_carried_row(type_i, row, sigma, p1)]
+            rec = TwoStepRecord(ext.vector, row, *membership)
             if rec.active:
                 rec.sides = [_classify_built(child, e, f, a, k) for a in moved]
             records.append(rec)

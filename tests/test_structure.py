@@ -8,14 +8,15 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, enumerate_growth_classes, extend, growth_candidates, growths
+from binmat.extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels, growths
 from binmat.gf2 import BitMatrix
-from binmat.iso import are_isomorphic, canonical_key, cocycle_index, weight_profile
+from binmat.iso import are_isomorphic, canonical_key, cocycle_index, isomorphism, weight_profile
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
+    _carried_row,
     _classify_built,
     _triangle_escape,
     corollary22_check,
@@ -696,3 +697,123 @@ def test_classify_built_matches_a_literal_oracle():
         else:
             seen[{side_s: "S", side_s | {e}: "S u e", side_s | {f}: "S u f"}[out.witness_set]] += 1
     assert set(seen) == {"bridging", "bad", "S", "S u e", "S u f", "triangle"}, seen
+
+
+def _e4_check(n):
+    # E4's Corollary 2.2 check with the T12 branches deferred, so the
+    # two-step phase runs in both orientations.
+    return corollary22_check(
+        n, SIDE_A1, SIDE_A2, 3, [M("S10"), M("S10*")], defer=[M("T12/e"), M("T12\\e")]
+    )
+
+
+def _repeat_parents(n, report):
+    """(p2, p1) for each active extension parent p2 isomorphic to an
+    earlier active parent, p1 the first such."""
+    firsts, out = [], []
+    for rec in report.one_step:
+        if rec.kind == "extension" and rec.active:
+            p = extend(n, rec.vector)
+            p1 = next((q for q in firsts if are_isomorphic(p, q)), None)
+            if p1 is None:
+                firsts.append(p)
+            else:
+                out.append((p, p1))
+    return out
+
+
+def _assert_carried_rows_map_children(p2, p1):
+    # Every coextension row w of p2: w' = _carried_row(...) is a generator of
+    # p1, and sigma on the moved parent labels with f -> f relabels
+    # coextend(p2, w) into coextend(p1, w') exactly (GF(2) columns compared
+    # through Matroid.__eq__).
+    sigma = isomorphism(p2, p1)
+    move, f = growth_labels(p2, "coextension")
+    child_map = {move(x): move(sigma[x]) for x in p2.labels} | {f: f}
+    generators = {v.bits: v for v in growth_candidates(p1, "coextension")}
+    rows = growth_candidates(p2, "coextension")
+    for w in rows:
+        carried = _carried_row(p2, w, sigma, p1)
+        assert carried in generators, (p2.matrix.rows, w.bits)
+        child = coextend(p2, w)
+        relabeled = Matroid(child.matrix, tuple(child_map[x] for x in child.labels))
+        assert relabeled == coextend(p1, generators[carried]), (p2.matrix.rows, w.bits)
+    return len(rows), any(x != y for x, y in sigma.items())
+
+
+def test_carried_rows_map_e4_children_onto_the_first_parents_children():
+    for n in (M("E4"), dual(M("E4"))):
+        pairs = _repeat_parents(n, _e4_check(n))
+        assert pairs
+        for p2, p1 in pairs:
+            _assert_carried_rows_map_children(p2, p1)
+
+
+def test_carried_rows_map_children_of_random_presentations():
+    # Seeded random simple, cosimple bases with n <= 9.  p1 is the first
+    # extension of a growth class, and p2 a fresh presentation of p1 or of
+    # another member, so sigma is an automorphism or a true relabeling and
+    # the two parents' bases differ.
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(30):
+        n, r = rng.choice([(6, 3), (7, 3), (7, 4), (8, 4), (9, 4), (9, 5)])
+        base = _random_simple_cosimple(rng, n, r)
+        for cls in enumerate_growth_classes(base, "extension"):
+            p1 = extend(base, cls.members[0])
+            for v in cls.members:
+                rows, moved = _assert_carried_rows_map_children(relabeled_copy(extend(base, v), rng), p1)
+                seen["rows"] += rows
+                seen["moved"] += moved
+                seen["other member"] += v != cls.members[0]
+    assert min(seen.values()) >= 100, seen
+
+
+def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):
+    # With the T12 branches deferred, every child of a parent isomorphic to
+    # an earlier one takes its membership along the parents' map: neither
+    # the excluded class nor the deferred one is asked about it.
+    asked = []
+    contains = ExcludedClass.__contains__
+
+    def recording(self, m):
+        asked.append(m)
+        return contains(self, m)
+
+    monkeypatch.setattr(ExcludedClass, "__contains__", recording)
+    report = _e4_check(fresh("E4"))
+    monkeypatch.undo()
+    asked = set(asked)
+    for n, rep in ((M("E4"), report), (dual(M("E4")), report.dual_report)):
+        pairs = _repeat_parents(n, rep)
+        assert pairs
+        for p2, p1 in pairs:
+            assert asked.isdisjoint(child for _, child in growths(p2, "coextension"))
+            assert not asked.isdisjoint(child for _, child in growths(p1, "coextension"))
+
+
+def _summary(report):
+    """A decomposer report without its generators: the overall result, the
+    multiset of one-step (kind, in_class, deferred, per-side lambda pairs)
+    and of two-step (in_class, deferred, verdicts), for both orientations."""
+    out = []
+    for rep in (report, report.dual_report):
+        one = Counter(
+            (r.kind, r.in_class, r.deferred, tuple((s.lam_a, s.lam_ax) for s in r.sides))
+            for r in rep.one_step
+        )
+        two = Counter(
+            (r.in_class, r.deferred, tuple(s.verdict for s in r.sides)) for r in rep.two_step
+        )
+        out.append((rep.overall, one, two))
+    return out
+
+
+def test_e4_decomposer_is_invariant_under_presentation():
+    # The same labeled E4 presented on other bases orders its generators,
+    # and so its first parent of each class, differently; the records must
+    # agree up to generators.
+    expected = _summary(_e4_check(fresh("E4")))
+    rng = random.Random(8)
+    for _ in range(5):
+        assert _summary(_e4_check(relabeled_copy(M("E4"), rng))) == expected

@@ -86,6 +86,29 @@ MUTANTS = [
             "tests/test_extension.py::TestCoextend::test_new_element_is_in_a_cocircuit_with_marked_columns",
         ),
     ),
+    # The later parent's rows differ from the first's only in the new
+    # element's column, and on the catalog's E4 that bit never changes an
+    # answer: only other presentations show this mutant.
+    Mutant(
+        "carried-row-reduces-by-p2",
+        "src/binmat/structure.py",
+        "            v ^= p1.matrix.rows[i]\n",
+        "            v ^= p2.matrix.rows[i]\n",
+        (
+            "tests/test_structure.py::test_carried_rows_map_children_of_random_presentations",
+            "tests/test_structure.py::test_e4_decomposer_is_invariant_under_presentation",
+        ),
+    ),
+    Mutant(
+        "carried-row-masks-basis",
+        "src/binmat/structure.py",
+        "    for i in range(r):\n        if (v >> i) & 1:\n            v ^= p1.matrix.rows[i]\n",
+        "",
+        (
+            "tests/test_structure.py::test_carried_rows_map_e4_children_onto_the_first_parents_children",
+            "tests/test_structure.py::test_two_step_phase_asks_nothing_of_a_repeat_parents_children",
+        ),
+    ),
 ]
 
 
