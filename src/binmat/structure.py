@@ -10,8 +10,16 @@ goes through an `ExcludedClass`, which runs `in_class` once per
 isomorphism class of the matroids it is asked about.  One object
 serves the splitter test, the decomposer's children in both
 orientations, and every caller that keeps it, such as one verification
-run.  Only in-class children without a deferred minor get per-side
-records; the records' `active` property states this once.
+run.  The splitter test and both decomposer phases ask about growths
+through `ExcludedClass.growth_membership`, once per parent: isomorphic
+parents have isomorphic children, so a parent isomorphic to one the
+class has met takes its children's answers along the parents' map
+(orbit reuse, after B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  That covers a repeat one-step extension in the
+two-step phase, and the whole dual orientation of a base isomorphic to
+its dual, whose class is the same object.  Only in-class children
+without a deferred minor get per-side records; the records' `active`
+property states this once.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -22,11 +30,7 @@ each separation (lambda(A) = k-1 directly, or after adding the new
 element); if every one-step check succeeds directly, the one-element
 check suffices and the two-step phase is skipped.  Otherwise every
 in-class two-step matroid (a cosimple coextension of a one-step
-extension) is classified good, bad, or bridging per side.  Isomorphic
-parents have isomorphic children, so membership is asked only of the
-first parent's children in each class; the others' children take those
-answers along the map `IsoIndex.find` gives (orbit reuse, after B. D.
-McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+extension) is classified good, bad, or bridging per side.
 
 The engine reads every structural fact off one source, the rank
 function: the hypotheses (exactness, unions of circuits and of
@@ -172,14 +176,41 @@ def in_class(m: Matroid, excluded) -> bool:
 class ExcludedClass:
     """EX[family]: the binary matroids with no minor isomorphic to a
     member of `family`.  Membership is an isomorphism invariant, so
-    ``m in cls`` searches (`in_class`) once per isomorphism class."""
+    ``m in cls`` searches (`in_class`) once per isomorphism class.
+
+    Growths are asked through `growth_membership`, once per parent.
+    Parents are kept in a second `IsoIndex`.  A parent isomorphic by
+    sigma to an earlier one carries each generator along sigma to the
+    earlier parent's (`_carried_row`, `_carried_column`), whose child is
+    isomorphic, and takes that child's answer if it was asked.  So a
+    repeat parent asks nothing about growths asked of its first."""
 
     def __init__(self, family):
         self.family = list(family)
         self._answers = IsoIndex()
+        self._growths = IsoIndex()  # parent -> (first parent, {(kind, generator bits): answer})
 
     def __contains__(self, m: Matroid) -> bool:
         return self._answers.find(m, lambda: in_class(m, self.family))[0]
+
+    def growth_membership(self, parent: Matroid):
+        """``ask(kind, generator, child) -> child in self`` for the growths
+        of `parent`, ``child`` being the growth of `kind` by `generator`.
+        Answers are kept by the generator carried to the first parent of
+        `parent`'s isomorphism class; a key not kept yet asks ``child in
+        self``, which gives the same answer, as the two children are
+        isomorphic."""
+        (p1, answers), sigma = self._growths.find(parent, lambda: (parent, {}))
+
+        def ask(kind, v: BitVector, child: Matroid) -> bool:
+            carry = _carried_row if kind == "coextension" else _carried_column
+            key = kind, (v.bits if sigma is None else carry(parent, v, sigma, p1))
+            found = answers.get(key)
+            if found is None:
+                found = answers[key] = child in self
+            return found
+
+        return ask
 
     def dual(self) -> ExcludedClass:
         """EX[duals of the family]: M is in EX[F] iff M* is in EX[F*].
@@ -190,6 +221,36 @@ class ExcludedClass:
         if all(any(are_isomorphic(d, x) for x in self.family) for d in duals):
             return self
         return ExcludedClass(duals)
+
+
+def _carried_row(p2: Matroid, row: BitVector, sigma, p1: Matroid) -> int:
+    """p1's coextension row w', as bits, whose child is isomorphic to
+    coextend(p2, row), for an isomorphism `sigma` from p2 onto p1.  The
+    child adds S + f to p2's cocycle space, S the labels of the D columns
+    that `row` marks; adding p1's row i for each basis position i in
+    sigma(S) leaves w' in the D bits.  So sigma on the labels moved by
+    `growth_labels` (equal ranks), with f -> f, maps child onto child."""
+    r = p1.rank
+    v = p1.mask_of(sigma[p2.labels[r + j]] for j in range(row.length) if (row.bits >> j) & 1)
+    for i in range(r):
+        if (v >> i) & 1:
+            v ^= p1.matrix.rows[i]
+    return v >> r
+
+
+def _carried_column(p2: Matroid, col: BitVector, sigma, p1: Matroid) -> int:
+    """p1's extension column c', as bits, whose child is isomorphic to
+    extend(p2, col), for an isomorphism `sigma` from p2 onto p1.  `col`
+    is the sum of p2's basis columns it marks, and a binary matroid has
+    one representation up to row operations, so the linear map taking
+    each column of p2 to p1's column at its image takes `col` to the sum
+    of p1's columns at sigma of those basis labels.  So sigma, with the
+    new element to the new element, maps child onto child."""
+    c = 0
+    for i in range(col.length):
+        if (col.bits >> i) & 1:
+            c ^= p1.column_of(sigma[p2.labels[i]])
+    return c
 
 
 def _as_class(family) -> ExcludedClass:
@@ -210,11 +271,12 @@ def is_splitter(n: Matroid, excluded):
         raise ValueError("splitter candidate must be 3-connected")
     if n not in excluded:
         raise ValueError("splitter candidate must belong to the class")
+    ask = excluded.growth_membership(n)
     counterexamples = [
         (kind, v, child)
         for kind in ("extension", "coextension")
         for v, child in growths(n, kind)
-        if child in excluded
+        if ask(kind, v, child)
     ]
     return (not counterexamples, counterexamples)
 
@@ -318,24 +380,33 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
 def _one_step_phase(n: Matroid, sides, k, excluded, defer):
     """Check conditions (i)/(ii) for every candidate; returns records."""
     records = []
+    membership = _membership(n, excluded, defer)
     for kind in ("extension", "coextension"):
         move, x = growth_labels(n, kind)
         moved = [frozenset(map(move, a)) for a in sides]
         for v, child in growths(n, kind):
-            records.append(_one_step_record(kind, v, child, x, moved, k, excluded, defer))
+            records.append(_one_step_record(kind, v, child, x, moved, k, membership(kind, v, child)))
     return records
 
 
-def _membership(child, excluded, defer) -> tuple[bool, bool]:
-    """(in the class, deferred): a deferred child is in the class but has a
-    minor in `defer` (None: no deferral); a separate splitter argument covers it."""
-    if child not in excluded:
-        return False, False
-    return True, defer is not None and child not in defer
+def _membership(parent, excluded, defer):
+    """``ask(kind, generator, child) -> (in the class, deferred)`` for the
+    growths of `parent`, through each class's `growth_membership`: a
+    deferred child is in the class but has a minor in `defer` (None: no
+    deferral); a separate splitter argument covers it."""
+    in_excluded = excluded.growth_membership(parent)
+    in_defer = None if defer is None else defer.growth_membership(parent)
+
+    def ask(kind, v, child) -> tuple[bool, bool]:
+        if not in_excluded(kind, v, child):
+            return False, False
+        return True, in_defer is not None and not in_defer(kind, v, child)
+
+    return ask
 
 
-def _one_step_record(kind, v, child, x, sides, k, excluded, defer):
-    rec = OneStepRecord(kind, v, *_membership(child, excluded, defer))
+def _one_step_record(kind, v, child, x, sides, k, membership):
+    rec = OneStepRecord(kind, v, *membership)
     if not rec.active:
         return rec
     for a in sides:
@@ -395,42 +466,23 @@ def _triangle_escape(child, e, f, side_s):
     return None
 
 
-def _carried_row(p2: Matroid, row: BitVector, sigma, p1: Matroid) -> int:
-    """p1's coextension row w', as bits, whose child is isomorphic to
-    coextend(p2, row), for an isomorphism `sigma` from p2 onto p1.  The
-    child adds S + f to p2's cocycle space, S the labels of the D columns
-    that `row` marks; adding p1's row i for each basis position i in
-    sigma(S) leaves w' in the D bits.  So sigma on the labels moved by
-    `growth_labels` (equal ranks), with f -> f, maps child onto child."""
-    r = p1.rank
-    v = p1.mask_of(sigma[p2.labels[r + j]] for j in range(row.length) if (row.bits >> j) & 1)
-    for i in range(r):
-        if (v >> i) & 1:
-            v ^= p1.matrix.rows[i]
-    return v >> r
-
-
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every active extension; only
-    active rows get per-side outcomes.  A parent isomorphic to an earlier
-    one takes each child's membership from the child by `_carried_row`."""
+    active rows get per-side outcomes.  Membership is asked per parent
+    through `_membership`, so a parent isomorphic to one asked before
+    takes its children's answers along the parents' map."""
     records = []
-    parents = IsoIndex()
     _, x = growth_labels(n, "extension")
     for ext in one_step:
         if ext.kind != "extension" or not ext.active:
             continue
         type_i = extend(n, ext.vector)
-        (p1, answers), sigma = parents.find(type_i, lambda: (type_i, {}))
+        membership = _membership(type_i, excluded, defer)
         move, f = growth_labels(type_i, "coextension")
         e = move(x)
         moved = [frozenset(map(move, a)) for a in sides]
         for row, child in growths(type_i, "coextension"):
-            if sigma is None:
-                membership = answers[row.bits] = _membership(child, excluded, defer)
-            else:
-                membership = answers[_carried_row(type_i, row, sigma, p1)]
-            rec = TwoStepRecord(ext.vector, row, *membership)
+            rec = TwoStepRecord(ext.vector, row, *membership("coextension", row, child))
             if rec.active:
                 rec.sides = [_classify_built(child, e, f, a, k) for a in moved]
             records.append(rec)

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from binmat.catalog import get, list_names
+from binmat.catalog import get, graphic_matroid, list_names
 from binmat.gf2 import BitMatrix
 from binmat.matroid import Matroid, make_matroid
 
@@ -25,6 +25,13 @@ def fresh(name: str) -> Matroid:
     """A catalog matroid as a fresh object carrying no cached state."""
     m = get(name).matroid
     return Matroid(BitMatrix(m.matrix.nrows, m.matrix.ncols, m.matrix.rows), m.labels)
+
+
+def small_target(name: str) -> Matroid:
+    """A catalog matroid by name, or M(K4), which the catalog lacks."""
+    if name == "M(K4)":
+        return graphic_matroid([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 4)
+    return get(name).matroid
 
 
 def relabeled_copy(m: Matroid, rng: random.Random) -> Matroid:

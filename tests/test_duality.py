@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from binmat.catalog import get, graphic_matroid, list_names
+from binmat.catalog import list_names
 from binmat.connectivity import lam
 from binmat.extension import enumerate_growth_classes
 from binmat.gf2 import BitMatrix
@@ -20,7 +20,7 @@ from binmat.iso import weight_profile
 from binmat.matroid import Matroid, dual, is_circuit, is_cocircuit, simplicity
 from binmat.structure import has_any_minor
 
-from conftest import fresh, random_matroids
+from conftest import fresh, random_matroids, small_target
 
 
 def _matroids():
@@ -56,12 +56,9 @@ def test_lambda_is_self_dual():
             assert lam(m, x) == lam(d, x), (name, sorted(x))
 
 
-K4 = graphic_matroid([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 4)
-
-
 @pytest.mark.parametrize("target", ["F7", "F7*", "M(K4)"])
 def test_minor_search_is_self_dual(target):
-    t = K4 if target == "M(K4)" else get(target).matroid
+    t = small_target(target)
     matroids = _matroids()
     found = 0
     for name, m in matroids:

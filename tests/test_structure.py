@@ -16,6 +16,7 @@ from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
+    _carried_column,
     _carried_row,
     _classify_built,
     _triangle_escape,
@@ -25,7 +26,7 @@ from binmat.structure import (
     is_splitter,
     theorem21_check,
 )
-from binmat.verify import report_to_json, run_verification
+from binmat.verify import SIDE_S8, report_to_json, run_verification
 
 from conftest import (
     fresh,
@@ -36,6 +37,7 @@ from conftest import (
     oracle_shift_labels,
     random_matroids,
     relabeled_copy,
+    small_target,
 )
 
 
@@ -722,23 +724,25 @@ def _repeat_parents(n, report):
     return out
 
 
-def _assert_carried_rows_map_children(p2, p1):
-    # Every coextension row w of p2: w' = _carried_row(...) is a generator of
-    # p1, and sigma on the moved parent labels with f -> f relabels
-    # coextend(p2, w) into coextend(p1, w') exactly (GF(2) columns compared
-    # through Matroid.__eq__).
+def _assert_carried_growths_map_children(p2, p1, kind):
+    # Every generator v of p2 of `kind`: v' = _carried_row(...) for a row,
+    # _carried_column(...) for a column, is a generator of p1, and sigma on
+    # the moved parent labels with the new element to itself relabels the
+    # growth of p2 by v into p1's growth by v' exactly (GF(2) columns
+    # compared through Matroid.__eq__).  p1 and p2 share their labels.
     sigma = isomorphism(p2, p1)
-    move, f = growth_labels(p2, "coextension")
-    child_map = {move(x): move(sigma[x]) for x in p2.labels} | {f: f}
-    generators = {v.bits: v for v in growth_candidates(p1, "coextension")}
-    rows = growth_candidates(p2, "coextension")
-    for w in rows:
-        carried = _carried_row(p2, w, sigma, p1)
-        assert carried in generators, (p2.matrix.rows, w.bits)
-        child = coextend(p2, w)
+    move, new = growth_labels(p2, kind)
+    child_map = {move(x): move(sigma[x]) for x in p2.labels} | {new: new}
+    grow, carry = (coextend, _carried_row) if kind == "coextension" else (extend, _carried_column)
+    generators = {v.bits: v for v in growth_candidates(p1, kind)}
+    candidates = growth_candidates(p2, kind)
+    for v in candidates:
+        carried = carry(p2, v, sigma, p1)
+        assert carried in generators, (p2.matrix.rows, kind, v.bits)
+        child = grow(p2, v)
         relabeled = Matroid(child.matrix, tuple(child_map[x] for x in child.labels))
-        assert relabeled == coextend(p1, generators[carried]), (p2.matrix.rows, w.bits)
-    return len(rows), any(x != y for x, y in sigma.items())
+        assert relabeled == grow(p1, generators[carried]), (p2.matrix.rows, kind, v.bits)
+    return len(candidates), any(x != y for x, y in sigma.items())
 
 
 def test_carried_rows_map_e4_children_onto_the_first_parents_children():
@@ -746,50 +750,106 @@ def test_carried_rows_map_e4_children_onto_the_first_parents_children():
         pairs = _repeat_parents(n, _e4_check(n))
         assert pairs
         for p2, p1 in pairs:
-            _assert_carried_rows_map_children(p2, p1)
+            _assert_carried_growths_map_children(p2, p1, "coextension")
 
 
-def test_carried_rows_map_children_of_random_presentations():
-    # Seeded random simple, cosimple bases with n <= 9.  p1 is the first
-    # extension of a growth class, and p2 a fresh presentation of p1 or of
-    # another member, so sigma is an automorphism or a true relabeling and
-    # the two parents' bases differ.
-    rng = random.Random(24)
-    seen = Counter()
-    for _ in range(30):
+@pytest.mark.parametrize("name", ["E4", "S8"])
+@pytest.mark.parametrize("kind", ["extension", "coextension"])
+def test_carried_generators_map_children_across_duality(name, kind):
+    # The dual orientation of a self-dual base carries its one-step
+    # growths onto the base's, in both directions.
+    n = M(name)
+    for p2, p1 in ((n, dual(n)), (dual(n), n)):
+        _assert_carried_growths_map_children(p2, p1, kind)
+
+
+def _random_presentation_pairs(rng, bases):
+    """(p2, p1) over seeded random simple, cosimple bases with n <= 9: p1
+    is the first extension of a growth class, and p2 a fresh presentation
+    of p1 or of another member, so sigma is an automorphism or a true
+    relabeling and the two parents' bases differ."""
+    for _ in range(bases):
         n, r = rng.choice([(6, 3), (7, 3), (7, 4), (8, 4), (9, 4), (9, 5)])
         base = _random_simple_cosimple(rng, n, r)
         for cls in enumerate_growth_classes(base, "extension"):
             p1 = extend(base, cls.members[0])
             for v in cls.members:
-                rows, moved = _assert_carried_rows_map_children(relabeled_copy(extend(base, v), rng), p1)
-                seen["rows"] += rows
-                seen["moved"] += moved
-                seen["other member"] += v != cls.members[0]
+                yield relabeled_copy(extend(base, v), rng), p1, v != cls.members[0]
+
+
+def _assert_carried_generators_of_random_presentations(kind, bases):
+    rng = random.Random(24)
+    seen = Counter()
+    for p2, p1, other in _random_presentation_pairs(rng, bases):
+        count, moved = _assert_carried_growths_map_children(p2, p1, kind)
+        seen["generators"] += count
+        seen["moved"] += moved
+        seen["other member"] += other
     assert min(seen.values()) >= 100, seen
+
+
+def test_carried_rows_map_children_of_random_presentations():
+    _assert_carried_generators_of_random_presentations("coextension", 30)
+
+
+def test_carried_columns_map_children_of_random_presentations():
+    _assert_carried_generators_of_random_presentations("extension", 24)
+
+
+@pytest.mark.parametrize("name", ["F7", "F7*", "M(K4)"])
+def test_growth_membership_matches_fresh_searches(name):
+    # One class shared by a parent and 3 fresh presentations of it: the
+    # first parent asks, the copies carry, and every answer must equal a
+    # fresh search of the copy's own child.  A simple, cosimple base with
+    # no M(K4) minor is trivial, so EX[M(K4)] holds no growth here.
+    family = [small_target(name)]
+    cls = ExcludedClass(family)
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(4):
+        n, r = rng.choice([(7, 3), (7, 4), (8, 4), (9, 4), (9, 5)])
+        base = _random_simple_cosimple(rng, n, r)
+        for p in [base] + [relabeled_copy(base, rng) for _ in range(3)]:
+            ask = cls.growth_membership(p)
+            for kind in ("extension", "coextension"):
+                for v, child in growths(p, kind):
+                    answer = ask(kind, v, child)
+                    assert answer == in_class(child, family), (p.matrix.rows, kind, v.bits)
+                    seen[answer] += 1
+    assert seen[False] >= 20 and (seen[True] >= 20 or name == "M(K4)"), seen
 
 
 def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):
     # With the T12 branches deferred, every child of a parent isomorphic to
     # an earlier one takes its membership along the parents' map: neither
-    # the excluded class nor the deferred one is asked about it.
-    asked = []
+    # the excluded class nor the deferred one is asked about it.  The dual
+    # orientation shares both classes, and E4* is isomorphic to E4, so it
+    # asks nothing at all, in its one-step phase or its two-step phase.
+    asked = []  # one list per orientation
     contains = ExcludedClass.__contains__
+    decompose = structure._decompose
 
     def recording(self, m):
-        asked.append(m)
+        asked[-1].append(m)
         return contains(self, m)
 
+    def per_orientation(*args):
+        asked.append([])
+        return decompose(*args)
+
     monkeypatch.setattr(ExcludedClass, "__contains__", recording)
+    monkeypatch.setattr(structure, "_decompose", per_orientation)
     report = _e4_check(fresh("E4"))
     monkeypatch.undo()
-    asked = set(asked)
-    for n, rep in ((M("E4"), report), (dual(M("E4")), report.dual_report)):
-        pairs = _repeat_parents(n, rep)
-        assert pairs
-        for p2, p1 in pairs:
-            assert asked.isdisjoint(child for _, child in growths(p2, "coextension"))
-            assert not asked.isdisjoint(child for _, child in growths(p1, "coextension"))
+    first, second = asked
+    assert report.dual_report.two_step and _repeat_parents(dual(M("E4")), report.dual_report)
+    assert first and not second
+    first = set(first)
+    pairs = _repeat_parents(M("E4"), report)
+    assert pairs
+    for p2, p1 in pairs:
+        assert first.isdisjoint(child for _, child in growths(p2, "coextension"))
+        assert not first.isdisjoint(child for _, child in growths(p1, "coextension"))
 
 
 def _summary(report):
@@ -817,3 +877,30 @@ def test_e4_decomposer_is_invariant_under_presentation():
     rng = random.Random(8)
     for _ in range(5):
         assert _summary(_e4_check(relabeled_copy(M("E4"), rng))) == expected
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@pytest.mark.parametrize(
+    "name, family", [("S8", ["P9", "P9*"]), ("P9", ["S10", "S10*", "E4", "E5"])], ids=["S8", "P9"]
+)
+def test_theorem21_check_is_invariant_under_presentation(monkeypatch, name, family, shared):
+    # S8's check against [P9, P9*] and P9's against its decomposer family
+    # (verify's claims), on 5 seeded presentations.  With one class shared
+    # across the 5, the first presentation asks and the later 4 are
+    # carried in full: they ask no class anything, in either orientation.
+    family = [M(x) for x in family]
+    expected = _summary(theorem21_check(fresh(name), SIDE_S8, 3, family))
+    excluded = ExcludedClass(family) if shared else family
+    asked = []
+    contains = ExcludedClass.__contains__
+
+    def recording(self, m):
+        asked.append(m)
+        return contains(self, m)
+
+    monkeypatch.setattr(ExcludedClass, "__contains__", recording)
+    rng = random.Random(21)
+    for i in range(5):
+        asked.clear()
+        assert _summary(theorem21_check(relabeled_copy(M(name), rng), SIDE_S8, 3, excluded)) == expected
+        assert bool(asked) == (i == 0 or not shared), (i, len(asked))

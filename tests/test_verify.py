@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from binmat import structure, verify
+from binmat import iso, structure, verify
 from binmat.catalog import get
 from binmat.gf2 import BitVector
 from binmat.structure import OneStepRecord, OneStepSide, TwoStepRecord
@@ -118,6 +118,29 @@ class TestFullReport:
         monkeypatch.setattr(structure, "has_any_minor", counting)
         run_verification()
         assert len(searched) <= 162
+
+    def test_growth_questions_and_isomorphism_calls_stay_carried(self, monkeypatch):
+        # Growth membership is asked once per parent class and carried
+        # along parent maps (ExcludedClass.growth_membership), so E4's
+        # dual orientation and every repeat parent ask nothing: a run asks
+        # 503 ExcludedClass questions and makes 812 isomorphism calls.
+        asked, calls = [], []
+        contains, isomorphism = structure.ExcludedClass.__contains__, iso.isomorphism
+
+        def asking(self, m):
+            asked.append(m)
+            return contains(self, m)
+
+        def counting(m, t):
+            calls.append(m)
+            return isomorphism(m, t)
+
+        monkeypatch.setattr(structure.ExcludedClass, "__contains__", asking)
+        for module in (iso, structure):
+            monkeypatch.setattr(module, "isomorphism", counting)
+        run_verification()
+        assert len(asked) <= 503
+        assert len(calls) <= 812
 
 
 class _RecordsOnly:

@@ -86,9 +86,9 @@ MUTANTS = [
             "tests/test_extension.py::TestCoextend::test_new_element_is_in_a_cocircuit_with_marked_columns",
         ),
     ),
-    # The later parent's rows differ from the first's only in the new
-    # element's column, and on the catalog's E4 that bit never changes an
-    # answer: only other presentations show this mutant.
+    # A repeat parent's rows differ from the first parent's only where the
+    # two presentations differ: on the catalog's E4 only the dual
+    # orientation, which carries E4*'s growths onto E4's, shows this mutant.
     Mutant(
         "carried-row-reduces-by-p2",
         "src/binmat/structure.py",
@@ -96,7 +96,7 @@ MUTANTS = [
         "            v ^= p2.matrix.rows[i]\n",
         (
             "tests/test_structure.py::test_carried_rows_map_children_of_random_presentations",
-            "tests/test_structure.py::test_e4_decomposer_is_invariant_under_presentation",
+            "tests/test_structure.py::test_carried_generators_map_children_across_duality[coextension-E4]",
         ),
     ),
     Mutant(
@@ -107,6 +107,16 @@ MUTANTS = [
         (
             "tests/test_structure.py::test_carried_rows_map_e4_children_onto_the_first_parents_children",
             "tests/test_structure.py::test_two_step_phase_asks_nothing_of_a_repeat_parents_children",
+        ),
+    ),
+    Mutant(
+        "carried-column-uses-p2-columns",
+        "src/binmat/structure.py",
+        "            c ^= p1.column_of(sigma[p2.labels[i]])\n",
+        "            c ^= p2.column_of(sigma[p2.labels[i]])\n",
+        (
+            "tests/test_structure.py::test_carried_columns_map_children_of_random_presentations",
+            "tests/test_structure.py::test_carried_generators_map_children_across_duality[extension-E4]",
         ),
     ),
 ]
