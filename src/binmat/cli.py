@@ -22,7 +22,7 @@ from .connectivity import lam
 from .extension import enumerate_growth_classes
 from .gf2 import BitMatrix
 from .matroid import Matroid, make_matroid
-from .structure import corollary22_check, has_any_minor, in_class, is_splitter, theorem21_check
+from .structure import corollary22_check, growth_classes_in, has_any_minor, is_splitter, theorem21_check
 from .verify import report_to_json, report_to_text, run_verification
 
 
@@ -127,7 +127,7 @@ def _cmd_exts(args) -> int:
     excluded = _parse_matroid_list(args.exclude) if args.exclude is not None else None
     classes = enumerate_growth_classes(m, kind)
     if excluded is not None:
-        classes = [c for c in classes if in_class(c.representative, excluded)]
+        classes = growth_classes_in(m, kind, excluded, classes)
     for i, c in enumerate(classes, 1):
         members = " ".join(str(v) for v in c.members)
         print(f"class {i} ({len(c.members)} generators): {members}")

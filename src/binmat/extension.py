@@ -131,9 +131,8 @@ def enumerate_growth_classes(m: Matroid, kind: str) -> list[IsoClass]:
     isomorphism classes by an `IsoIndex`.  Growths come in ascending
     bracket order, so each class lists its generators in ascending order,
     its representative is the child of the least one, and classes are
-    ordered by their least generator.  To keep the classes inside an
-    excluded-minor class, filter on ``c.representative in cls`` with a
-    `structure.ExcludedClass`."""
+    ordered by their least generator.  `structure.growth_classes_in`
+    keeps the classes inside an excluded-minor class."""
     classes: list[IsoClass] = []
     index = IsoIndex()
     for v, child in growths(m, kind):

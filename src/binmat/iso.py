@@ -415,23 +415,21 @@ def are_isomorphic(m: Matroid, other: Matroid) -> bool:
 
 class IsoIndex:
     """One value per isomorphism class: matroids are bucketed by weight
-    profile, which fixes rank and size, and `isomorphism` onto a kept
-    copy confirms."""
+    profile, which fixes rank and size, and `isomorphism` onto the
+    class's first matroid confirms."""
 
     def __init__(self):
         self._buckets: dict[tuple, list[tuple[Matroid, object]]] = {}
 
     def find(self, m: Matroid, make: Callable[[], object]):
         """(value, map) for m's class: the map is `isomorphism` from m onto
-        the kept copy, which has the matrix and labels of the class's first
-        matroid.  A new class gets ``make()``, kept with a copy of m, and
-        the map None."""
+        the class's first matroid, which is kept.  A new class gets
+        ``make()``, kept with m itself, and the map None."""
         bucket = self._buckets.setdefault(weight_profile(m), [])
         for kept, value in bucket:
             if (found := isomorphism(m, kept)) is not None:
                 return value, found
         value = make()
-        # A fresh copy: m's rank cache, cocycle index and colours are not kept.
-        bucket.append((Matroid(m.matrix, m.labels), value))
+        bucket.append((m, value))
         return value, None
 

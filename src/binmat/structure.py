@@ -10,16 +10,17 @@ goes through an `ExcludedClass`, which runs `in_class` once per
 isomorphism class of the matroids it is asked about.  One object
 serves the splitter test, the decomposer's children in both
 orientations, and every caller that keeps it, such as one verification
-run.  The splitter test and both decomposer phases ask about growths
-through `ExcludedClass.growth_membership`, once per parent: isomorphic
-parents have isomorphic children, so a parent isomorphic to one the
-class has met takes its children's answers along the parents' map
-(orbit reuse, after B. D. McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  That covers a repeat one-step extension in the
-two-step phase, and the whole dual orientation of a base isomorphic to
-its dual, whose class is the same object.  Only in-class children
-without a deferred minor get per-side records; the records' `active`
-property states this once.
+run.  Every growth question, from the splitter test, both decomposer
+phases and `growth_classes_in`, goes through
+`ExcludedClass.growth_membership`, once per parent: isomorphic parents
+have isomorphic children, so a parent isomorphic to one the class has
+met takes its children's answers along the parents' map, by one rule
+for columns and rows (orbit reuse, after B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  That covers a repeat
+one-step extension in the two-step phase, and the whole dual orientation
+of a base isomorphic to its dual, whose class is the same object.  Only
+in-class children without a deferred minor get per-side records; the
+records' `active` property states this once.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import bridging_value, is_n_connected, lam
-from .extension import extend, growth_labels, growths
+from .extension import enumerate_growth_classes, extend, growth_labels, growths
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, cocycle_index, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
@@ -181,8 +182,8 @@ class ExcludedClass:
     Growths are asked through `growth_membership`, once per parent.
     Parents are kept in a second `IsoIndex`.  A parent isomorphic by
     sigma to an earlier one carries each generator along sigma to the
-    earlier parent's (`_carried_row`, `_carried_column`), whose child is
-    isomorphic, and takes that child's answer if it was asked.  So a
+    earlier parent's (`_carried_column`, in `_carry_frames`), whose child
+    is isomorphic, and takes that child's answer if it was asked.  So a
     repeat parent asks nothing about growths asked of its first."""
 
     def __init__(self, family):
@@ -201,10 +202,10 @@ class ExcludedClass:
         self``, which gives the same answer, as the two children are
         isomorphic."""
         (p1, answers), sigma = self._growths.find(parent, lambda: (parent, {}))
+        frames = None if sigma is None else _carry_frames(parent, p1)
 
         def ask(kind, v: BitVector, child: Matroid) -> bool:
-            carry = _carried_row if kind == "coextension" else _carried_column
-            key = kind, (v.bits if sigma is None else carry(parent, v, sigma, p1))
+            key = kind, (v.bits if frames is None else _carried_column(*frames[kind], v, sigma))
             found = answers.get(key)
             if found is None:
                 found = answers[key] = child in self
@@ -223,22 +224,15 @@ class ExcludedClass:
         return ExcludedClass(duals)
 
 
-def _carried_row(p2: Matroid, row: BitVector, sigma, p1: Matroid) -> int:
-    """p1's coextension row w', as bits, whose child is isomorphic to
-    coextend(p2, row), for an isomorphism `sigma` from p2 onto p1.  The
-    child adds S + f to p2's cocycle space, S the labels of the D columns
-    that `row` marks; adding p1's row i for each basis position i in
-    sigma(S) leaves w' in the D bits.  So sigma on the labels moved by
-    `growth_labels` (equal ranks), with f -> f, maps child onto child."""
-    r = p1.rank
-    v = p1.mask_of(sigma[p2.labels[r + j]] for j in range(row.length) if (row.bits >> j) & 1)
-    for i in range(r):
-        if (v >> i) & 1:
-            v ^= p1.matrix.rows[i]
-    return v >> r
+def _carry_frames(p2: Matroid, p1: Matroid) -> dict:
+    """kind -> the pair, p2's and p1's, of which a growth generator of
+    `kind` is an extension column: a coextension of m by row w is
+    dual(extend(dual(m), w)) up to labels (see `coextend`), and an
+    isomorphism from p2 onto p1 is one between their duals too."""
+    return {"extension": (p2, p1), "coextension": (dual(p2), dual(p1))}
 
 
-def _carried_column(p2: Matroid, col: BitVector, sigma, p1: Matroid) -> int:
+def _carried_column(p2: Matroid, p1: Matroid, col: BitVector, sigma) -> int:
     """p1's extension column c', as bits, whose child is isomorphic to
     extend(p2, col), for an isomorphism `sigma` from p2 onto p1.  `col`
     is the sum of p2's basis columns it marks, and a binary matroid has
@@ -256,6 +250,16 @@ def _carried_column(p2: Matroid, col: BitVector, sigma, p1: Matroid) -> int:
 def _as_class(family) -> ExcludedClass:
     """EX[family], or `family` if it is one: a list must never reach ``in``."""
     return family if isinstance(family, ExcludedClass) else ExcludedClass(family)
+
+
+def growth_classes_in(parent: Matroid, kind: str, excluded, classes=None):
+    """The growth classes of `parent` of `kind` (`classes`, if already
+    enumerated) that lie in `excluded`, an `ExcludedClass` or a list of
+    excluded minors, each asked through `growth_membership` by its least
+    generator and that generator's child, its representative."""
+    ask = _as_class(excluded).growth_membership(parent)
+    classes = enumerate_growth_classes(parent, kind) if classes is None else classes
+    return [c for c in classes if ask(kind, c.members[0], c.representative)]
 
 
 def is_splitter(n: Matroid, excluded):

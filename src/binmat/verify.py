@@ -32,7 +32,7 @@ from .extension import coextend, enumerate_growth_classes, extend, growth_candid
 from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, make_matroid
-from .structure import ExcludedClass, Verdict, corollary22_check, is_splitter, theorem21_check
+from .structure import ExcludedClass, Verdict, corollary22_check, growth_classes_in, is_splitter, theorem21_check
 from .tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 
 
@@ -103,11 +103,6 @@ class _Context:
 
 
 SIDE_S8 = frozenset({1, 2, 5, 6})
-
-
-def _in_class(classes, excluded: ExcludedClass):
-    """The growth classes whose representative lies in `excluded`."""
-    return [c for c in classes if c.representative in excluded]
 
 
 def _members(c) -> list[str] | None:
@@ -182,7 +177,7 @@ def _c_claim1_z4_lambda(ctx):
 
 
 def _c_claim1_coext(ctx):
-    classes = _in_class(enumerate_growth_classes(ctx.m("S8"), "coextension"), ctx.ex_p9)
+    classes = growth_classes_in(ctx.m("S8"), "coextension", ctx.ex_p9)
     computed = {
         "in-class-classes": _class_members(classes),
         "isomorphic-to-Z4*": len(classes) == 1
@@ -361,7 +356,7 @@ def _c_claim3_classes(ctx):
 
 
 def _c_claim3_s10_minor(ctx):
-    return True, all(c.representative not in ctx.ex_s10 for c in ctx.e5_working_classes)
+    return True, not growth_classes_in(ctx.e5_working, "extension", ctx.ex_s10, ctx.e5_working_classes)
 
 
 def _c_splitter(name):
@@ -392,7 +387,7 @@ _E4_COEXT_BULLETS = {
 def _e4_growth(ctx, kind, bullets, iso_name):
     """E4's in-class growths of one kind against the printed bullets.  The
     decomposer's one-step records say which growths have an S10 minor."""
-    classes = _in_class(enumerate_growth_classes(ctx.m("E4"), kind), ctx.ex_s10)
+    classes = growth_classes_in(ctx.m("E4"), kind, ctx.ex_s10)
     expected = {name: [_vs(b) for b in sorted(gens)] for name, gens in bullets.items()}
     expected["escalation-isomorphic"] = True
     expected["all-others-have-s10-minor"] = True

@@ -16,7 +16,7 @@ from binmat.extension import (
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic
 from binmat.matroid import Matroid, dual, make_matroid, remove, simplicity
-from binmat.structure import ExcludedClass, in_class
+from binmat.structure import ExcludedClass, growth_classes_in, in_class
 
 from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_shift_label, oracle_shift_labels
 
@@ -349,14 +349,15 @@ class TestGrowthClasses:
         assert sorted(members) == sorted(v.bits for v in growth_candidates(m, "coextension"))
 
     def test_excluded_filter_drops_children_with_minors(self):
-        # A class is kept iff its representative has no excluded minor,
-        # and the filter keeps some classes and drops others.
+        # growth_classes_in keeps a class iff its representative has no
+        # excluded minor, and keeps some classes and drops others.
         family = [M("P9"), M("P9*")]
-        excluded = ExcludedClass(family)
-        classes = enumerate_growth_classes(M("S8"), "extension")
-        kept = [c.representative in excluded for c in classes]
-        assert kept == [in_class(c.representative, family) for c in classes]
-        assert True in kept and False in kept
+        for kind in ("extension", "coextension"):
+            classes = enumerate_growth_classes(M("S8"), kind)
+            kept = growth_classes_in(M("S8"), kind, ExcludedClass(family))
+            assert kept == [c for c in classes if in_class(c.representative, family)], kind
+            assert kept and len(kept) < len(classes), kind
+            assert growth_classes_in(M("S8"), kind, family, classes) == kept, kind
 
     def test_growths_are_the_candidates_children(self):
         m = M("P9")

@@ -17,7 +17,7 @@ from binmat.structure import (
     HypothesisError,
     Verdict,
     _carried_column,
-    _carried_row,
+    _carry_frames,
     _classify_built,
     _triangle_escape,
     corollary22_check,
@@ -531,6 +531,28 @@ class TestCorollary22:
             for side in (1, 2)
         ]
 
+    def test_coupling_violations_are_noted_on_e3(self):
+        # On each of these one-step growths of E3, side 1 keeps neither
+        # lambda(A) nor lambda(A u x) at k-1, and side 2 keeps only
+        # lambda(A u x), which the coupling forbids while side 1 is not
+        # direct.  The dual orientation swaps the two kinds' generators.
+        report = corollary22_check(
+            M("E3"), {1, 2, 3, 4, 8, 9}, {1, 2, 5, 6, 7, 10}, 3, [M("S10"), M("S10*")]
+        )
+
+        def notes(extensions, coextensions):
+            return [
+                f"one-step {kind} [{v}] {note}"
+                for kind, vectors in (("extension", extensions), ("coextension", coextensions))
+                for v in vectors
+                for note in ("fails condition (i)/(ii) on side 1", "violates the coupling on side 2")
+            ]
+
+        first, second = ["00111", "01001", "10001", "11111"], ["00111", "01110", "10110", "11111"]
+        assert report.overall == report.dual_report.overall == "failed"
+        assert report.notes == notes(first, second) + ["dual-orientation check performed explicitly"]
+        assert report.dual_report.notes == notes(second, first)
+
     def test_bad_rows_reported_by_side(self):
         report = corollary22_check(
             M("E4"),
@@ -725,19 +747,21 @@ def _repeat_parents(n, report):
 
 
 def _assert_carried_growths_map_children(p2, p1, kind):
-    # Every generator v of p2 of `kind`: v' = _carried_row(...) for a row,
-    # _carried_column(...) for a column, is a generator of p1, and sigma on
-    # the moved parent labels with the new element to itself relabels the
-    # growth of p2 by v into p1's growth by v' exactly (GF(2) columns
-    # compared through Matroid.__eq__).  p1 and p2 share their labels.
+    # Every generator v of p2 of `kind`: v' = _carried_column(...) in the
+    # frames of _carry_frames (the parents for a column, their duals for a
+    # row) is a generator of p1, and sigma on the moved parent labels with
+    # the new element to itself relabels the growth of p2 by v into p1's
+    # growth by v' exactly (GF(2) columns compared through
+    # Matroid.__eq__).  p1 and p2 share their labels.
     sigma = isomorphism(p2, p1)
     move, new = growth_labels(p2, kind)
     child_map = {move(x): move(sigma[x]) for x in p2.labels} | {new: new}
-    grow, carry = (coextend, _carried_row) if kind == "coextension" else (extend, _carried_column)
+    grow = coextend if kind == "coextension" else extend
+    frames = _carry_frames(p2, p1)[kind]
     generators = {v.bits: v for v in growth_candidates(p1, kind)}
     candidates = growth_candidates(p2, kind)
     for v in candidates:
-        carried = carry(p2, v, sigma, p1)
+        carried = _carried_column(*frames, v, sigma)
         assert carried in generators, (p2.matrix.rows, kind, v.bits)
         child = grow(p2, v)
         relabeled = Matroid(child.matrix, tuple(child_map[x] for x in child.labels))

@@ -65,8 +65,7 @@ MUTANTS = [
         "            elif not side.direct and any(not o.direct for o in rec.sides if o is not side):\n"
         '                fail(f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}")\n',
         "",
-        ("tests",),
-        survives="not equivalent: no test input has an active record with two sides relying on lambda(A u x)",
+        ("tests/test_structure.py::TestCorollary22::test_coupling_violations_are_noted_on_e3",),
     ),
     Mutant(
         "one-step-lax-le",
@@ -86,27 +85,16 @@ MUTANTS = [
             "tests/test_extension.py::TestCoextend::test_new_element_is_in_a_cocircuit_with_marked_columns",
         ),
     ),
-    # A repeat parent's rows differ from the first parent's only where the
-    # two presentations differ: on the catalog's E4 only the dual
-    # orientation, which carries E4*'s growths onto E4's, shows this mutant.
+    # Carrying a coextension row as a column of the parents themselves,
+    # not of their duals, reads the row's bits as basis labels.
     Mutant(
-        "carried-row-reduces-by-p2",
+        "carry-frame-not-dualed",
         "src/binmat/structure.py",
-        "            v ^= p1.matrix.rows[i]\n",
-        "            v ^= p2.matrix.rows[i]\n",
+        '"coextension": (dual(p2), dual(p1))',
+        '"coextension": (p2, p1)',
         (
             "tests/test_structure.py::test_carried_rows_map_children_of_random_presentations",
             "tests/test_structure.py::test_carried_generators_map_children_across_duality[coextension-E4]",
-        ),
-    ),
-    Mutant(
-        "carried-row-masks-basis",
-        "src/binmat/structure.py",
-        "    for i in range(r):\n        if (v >> i) & 1:\n            v ^= p1.matrix.rows[i]\n",
-        "",
-        (
-            "tests/test_structure.py::test_carried_rows_map_e4_children_onto_the_first_parents_children",
-            "tests/test_structure.py::test_two_step_phase_asks_nothing_of_a_repeat_parents_children",
         ),
     ),
     Mutant(
