@@ -155,7 +155,7 @@ def _cmd_splitter(args) -> int:
         print("splitter: yes")
     else:
         print(f"splitter: no ({len(counterexamples)} in-class growths)")
-        for kind, v, _child in counterexamples:
+        for kind, v in counterexamples:
             print(f"  {kind} {v}")
     return 0
 

@@ -11,7 +11,7 @@ per bipartition.
 
 from __future__ import annotations
 
-from .matroid import Matroid, is_union_of_circuits_and_cocircuits
+from .matroid import Matroid, is_union_of_circuits, is_union_of_cocircuits
 
 
 def lam(m: Matroid, x, deletions=(), contractions=()) -> int:
@@ -99,7 +99,7 @@ def nonminimal_exact_3seps(m: Matroid, require_unions: bool = False) -> list[fro
             continue
         sides = sorted((m.labels_of(mask), m.labels_of(m.full_mask & ~mask)), key=sorted)
         if require_unions:
-            sides = [s for s in sides if all(is_union_of_circuits_and_cocircuits(m, s))]
+            sides = [s for s in sides if is_union_of_circuits(m, s) and is_union_of_cocircuits(m, s)]
         if sides:
             out.append(sides[0])
     return sorted(out, key=sorted)

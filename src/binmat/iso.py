@@ -423,13 +423,16 @@ class IsoIndex:
 
     def find(self, m: Matroid, make: Callable[[], object]):
         """(value, map) for m's class: the map is `isomorphism` from m onto
-        the class's first matroid, which is kept.  A new class gets
-        ``make()``, kept with m itself, and the map None."""
+        the class's first matroid, which is kept, or None when m is that
+        matroid itself, found by identity without a search.  A new class
+        gets ``make()``, kept with m itself, so its map is None too."""
         bucket = self._buckets.setdefault(weight_profile(m), [])
+        for kept, value in bucket:
+            if kept is m:
+                return value, None
         for kept, value in bucket:
             if (found := isomorphism(m, kept)) is not None:
                 return value, found
         value = make()
         bucket.append((m, value))
         return value, None
-

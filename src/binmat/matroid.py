@@ -181,15 +181,21 @@ def remove(m: Matroid, deletions=(), contractions=()) -> Matroid:
     return Matroid(matrix, tuple(m.labels[p] for p in order))
 
 
-def is_union_of_circuits_and_cocircuits(m: Matroid, a) -> tuple[bool, bool]:
-    """Whether `a` is a union of circuits, and a union of cocircuits.
-
-    The empty set qualifies on both counts.  A is a union of circuits iff
-    no a in A is a coloop of M|A, r(A - a) = r(A), and a union of
-    cocircuits iff no a in A lies in the closure of E - A.
-    """
+def is_union_of_circuits(m: Matroid, a) -> bool:
+    """Whether the label set `a` is a union of circuits: r(A - e) = r(A)
+    for each e in A, no coloop of M|A.  The empty set qualifies."""
     mask = m.mask_of(a)
-    return _union_of_circuits(m, mask), _union_of_cocircuits(m, mask)
+    r_a = m.rank_of_mask(mask)
+    return all(m.rank_of_mask(mask & ~(1 << p)) == r_a for p in range(m.size) if (mask >> p) & 1)
+
+
+def is_union_of_cocircuits(m: Matroid, a) -> bool:
+    """Whether the label set `a` is a union of cocircuits: no element of
+    A lies in the closure of E - A.  The empty set qualifies."""
+    mask = m.mask_of(a)
+    rest = m.full_mask & ~mask
+    r_rest = m.rank_of_mask(rest)
+    return all(m.rank_of_mask(rest | 1 << p) > r_rest for p in range(m.size) if (mask >> p) & 1)
 
 
 def is_circuit(m: Matroid, s) -> bool:
@@ -197,25 +203,14 @@ def is_circuit(m: Matroid, s) -> bool:
     |s| - r(s) = 1, since a set holding two circuits has nullity at least
     2 (J. Oxley, *Matroid Theory*, 2nd ed., 2011)."""
     mask = m.mask_of(s)
-    return mask.bit_count() - m.rank_of_mask(mask) == 1 and _union_of_circuits(m, mask)
+    return mask.bit_count() - m.rank_of_mask(mask) == 1 and is_union_of_circuits(m, s)
 
 
 def is_cocircuit(m: Matroid, s) -> bool:
     """Whether the label set `s` is a cocircuit: a union of cocircuits
     with r(E - s) = r - 1, the dual of `is_circuit`'s test."""
     mask = m.mask_of(s)
-    return m.rank_of_mask(m.full_mask & ~mask) == m.rank - 1 and _union_of_cocircuits(m, mask)
-
-
-def _union_of_circuits(m: Matroid, mask: int) -> bool:
-    r_a = m.rank_of_mask(mask)
-    return all(m.rank_of_mask(mask & ~(1 << p)) == r_a for p in range(m.size) if (mask >> p) & 1)
-
-
-def _union_of_cocircuits(m: Matroid, mask: int) -> bool:
-    rest = m.full_mask & ~mask
-    r_rest = m.rank_of_mask(rest)
-    return all(m.rank_of_mask(rest | 1 << p) > r_rest for p in range(m.size) if (mask >> p) & 1)
+    return m.rank_of_mask(m.full_mask & ~mask) == m.rank - 1 and is_union_of_cocircuits(m, s)
 
 
 def simplicity(m: Matroid) -> tuple[bool, bool]:

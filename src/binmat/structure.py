@@ -10,17 +10,17 @@ goes through an `ExcludedClass`, which runs `in_class` once per
 isomorphism class of the matroids it is asked about.  One object
 serves the splitter test, the decomposer's children in both
 orientations, and every caller that keeps it, such as one verification
-run.  Every growth question, from the splitter test, both decomposer
-phases and `growth_classes_in`, goes through
-`ExcludedClass.growth_membership`, once per parent: isomorphic parents
-have isomorphic children, so a parent isomorphic to one the class has
-met takes its children's answers along the parents' map, by one rule
-for columns and rows (orbit reuse, after B. D. McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998).  That covers a repeat
-one-step extension in the two-step phase, and the whole dual orientation
-of a base isomorphic to its dual, whose class is the same object.  Only
-in-class children without a deferred minor get per-side records; the
-records' `active` property states this once.
+run.  Every growth question, from `growth_classes_in` (the claims'
+and the splitter test's, one per class) and both decomposer phases,
+goes through `ExcludedClass.growth_membership`, once per parent:
+isomorphic parents have isomorphic children, so a parent isomorphic to
+one the class has met takes its children's answers along the parents'
+map, by one rule for columns and rows (orbit reuse, after B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  That
+covers a repeat one-step extension in the two-step phase, and the whole
+dual orientation of a base isomorphic to its dual, whose class is the
+same object.  Only in-class children without a deferred minor get
+per-side records; the records' `active` property states this once.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -52,7 +52,8 @@ from .extension import enumerate_growth_classes, extend, growth_labels, growths
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, cocycle_index, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
-from .matroid import Matroid, dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, remove, simplicity
+from .matroid import Matroid, dual, is_circuit, is_cocircuit, is_union_of_circuits, is_union_of_cocircuits
+from .matroid import remove, simplicity
 
 
 class HypothesisError(ValueError):
@@ -263,24 +264,22 @@ def growth_classes_in(parent: Matroid, kind: str, excluded, classes=None):
 
 
 def is_splitter(n: Matroid, excluded):
-    """Splitter test via the finite extension/coextension criterion.
-
-    Requires n 3-connected and in the class (`excluded`: an
+    """Splitter test by Seymour's finite criterion (P. D. Seymour, J.
+    Combin. Theory Ser. B 1980), which needs one growth per isomorphism
+    class.  Requires n 3-connected and in the class (`excluded`: an
     `ExcludedClass` or a list of excluded minors).  Returns (flag,
-    counterexamples) where counterexamples lists the in-class children as
-    (kind, generator, child) triples.
-    """
+    counterexamples): every member of each `growth_classes_in` class of
+    each kind, extensions first, as a (kind, generator) pair."""
     excluded = _as_class(excluded)
     if not is_n_connected(n, 3):
         raise ValueError("splitter candidate must be 3-connected")
     if n not in excluded:
         raise ValueError("splitter candidate must belong to the class")
-    ask = excluded.growth_membership(n)
     counterexamples = [
-        (kind, v, child)
+        (kind, v)
         for kind in ("extension", "coextension")
-        for v, child in growths(n, kind)
-        if ask(kind, v, child)
+        for c in growth_classes_in(n, kind, excluded)
+        for v in c.members
     ]
     return (not counterexamples, counterexamples)
 
@@ -366,12 +365,11 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
             raise ValueError(f"both sides must have at least {k} elements")
         if lv != k - 1:
             raise HypothesisError("not-exact", f"lambda({sorted(a)}) = {lv}, not {k - 1}")
-        uc, ucc = is_union_of_circuits_and_cocircuits(n, a)
-        if not uc:
+        if not is_union_of_circuits(n, a):
             raise HypothesisError(
                 "not-union-of-circuits", f"{sorted(a)} is not a union of circuits"
             )
-        if not ucc:
+        if not is_union_of_cocircuits(n, a):
             raise HypothesisError(
                 "not-union-of-cocircuits", f"{sorted(a)} is not a union of cocircuits"
             )

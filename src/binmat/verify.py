@@ -31,7 +31,7 @@ from .connectivity import (
 from .extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
-from .matroid import dual, is_circuit, is_cocircuit, is_union_of_circuits_and_cocircuits, make_matroid
+from .matroid import dual, is_circuit, is_cocircuit, is_union_of_circuits, is_union_of_cocircuits, make_matroid
 from .structure import ExcludedClass, Verdict, corollary22_check, growth_classes_in, is_splitter, theorem21_check
 from .tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B
 
@@ -219,12 +219,11 @@ def _c_claim2_sep_unions(ctx):
     computed = {
         "A-is-circuit": is_circuit(p9, a),
         "A-is-cocircuit": is_cocircuit(p9, a),
-        # (circuits_ok, cocircuits_ok) covered-support tests.
-        "B-union-of-cocircuits": is_union_of_circuits_and_cocircuits(p9, ground - a)[1],
-        "B1-union-of-cocircuits": is_union_of_circuits_and_cocircuits(p9, ground - a1)[1],
-        "B2-union-of-cocircuits": is_union_of_circuits_and_cocircuits(p9, ground - a2)[1],
-        "A1-union-of-circuits": is_union_of_circuits_and_cocircuits(p9, a1)[0],
-        "A2-union-of-circuits": is_union_of_circuits_and_cocircuits(p9, a2)[0],
+        "B-union-of-cocircuits": is_union_of_cocircuits(p9, ground - a),
+        "B1-union-of-cocircuits": is_union_of_cocircuits(p9, ground - a1),
+        "B2-union-of-cocircuits": is_union_of_cocircuits(p9, ground - a2),
+        "A1-union-of-circuits": is_union_of_circuits(p9, a1),
+        "A2-union-of-circuits": is_union_of_circuits(p9, a2),
     }
     expected = {
         "A-is-circuit": True,
@@ -359,9 +358,9 @@ def _c_claim3_s10_minor(ctx):
     return True, not growth_classes_in(ctx.e5_working, "extension", ctx.ex_s10, ctx.e5_working_classes)
 
 
-def _c_splitter(name):
+def _c_splitter(base):
     def check(ctx):
-        flag, counterexamples = is_splitter(ctx.m(name), ctx.ex_s10)
+        flag, counterexamples = is_splitter(base(ctx), ctx.ex_s10)
         return (
             {"splitter": True, "counterexamples": 0},
             {"splitter": flag, "counterexamples": len(counterexamples)},
@@ -624,12 +623,12 @@ def _registry():
         ("claim3.e5-extension-class-count", "printed", "Claim 3, seven extension groups", _c_claim3_class_count),
         ("claim3.e5-extension-classes", "printed", "Claim 3, ext1..ext7 bullets", _c_claim3_classes),
         ("claim3.e5-extensions-s10-minor", "printed", "Claim 3, every extension has S10 minor", _c_claim3_s10_minor),
-        ("claim3.e5-splitter", "strict", "Claim 3, conclusion", _c_splitter("E5")),
+        ("claim3.e5-splitter", "strict", "Claim 3, conclusion", _c_splitter(lambda ctx: ctx.e5_working)),
         ("e4.extension-generators", "printed", "Theorem 1.1 proof, E4 extensions A/B/C/T12-e", _c_e4_extensions),
         ("e4.coextension-generators", "printed", "Theorem 1.1 proof, E4 coextensions", _c_e4_coextensions),
         ("e4.nonminimal-3seps", "printed", "Theorem 1.1 proof, (A1,B1) and (A2,B2)", _c_e4_3seps),
         ("e4.separation-unions", "printed", "Theorem 1.1 proof, circuit/cocircuit covers", _c_e4_sep_unions),
-        ("t12.splitter", "strict", "Theorem 1.1 proof, T12 splitter escalation", _c_splitter("T12")),
+        ("t12.splitter", "strict", "Theorem 1.1 proof, T12 splitter escalation", _c_splitter(lambda ctx: ctx.m("T12"))),
         ("t12.4-connected", "printed", "Introduction, 'self-dual 4-connected matroid'", _c_t12_4connected),
         ("mk33star.extension-classes", "printed", "Introduction, S10 the only extension of M*(K3,3)", _c_mk33star),
         ("connectivity.internally-4-connected.S10", "printed", "Introduction, S10 internally 4-connected family", _c_i4c("S10", True)),

@@ -106,9 +106,11 @@ class TestCommands:
         assert out == "yes  delete [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]  contract []\n"
 
     def test_splitter(self, capsys):
-        code, out, _ = run(capsys, "splitter", "S8", "--exclude", "P9,P9*")
-        assert code == 0
-        assert "no" in out.lower() or "not" in out.lower()
+        assert run(capsys, "splitter", "S8", "--exclude", "P9,P9*") == (
+            0,
+            "splitter: no (2 in-class growths)\n  extension [1110]\n  coextension [1110]\n",
+            "",
+        )
         assert run(capsys, "splitter", "T12", "--exclude", "S10,S10*") == (0, "splitter: yes\n", "")
 
     def test_decomposer_two_sides(self, capsys):

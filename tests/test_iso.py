@@ -512,6 +512,29 @@ def _random_colouring(rng, n):
     return [rng.randrange(palette) for _ in range(n)]
 
 
+class TestIsoIndex:
+    def test_kept_matroid_is_found_by_identity(self, monkeypatch):
+        # Two classes share one weight-profile bucket.  Each kept matroid
+        # finds its own value with map None and no isomorphism call, the
+        # second too, behind the first; a relabeled copy gets a map.
+        rng = random.Random(5)
+        first: dict[tuple, Matroid] = {}
+        while True:
+            m = _random_simple_cosimple(rng, 10, 5)
+            other = first.setdefault(weight_profile(m), m)
+            if other is not m and not are_isomorphic(m, other):
+                break
+        index = iso.IsoIndex()
+        assert index.find(other, lambda: "A") == ("A", None)
+        assert index.find(m, lambda: "B") == ("B", None)
+        value, sigma = index.find(relabeled_copy(m, rng), lambda: "C")
+        assert value == "B" and sigma is not None
+        calls = []
+        monkeypatch.setattr(iso, "isomorphism", lambda a, b: calls.append(a))
+        assert [index.find(k, lambda: "C") for k in (other, m)] == [("A", None), ("B", None)]
+        assert calls == []
+
+
 class TestColourBases:
     def test_walk_matches_filtered_combinations(self):
         # Same tuples in the same order as filtering every r-subset, for

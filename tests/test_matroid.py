@@ -15,7 +15,8 @@ from binmat.matroid import (
     dual,
     is_circuit,
     is_cocircuit,
-    is_union_of_circuits_and_cocircuits,
+    is_union_of_circuits,
+    is_union_of_cocircuits,
     make_matroid,
     remove,
     simplicity,
@@ -125,11 +126,11 @@ class TestCircuits:
         m = M("F7")
         # Any circuit is a union of circuits; the full ground set is both.
         c = min(oracle_circuits(m), key=sorted)
-        assert is_union_of_circuits_and_cocircuits(m, c)[0]
+        assert is_union_of_circuits(m, c)
         full = m.ground_set()
-        assert is_union_of_circuits_and_cocircuits(m, full) == (True, True)
+        assert is_union_of_circuits(m, full) and is_union_of_cocircuits(m, full)
         # A single element of a simple matroid is neither.
-        assert is_union_of_circuits_and_cocircuits(m, {1}) == (False, False)
+        assert not is_union_of_circuits(m, {1}) and not is_union_of_cocircuits(m, {1})
 
     def test_union_predicates_match_circuit_and_cocircuit_lists(self):
         # The rank tests against unions of the enumerated (co)circuits
@@ -149,7 +150,7 @@ class TestCircuits:
                 expected = tuple(
                     frozenset().union(*(c for c in fam if c <= a)) == a for fam in fams
                 )
-                assert is_union_of_circuits_and_cocircuits(m, a) == expected, (name, a)
+                assert (is_union_of_circuits(m, a), is_union_of_cocircuits(m, a)) == expected, (name, a)
                 checked += 1
         assert checked > 7000
 

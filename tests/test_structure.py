@@ -9,7 +9,7 @@ import pytest
 from binmat import iso, structure
 from binmat.catalog import get
 from binmat.extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels, growths
-from binmat.gf2 import BitMatrix
+from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic, canonical_key, cocycle_index, isomorphism, weight_profile
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import (
@@ -422,11 +422,29 @@ class TestIsSplitter:
     def test_s8_is_not_a_splitter_for_ex_p9(self):
         ok, counterexamples = is_splitter(M("S8"), [M("P9"), M("P9*")])
         assert not ok
-        kinds = {(kind, str(v)) for kind, v, _ in counterexamples}
+        kinds = {(kind, str(v)) for kind, v in counterexamples}
         assert kinds == {("extension", "[1110]"), ("coextension", "[1110]")}
-        for kind, v, child in counterexamples:
+        for kind, v in counterexamples:
+            child = (extend if kind == "extension" else coextend)(M("S8"), v)
             assert child.size == 9
             assert in_class(child, [M("P9"), M("P9*")])
+
+    def test_p9_census_matches_a_search_per_growth(self):
+        # One question per growth class, and every member of an in-class
+        # class listed: the pairs are those a fresh search of each growth
+        # keeps, E4 among them as 8 coextension rows of one class.
+        p9, family = M("P9"), [M("S10"), M("S10*")]
+        ok, counterexamples = is_splitter(p9, family)
+        oracle = {
+            (kind, v)
+            for kind in ("extension", "coextension")
+            for v, child in growths(p9, kind)
+            if in_class(child, family)
+        }
+        assert not ok and len(counterexamples) == len(set(counterexamples)) == 24
+        assert set(counterexamples) == oracle
+        rows = [v for kind, v in counterexamples if kind == "coextension"]
+        assert sum(are_isomorphic(coextend(p9, v), M("E4")) for v in rows) == 8
 
     def test_requires_three_connectivity(self):
         # A matroid with a 2-separation is rejected outright.
@@ -841,6 +859,23 @@ def test_growth_membership_matches_fresh_searches(name):
                     assert answer == in_class(child, family), (p.matrix.rows, kind, v.bits)
                     seen[answer] += 1
     assert seen[False] >= 20 and (seen[True] >= 20 or name == "M(K4)"), seen
+
+
+def test_growth_membership_of_a_kept_parent_builds_no_frames(monkeypatch):
+    # The class finds the parent it keeps by identity, so asking that
+    # object again carries nothing; a relabeled copy carries once.
+    carry, built = structure._carry_frames, []
+    monkeypatch.setattr(structure, "_carry_frames", lambda p2, p1: built.append(p2) or carry(p2, p1))
+    cls, s8 = ExcludedClass([M("P9"), M("P9*")]), fresh("S8")
+    for p in (s8, s8):
+        ask = cls.growth_membership(p)
+        assert [v for v, child in growths(p, "extension") if ask("extension", v, child)] == [
+            BitVector.parse("1110")
+        ]
+    assert built == []
+    copy = relabeled_copy(s8, random.Random(26))
+    cls.growth_membership(copy)
+    assert built == [copy]
 
 
 def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):

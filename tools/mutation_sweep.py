@@ -107,6 +107,23 @@ MUTANTS = [
             "tests/test_structure.py::test_carried_generators_map_children_across_duality[extension-E4]",
         ),
     ),
+    # The census asks one question per growth class, but must list every
+    # member of an in-class class.
+    Mutant(
+        "splitter-lists-least-member-only",
+        "src/binmat/structure.py",
+        "for v in c.members\n",
+        "for v in c.members[:1]\n",
+        ("tests/test_structure.py::TestIsSplitter::test_p9_census_matches_a_search_per_growth",),
+    ),
+    Mutant(
+        "good-for-no-side-deleted",
+        "src/binmat/structure.py",
+        "            elif Verdict.GOOD not in verdicts:\n"
+        '                fail(f"candidate {rec.parent_vector}/{rec.row} is good for no side")\n',
+        "",
+        ("tests/test_structure.py::TestTheorem21::test_two_step_failure_on_one_e4_side",),
+    ),
 ]
 
 
