@@ -124,10 +124,10 @@ def _cmd_lambda(args) -> int:
 def _cmd_exts(args) -> int:
     m = _load(args.name)
     kind = "coextension" if args.co else "extension"
-    excluded = _parse_matroid_list(args.exclude) if args.exclude is not None else None
-    classes = enumerate_growth_classes(m, kind)
-    if excluded is not None:
-        classes = growth_classes_in(m, kind, excluded, classes)
+    if args.exclude is not None:
+        classes = growth_classes_in(m, kind, _parse_matroid_list(args.exclude))
+    else:
+        classes = enumerate_growth_classes(m, kind)
     for i, c in enumerate(classes, 1):
         members = " ".join(str(v) for v in c.members)
         print(f"class {i} ({len(c.members)} generators): {members}")

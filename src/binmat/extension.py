@@ -12,7 +12,7 @@ a growth computes no rank.  `growth_labels` is the one statement of
 where a growth puts its labels: an extension keeps every parent label
 and adds n+1; a coextension adds r+1 and moves labels above r up by one.
 `enumerate_growth_classes` groups the growths of one kind into
-isomorphism classes.
+isomorphism classes, once per matroid and kind; the parent keeps them.
 """
 
 from __future__ import annotations
@@ -118,26 +118,30 @@ def growths(m: Matroid, kind: str):
     return ((v, grow(m, v)) for v in candidates)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsoClass:
     """A group of generator vectors whose children are pairwise isomorphic."""
 
     representative: Matroid
-    members: list[BitVector]
+    members: tuple[BitVector, ...]
 
 
-def enumerate_growth_classes(m: Matroid, kind: str) -> list[IsoClass]:
+def enumerate_growth_classes(m: Matroid, kind: str) -> tuple[IsoClass, ...]:
     """All growth candidates of one kind (see `growths`) grouped into
-    isomorphism classes by an `IsoIndex`.  Growths come in ascending
-    bracket order, so each class lists its generators in ascending order,
-    its representative is the child of the least one, and classes are
-    ordered by their least generator.  `structure.growth_classes_in`
-    keeps the classes inside an excluded-minor class."""
-    classes: list[IsoClass] = []
-    index = IsoIndex()
-    for v, child in growths(m, kind):
-        cls, _ = index.find(child, lambda: IsoClass(child, []))
-        if not cls.members:  # a new class
-            classes.append(cls)
-        cls.members.append(v)
+    isomorphism classes by an `IsoIndex`, once per matroid and kind: m
+    keeps the tuple, and every later call returns it.  Growths come in
+    ascending bracket order, so each class lists its generators in
+    ascending order, its representative is the child of the least one,
+    and classes are ordered by their least generator.  The classes inside
+    an excluded-minor class are `structure.growth_classes_in`."""
+    classes = m._growth_classes.get(kind)
+    if classes is None:
+        groups: list[tuple[Matroid, list[BitVector]]] = []
+        index = IsoIndex()
+        for v, child in growths(m, kind):
+            members, _ = index.find(child, list)
+            if not members:  # a new class, represented by this child
+                groups.append((child, members))
+            members.append(v)
+        classes = m._growth_classes[kind] = tuple(IsoClass(rep, tuple(vs)) for rep, vs in groups)
     return classes

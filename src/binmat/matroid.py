@@ -5,7 +5,8 @@ together with an ordered tuple of distinct positive integer labels, one
 per column.  Public operations speak in labels, except those named for
 masks, which work on bit positions.  Instances are immutable after
 construction and cache ranks, the cocycle space transposed
-(`iso.cocycle_index`) and element colours internally.  Circuits and
+(`iso.cocycle_index`), element colours and growth classes of each kind
+(`extension.enumerate_growth_classes`) internally.  Circuits and
 cocircuits are decided by rank on label sets (`is_circuit`,
 `is_cocircuit`), never listed.
 """
@@ -41,6 +42,7 @@ class Matroid:
         self._rank_cache: dict[int, int] = {0: 0}
         self._cocycle_index: tuple | None = None
         self._element_colours: tuple | None = None
+        self._growth_classes: dict[str, tuple] = {}  # kind -> `extension.enumerate_growth_classes`
 
     # -- label/mask bookkeeping -------------------------------------------
 

@@ -253,14 +253,14 @@ def _as_class(family) -> ExcludedClass:
     return family if isinstance(family, ExcludedClass) else ExcludedClass(family)
 
 
-def growth_classes_in(parent: Matroid, kind: str, excluded, classes=None):
-    """The growth classes of `parent` of `kind` (`classes`, if already
-    enumerated) that lie in `excluded`, an `ExcludedClass` or a list of
-    excluded minors, each asked through `growth_membership` by its least
-    generator and that generator's child, its representative."""
+def growth_classes_in(parent: Matroid, kind: str, excluded):
+    """The growth classes of `parent` of `kind` (`enumerate_growth_classes`,
+    which enumerates them once per parent) that lie in `excluded`, an
+    `ExcludedClass` or a list of excluded minors, each asked through
+    `growth_membership` by its least generator and that generator's
+    child, its representative."""
     ask = _as_class(excluded).growth_membership(parent)
-    classes = enumerate_growth_classes(parent, kind) if classes is None else classes
-    return [c for c in classes if ask(kind, c.members[0], c.representative)]
+    return [c for c in enumerate_growth_classes(parent, kind) if ask(kind, c.members[0], c.representative)]
 
 
 def is_splitter(n: Matroid, excluded):

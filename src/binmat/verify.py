@@ -47,11 +47,12 @@ _E5_WORKING_D_BLOCK = ["01111", "10111", "11001", "11101", "01011"]
 
 
 class _Context:
-    """The run's shared work, evaluated lazily and once.  It holds two
-    kinds of value: the four `ExcludedClass` families, through which
-    every claim asks its membership questions, and values that two or
-    more claims read.  A value that one claim reads is computed in that
-    claim."""
+    """The run's shared work, evaluated lazily and once: the four
+    `ExcludedClass` families (EX[S10, S10*], EX[P9, P9*], P9's decomposer
+    family, the T12 deferral), through which every claim asks membership,
+    and the values several claims read, E5's working presentation (one
+    object per run) and E4's report.  A value one claim reads is computed
+    in that claim; growth classes are kept by their parent."""
 
     def m(self, name: str):
         return get(name).matroid
@@ -73,20 +74,8 @@ class _Context:
         return ExcludedClass([self.m("T12/e"), self.m("T12\\e")])
 
     @cached_property
-    def f7star_classes(self):
-        return enumerate_growth_classes(self.m("F7*"), "extension")
-
-    @cached_property
-    def p9_coext_classes(self):
-        return enumerate_growth_classes(self.m("P9"), "coextension")
-
-    @cached_property
     def e5_working(self):
         return make_matroid(standard_matrix(_E5_WORKING_D_BLOCK))
-
-    @cached_property
-    def e5_working_classes(self):
-        return enumerate_growth_classes(self.e5_working, "extension")
 
     @cached_property
     def e4_report(self):
@@ -138,18 +127,20 @@ def _bullet_classes(classes, bullets: dict[str, list[str]]) -> dict:
 
 
 def _c_f7star_class_count(ctx):
-    return 2, len(ctx.f7star_classes)
+    return 2, len(enumerate_growth_classes(ctx.m("F7*"), "extension"))
 
 
 def _c_f7star_ag32(ctx):
     expected = {"generators": ["[1110]"], "isomorphic": True}
-    return expected, _named_classes(ctx, ctx.f7star_classes, ["AG(3,2)"], ["1110"])["AG(3,2)"]
+    classes = enumerate_growth_classes(ctx.m("F7*"), "extension")
+    return expected, _named_classes(ctx, classes, ["AG(3,2)"], ["1110"])["AG(3,2)"]
 
 
 def _c_f7star_s8(ctx):
     printed = ["[0011]", "[0101]", "[0110]", "[1001]", "[1100]", "[1111]"]
     expected = {"generators": printed, "isomorphic": True}
-    return expected, _named_classes(ctx, ctx.f7star_classes, ["S8"], ["0011"])["S8"]
+    classes = enumerate_growth_classes(ctx.m("F7*"), "extension")
+    return expected, _named_classes(ctx, classes, ["S8"], ["0011"])["S8"]
 
 
 def _c_claim1_sep_lambda(ctx):
@@ -259,7 +250,7 @@ def _c_claim2_ext_lambda(ctx):
 
 
 def _c_claim2_coext_count(ctx):
-    return 8, len(ctx.p9_coext_classes)
+    return 8, len(enumerate_growth_classes(ctx.m("P9"), "coextension"))
 
 
 _CLAIM2_COEXT_BULLETS = {
@@ -281,7 +272,7 @@ def _c_claim2_coext_classes(ctx):
     }
     computed = _named_classes(
         ctx,
-        ctx.p9_coext_classes,
+        enumerate_growth_classes(ctx.m("P9"), "coextension"),
         list(_CLAIM2_COEXT_BULLETS),
         [bullets[0] for bullets in _CLAIM2_COEXT_BULLETS.values()],
     )
@@ -335,7 +326,7 @@ def _c_claim3_representation(ctx):
 
 
 def _c_claim3_class_count(ctx):
-    return 7, len(ctx.e5_working_classes)
+    return 7, len(enumerate_growth_classes(ctx.e5_working, "extension"))
 
 
 _CLAIM3_BULLETS = {
@@ -351,11 +342,11 @@ _CLAIM3_BULLETS = {
 
 def _c_claim3_classes(ctx):
     expected = {name: [_vs(b) for b in sorted(bullets)] for name, bullets in _CLAIM3_BULLETS.items()}
-    return expected, _bullet_classes(ctx.e5_working_classes, _CLAIM3_BULLETS)
+    return expected, _bullet_classes(enumerate_growth_classes(ctx.e5_working, "extension"), _CLAIM3_BULLETS)
 
 
 def _c_claim3_s10_minor(ctx):
-    return True, not growth_classes_in(ctx.e5_working, "extension", ctx.ex_s10, ctx.e5_working_classes)
+    return True, not growth_classes_in(ctx.e5_working, "extension", ctx.ex_s10)
 
 
 def _c_splitter(base):

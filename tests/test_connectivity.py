@@ -18,7 +18,7 @@ from binmat.gf2 import BitMatrix
 from binmat.matroid import Matroid, dual, remove
 from binmat.structure import HypothesisError, theorem21_check
 
-from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids
+from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids, relabeled_copy
 
 
 def M(name):
@@ -161,6 +161,17 @@ class TestSeparations:
             got = nonminimal_exact_3seps(m, require_unions=True)
             expected = oracle_3seps(m, lambda s: covered_by(s, circ) and covered_by(s, cocirc))
             assert [tuple(sorted(s)) for s in got] == expected, name
+
+    @pytest.mark.parametrize("name", ["S8", "P9", "E4", "E5"])
+    def test_nonminimal_3seps_are_invariant_under_presentation(self, name):
+        # Separations are label sets, so the same labeled matroid on
+        # other bases, with other labels in front, gives the same sides.
+        expected = {u: nonminimal_exact_3seps(M(name), require_unions=u) for u in (False, True)}
+        rng = random.Random(8)
+        for _ in range(10):
+            m = relabeled_copy(M(name), rng)
+            for u in (False, True):
+                assert nonminimal_exact_3seps(m, require_unions=u) == expected[u], (m.labels, u)
 
 
 def random_matroid(rng, n):

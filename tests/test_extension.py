@@ -1,9 +1,12 @@
 """Unit and property tests for single-element growth steps."""
 
 import random
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
+from binmat import iso
 from binmat.catalog import get, list_names
 from binmat.extension import (
     coextend,
@@ -14,11 +17,11 @@ from binmat.extension import (
     growths,
 )
 from binmat.gf2 import BitMatrix, BitVector
-from binmat.iso import are_isomorphic
+from binmat.iso import are_isomorphic, weight_profile
 from binmat.matroid import Matroid, dual, make_matroid, remove, simplicity
 from binmat.structure import ExcludedClass, growth_classes_in, in_class
 
-from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_shift_label, oracle_shift_labels
+from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_shift_label, oracle_shift_labels, relabeled_copy
 
 
 def M(name):
@@ -348,6 +351,51 @@ class TestGrowthClasses:
         members = [v.bits for c in classes for v in c.members]
         assert sorted(members) == sorted(v.bits for v in growth_candidates(m, "coextension"))
 
+    def test_classes_are_enumerated_once_per_matroid_and_kind(self, monkeypatch):
+        # The parent keeps its classes: asking again on the same object
+        # returns the same tuple and confirms no isomorphism.  The other
+        # kind, and a fresh copy of the parent, enumerate afresh.
+        def view(classes):
+            return [(c.representative.matrix.rows, c.representative.labels, c.members) for c in classes]
+
+        m = fresh("S8")
+        first = {kind: enumerate_growth_classes(m, kind) for kind in ("extension", "coextension")}
+        calls = []
+        isomorphism = iso.isomorphism
+        monkeypatch.setattr(iso, "isomorphism", lambda a, b: calls.append(a) or isomorphism(a, b))
+        for kind, classes in first.items():
+            assert enumerate_growth_classes(m, kind) is classes, kind
+            assert not calls, kind
+            again = enumerate_growth_classes(fresh("S8"), kind)
+            assert again is not classes and calls, kind
+            assert view(again) == view(classes), kind
+            calls.clear()
+        assert view(first["extension"]) != view(first["coextension"])
+
+    def test_kept_classes_cannot_be_changed(self):
+        classes = enumerate_growth_classes(fresh("P9"), "extension")
+        with pytest.raises(AttributeError):
+            classes.append(classes[0])
+        with pytest.raises(AttributeError):
+            classes[0].members.append(classes[1].members[0])
+        with pytest.raises(FrozenInstanceError):
+            classes[0].members = ()
+
+    @pytest.mark.parametrize("name", ["S8", "P9", "E4", "E5"])
+    def test_classes_are_invariant_under_presentation(self, name):
+        # Other bases order the generators, and so the representatives,
+        # differently; class sizes and representatives' weight profiles
+        # do not change.
+        def summary(m, kind):
+            classes = enumerate_growth_classes(m, kind)
+            return Counter((len(c.members), weight_profile(c.representative)) for c in classes)
+
+        expected = {kind: summary(fresh(name), kind) for kind in ("extension", "coextension")}
+        rng = random.Random(8)
+        for _ in range(10):
+            m = relabeled_copy(M(name), rng)
+            assert {kind: summary(m, kind) for kind in expected} == expected, m.labels
+
     def test_excluded_filter_drops_children_with_minors(self):
         # growth_classes_in keeps a class iff its representative has no
         # excluded minor, and keeps some classes and drops others.
@@ -357,7 +405,7 @@ class TestGrowthClasses:
             kept = growth_classes_in(M("S8"), kind, ExcludedClass(family))
             assert kept == [c for c in classes if in_class(c.representative, family)], kind
             assert kept and len(kept) < len(classes), kind
-            assert growth_classes_in(M("S8"), kind, family, classes) == kept, kind
+            assert growth_classes_in(M("S8"), kind, family) == kept, kind
 
     def test_growths_are_the_candidates_children(self):
         m = M("P9")

@@ -403,19 +403,21 @@ class TestInClass:
         )
 
 
-def _assert_records_match_fresh_searches(report, n, excluded, defer):
-    def membership(child):
-        if not in_class(child, excluded):
-            return False, False
-        return True, bool(defer) and not in_class(child, defer)
+def _fresh_membership(child, excluded, defer):
+    """(in the class, deferred) by a fresh `in_class` search per family."""
+    if not in_class(child, excluded):
+        return False, False
+    return True, bool(defer) and not in_class(child, defer)
 
+
+def _assert_records_match_fresh_searches(report, n, excluded, defer):
     for rec in report.one_step:
         child = (extend if rec.kind == "extension" else coextend)(n, rec.vector)
-        assert (rec.in_class, rec.deferred) == membership(child), (rec.kind, str(rec.vector))
+        assert (rec.in_class, rec.deferred) == _fresh_membership(child, excluded, defer), (rec.kind, str(rec.vector))
     for rec in report.two_step:
         child = coextend(extend(n, rec.parent_vector), rec.row)
         where = (str(rec.parent_vector), str(rec.row))
-        assert (rec.in_class, rec.deferred) == membership(child), where
+        assert (rec.in_class, rec.deferred) == _fresh_membership(child, excluded, defer), where
 
 
 class TestIsSplitter:
@@ -739,6 +741,123 @@ def test_classify_built_matches_a_literal_oracle():
         else:
             seen[{side_s: "S", side_s | {e}: "S u e", side_s | {f}: "S u f"}[out.witness_set]] += 1
     assert set(seen) == {"bridging", "bad", "S", "S u e", "S u f", "triangle"}, seen
+
+
+def _oracle_decompose(n, sides, k, excluded, defer, check_dual):
+    """The decomposer's result from the definitions, as nested plain
+    values: (overall, notes, one-step records, two-step records, the dual
+    orientation's result or None).  Every child is built by `extend` and
+    `coextend` on labels 1..n, its membership is a fresh `in_class`, its
+    lambdas are `oracle_lam` and its two-step verdicts `_oracle_classify`;
+    no `structure` code is used.
+
+    The acceptance rule, as `_decompose` states it: every side of every
+    active (in-class, not deferred) one-step candidate is satisfied, by
+    lambda(A) = k-1 (direct) or lambda(A u x) = k-1; a side that is not
+    direct needs every other side to be direct; and every active two-step
+    candidate is good for at least one side and bridging for none.  The
+    two-step candidates are the cosimple coextensions of the active
+    extensions, classified only when the one-step rule holds and some
+    side is not direct; when every side is direct, the one-element check
+    is noted instead.  With `check_dual` the same runs on the duals of n
+    and of both families, and fails the whole if it fails."""
+    t, r = k - 1, n.rank
+    notes, failures = [], 0
+    one, two = [], []
+    for kind, grow, x, moved in (
+        ("extension", extend, n.size + 1, sides),
+        ("coextension", coextend, r + 1, [oracle_shift_labels(a, r) for a in sides]),
+    ):
+        for v in growth_candidates(n, kind):
+            child = grow(n, v)
+            in_cls, deferred = _fresh_membership(child, excluded, defer)
+            active = in_cls and not deferred
+            lams = [(oracle_lam(child, a), oracle_lam(child, a | {x})) for a in moved if active]
+            one.append((kind, v, in_cls, deferred, lams))
+    for kind, v, _, _, lams in one:
+        direct = [la == t for la, _ in lams]
+        for i, (la, lax) in enumerate(lams):
+            if t not in (la, lax):
+                notes.append(f"one-step {kind} {v} fails condition (i)/(ii) on side {i + 1}")
+            elif not direct[i] and not all(direct[:i] + direct[i + 1 :]):
+                notes.append(f"one-step {kind} {v} violates the coupling on side {i + 1}")
+            else:
+                continue
+            failures += 1
+    if all(la == t for *_, lams in one for la, _ in lams):
+        notes.append("one-element check: every one-step candidate keeps lambda = k-1")
+    elif not failures:
+        e, f = oracle_shift_label(n.size + 1, r), r + 1
+        moved = [oracle_shift_labels(a, r) for a in sides]
+        for kind, v, *_, lams in one:
+            if kind != "extension" or not lams:
+                continue
+            type_i = extend(n, v)
+            for row in growth_candidates(type_i, "coextension"):
+                child = coextend(type_i, row)
+                in_cls, deferred = _fresh_membership(child, excluded, defer)
+                active = in_cls and not deferred
+                outcomes = [_oracle_classify(child, e, f, a, k) for a in moved if active]
+                two.append((v, row, in_cls, deferred, outcomes))
+                verdicts = [verdict for verdict, _, _ in outcomes]
+                if Verdict.BRIDGING in verdicts:
+                    notes.append(f"bridging candidate {v}/{row}")
+                elif outcomes and Verdict.GOOD not in verdicts:
+                    notes.append(f"candidate {v}/{row} is good for no side")
+                else:
+                    continue
+                failures += 1
+    dual_result = None
+    if check_dual:
+        duals = [dual(x) for x in excluded], [dual(x) for x in defer]
+        dual_result = _oracle_decompose(dual(n), sides, k, *duals, check_dual=False)
+        notes.append("dual-orientation check performed explicitly")
+        failures += dual_result[0] == "failed"
+    overall = "failed" if failures else ("induced", "induced-one-of-two")[len(sides) - 1]
+    return overall, notes, one, two, dual_result
+
+
+def _engine_result(report):
+    """A `DecomposerReport` in `_oracle_decompose`'s shape."""
+    if report is None:
+        return None
+    one = [
+        (rec.kind, rec.vector, rec.in_class, rec.deferred, [(s.lam_a, s.lam_ax) for s in rec.sides])
+        for rec in report.one_step
+    ]
+    two = [
+        (
+            rec.parent_vector,
+            rec.row,
+            rec.in_class,
+            rec.deferred,
+            [(o.verdict, o.witness_set, o.triangle_witness) for o in rec.sides],
+        )
+        for rec in report.two_step
+    ]
+    return report.overall, report.notes, one, two, _engine_result(report.dual_report)
+
+
+@pytest.mark.parametrize(
+    "n, sides, family, defer, check_dual",
+    [
+        ("E3", [{1, 2, 3, 4, 8, 9}, {1, 2, 5, 6, 7, 10}], ["S10", "S10*"], [], True),
+        ("E4", [SIDE_A1], ["S10", "S10*"], ["T12/e", "T12\\e"], False),
+        ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], True),
+    ],
+    ids=["E3-coupling", "E4-A1-alone", "E4-deferred"],
+)
+def test_decompose_matches_a_literal_oracle(n, sides, family, defer, check_dual):
+    # Every one-step record (membership, lambda pair), every two-step
+    # record (membership, verdict and witness per side), the notes and
+    # the overall result, in both orientations where the check runs both.
+    sides = [frozenset(a) for a in sides]
+    family, defer = [M(x) for x in family], [M(x) for x in defer]
+    entry = theorem21_check if len(sides) == 1 else corollary22_check
+    report = entry(M(n), *sides, 3, family, defer=defer, check_dual=check_dual)
+    expected = _oracle_decompose(M(n), sides, 3, family, defer, check_dual)
+    assert _engine_result(report) == expected
+    assert expected[0] == ("failed" if n == "E3" or len(sides) == 1 else "induced-one-of-two")
 
 
 def _e4_check(n):

@@ -65,7 +65,10 @@ MUTANTS = [
         "            elif not side.direct and any(not o.direct for o in rec.sides if o is not side):\n"
         '                fail(f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}")\n',
         "",
-        ("tests/test_structure.py::TestCorollary22::test_coupling_violations_are_noted_on_e3",),
+        (
+            "tests/test_structure.py::TestCorollary22::test_coupling_violations_are_noted_on_e3",
+            "tests/test_structure.py::test_decompose_matches_a_literal_oracle",
+        ),
     ),
     Mutant(
         "one-step-lax-le",
@@ -123,6 +126,26 @@ MUTANTS = [
         '                fail(f"candidate {rec.parent_vector}/{rec.row} is good for no side")\n',
         "",
         ("tests/test_structure.py::TestTheorem21::test_two_step_failure_on_one_e4_side",),
+    ),
+    # Reporting the side that holds the first column, not the smaller
+    # by sorted labels, is the same on the catalog's presentations, whose
+    # first column is label 1.
+    Mutant(
+        "3sep-side-by-first-column",
+        "src/binmat/connectivity.py",
+        "sides = sorted((m.labels_of(mask), m.labels_of(m.full_mask & ~mask)), key=sorted)",
+        "sides = [m.labels_of(mask), m.labels_of(m.full_mask & ~mask)]",
+        ("tests/test_connectivity.py::TestSeparations::test_nonminimal_3seps_are_invariant_under_presentation",),
+    ),
+    # A parent keeps one tuple per kind; read by the parent alone, the
+    # coextension classes of a parent asked for extensions first are its
+    # extension classes.
+    Mutant(
+        "growth-classes-cache-ignores-kind",
+        "src/binmat/extension.py",
+        "classes = m._growth_classes.get(kind)",
+        "classes = next(iter(m._growth_classes.values()), None)",
+        ("tests/test_extension.py::TestGrowthClasses::test_classes_are_enumerated_once_per_matroid_and_kind",),
     ),
 ]
 
