@@ -1,8 +1,9 @@
 """Connectivity function, k-separations, and their enumeration.
 
-lambda(X) = r(X) + r(E - X) - r(M).  Every value is read off the matroid's
-memoized subset ranks, including lambda in a minor M \\ D / C, whose rank
-function is r(Y u C) - r(C) on E - D - C: no minor is built.  Separations
+lambda(X) = r(X) + r(E - X) - r(M).  Every value is two subset ranks
+(`Matroid.rank_of_mask`, two lookups each in the matroid's rank tables),
+including lambda in a minor M \\ D / C, whose rank function is
+r(Y u C) - r(C) on E - D - C: no minor is built.  Separations
 are label sets, one side each.  Enumeration is exhaustive over the
 bipartitions (ground sets here never exceed ~15 elements), each taken once,
 and each connectivity predicate is one sweep that evaluates lambda once

@@ -115,7 +115,11 @@ class BitMatrix:
 
 
 def rank_of_columns(cols: Iterable[int]) -> int:
-    """GF(2) rank of a collection of bit-packed column vectors."""
+    """GF(2) rank of a collection of bit-packed column vectors.
+
+    `Matroid.rank_of_mask` reads ranks off `matroid.rank_tables` and calls
+    this only for a matroid too large to tabulate; the elimination shares
+    no code with the tables and is the tests' oracle for them."""
     pivots: dict[int, int] = {}  # top bit -> reduced vector
     for c in cols:
         while c:

@@ -14,13 +14,14 @@ complete assignment is returned as an element bijection.
 The search is guided by element colours (`element_colours`): each
 element's counts, by weight, of the cocycle-space vectors that contain
 it, after the refinement idea of McKay and Piperno (cited below).  They
-are read off `cocycle_index`, the cocycle masks transposed and cached: mask
-i is the sum of the rows k with bit k of i set (`gf2.span`), so the
-masks that contain an element are found from its column alone, as one
-index mask, and a count is one intersection with the index mask of the
-masks of one weight.  A pair whose colour multisets differ is rejected at
-once.  The other matroid's bases are enumerated by a pruned depth-first
-walk over positions in increasing order that visits only the bases with
+are read off `cocycle_index` (kept in `matroid`, whose rank tables read
+it too), the cocycle masks transposed and cached: mask i is the sum of
+the rows k with bit k of i set (`gf2.span`), so the masks that contain
+an element are found from its column alone, as one index mask, and a
+count is one intersection with the index mask of the masks of one
+weight.  A pair whose colour multisets differ is rejected at once.
+The other matroid's bases are enumerated by a pruned depth-first walk
+over positions in increasing order that visits only the bases with
 the colour multiset of the target's basis, in ``combinations`` order; a
 row goes only to a target row of its colour.  Colours cut only branches
 that cannot succeed, so the first match is the one the unguided search
@@ -59,11 +60,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from functools import cache
 from itertools import combinations
 
 from .gf2 import reduce_rows
-from .matroid import Matroid, dual
+from .matroid import Matroid, cocycle_index, dual
 
 
 def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
@@ -123,41 +123,6 @@ def _match_rows(
         return None
 
     return recurse((0,) * nd, list(range(r)))
-
-
-@cache
-def _index_masks(r: int) -> tuple[int, ...]:
-    """For each k < r, the 2^r-bit mask of the indices i with bit k set: the
-    indices of the cocycle masks that `gf2.span` builds with row k."""
-    full = (1 << (1 << r)) - 1
-    return tuple(full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(r))
-
-
-def cocycle_index(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """m's cocycle space transposed, as (of_weight, contains), cached on m.
-
-    Both hold index masks over ``cocycle_masks()``: bit i stands for mask
-    i.  ``of_weight[w]`` holds the masks of weight w, for w = 0..n.
-    ``contains[p]`` holds the masks that contain position p.  Mask i is
-    the sum of the rows k with bit k of i set, so p lies in it iff column
-    p and i share an odd number of bits: ``contains[p]`` is the sum of
-    the index masks of the rows that column p meets.
-    """
-    if m._cocycle_index is None:
-        of_weight = [0] * (m.size + 1)
-        for i, mk in enumerate(m.cocycle_masks()):
-            of_weight[mk.bit_count()] |= 1 << i
-        index = _index_masks(m.rank)
-        contains = list(index)  # column p < r is the unit vector of row p
-        for col in m._cols[m.rank :]:
-            acc = 0
-            while col:
-                low = col & -col
-                acc ^= index[low.bit_length() - 1]
-                col ^= low
-            contains.append(acc)
-        m._cocycle_index = (tuple(of_weight), tuple(contains))
-    return m._cocycle_index
 
 
 def element_colours(m: Matroid) -> tuple:

@@ -4,14 +4,29 @@ A :class:`Matroid` is a standard-form representation [I_r | D] over GF(2)
 together with an ordered tuple of distinct positive integer labels, one
 per column.  Public operations speak in labels, except those named for
 masks, which work on bit positions.  Instances are immutable after
-construction and cache ranks, the cocycle space transposed
-(`iso.cocycle_index`), element colours and growth classes of each kind
+construction and cache the cocycle space transposed (`cocycle_index`),
+the two half-tables subset ranks are read off (`rank_tables`), element
+colours and growth classes of each kind
 (`extension.enumerate_growth_classes`) internally.  Circuits and
 cocircuits are decided by rank on label sets (`is_circuit`,
 `is_cocircuit`), never listed.
+
+Ranks need no elimination.  The row vectors that vanish on a set X form
+a space of dimension r - r(X), so r(X) = r - log2 A(X), where A(X)
+counts the cocycle-space vectors that avoid X.  Those vectors are the
+AND of ``~contains[p]`` over p in X, one index mask.  `rank_tables`
+keeps that AND for every subset of the first h = n // 2 positions and
+for every subset of the rest, so each rank is two lookups, one AND and
+a popcount.  The tables hold 2^(n//2) + 2^(n - n//2) masks of 2^r bits,
+so they are kept only for n <= 16 and r <= 12 (at most 256 KB; the
+catalog's matroids have n <= 15, r <= 11).  A larger matroid's ranks are
+eliminated per call (`gf2.rank_of_columns`), so one question about a
+large input stays cheap.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .gf2 import BitMatrix, cycle_space_masks, pivots_first, rank_of_columns, reduce_rows, span, standard_form
 
@@ -39,8 +54,8 @@ class Matroid:
         self.rank = r
         self.size = n
         self._pos = {lab: p for p, lab in enumerate(self.labels)}
-        self._rank_cache: dict[int, int] = {0: 0}
         self._cocycle_index: tuple | None = None
+        self._rank_tables: tuple | None = None
         self._element_colours: tuple | None = None
         self._growth_classes: dict[str, tuple] = {}  # kind -> `extension.enumerate_growth_classes`
 
@@ -74,12 +89,14 @@ class Matroid:
     # -- rank -------------------------------------------------------------
 
     def rank_of_mask(self, mask: int) -> int:
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cols = self._cols
-            cached = rank_of_columns(cols[p] for p in range(self.size) if (mask >> p) & 1)
-            self._rank_cache[mask] = cached
-        return cached
+        """r(X) for the positions X in ``mask``: r + 1 minus the bit length
+        of A(X), read off `rank_tables`, or by elimination for a matroid
+        too large to tabulate."""
+        tables = self._rank_tables or rank_tables(self)
+        if tables is None:
+            return rank_of_columns(self._cols[p] for p in range(self.size) if (mask >> p) & 1)
+        h, low, high = tables
+        return self.rank + 1 - (low[mask & (len(low) - 1)] & high[mask >> h]).bit_count().bit_length()
 
     def rank_of(self, elements) -> int:
         return self.rank_of_mask(self.mask_of(elements))
@@ -93,8 +110,8 @@ class Matroid:
 
     def cocycle_masks(self) -> list[int]:
         """All vectors of the cocycle space (row space) as position masks,
-        computed on each call: `iso.cocycle_index` reads it once and
-        caches the transposed view instead."""
+        computed on each call: `cocycle_index` reads it once and caches
+        the transposed view instead."""
         return span(self.matrix.rows)
 
     def cycle_key(self) -> frozenset[int]:
@@ -123,6 +140,69 @@ class Matroid:
 
     def __repr__(self):
         return f"Matroid(rank={self.rank}, size={self.size}, labels={self.labels})"
+
+
+@cache
+def _index_masks(r: int) -> tuple[int, ...]:
+    """For each k < r, the 2^r-bit mask of the indices i with bit k set: the
+    indices of the cocycle masks that `gf2.span` builds with row k."""
+    full = (1 << (1 << r)) - 1
+    return tuple(full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k)) for k in range(r))
+
+
+def cocycle_index(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """m's cocycle space transposed, as (of_weight, contains), cached on m.
+
+    Both hold index masks over ``cocycle_masks()``: bit i stands for mask
+    i.  ``of_weight[w]`` holds the masks of weight w, for w = 0..n.
+    ``contains[p]`` holds the masks that contain position p.  Mask i is
+    the sum of the rows k with bit k of i set, so p lies in it iff column
+    p and i share an odd number of bits: ``contains[p]`` is the sum of
+    the index masks of the rows that column p meets.
+    """
+    if m._cocycle_index is None:
+        of_weight = [0] * (m.size + 1)
+        for i, mk in enumerate(m.cocycle_masks()):
+            of_weight[mk.bit_count()] |= 1 << i
+        index = _index_masks(m.rank)
+        contains = list(index)  # column p < r is the unit vector of row p
+        for col in m._cols[m.rank :]:
+            acc = 0
+            while col:
+                low = col & -col
+                acc ^= index[low.bit_length() - 1]
+                col ^= low
+            contains.append(acc)
+        m._cocycle_index = (tuple(of_weight), tuple(contains))
+    return m._cocycle_index
+
+
+TABLE_MAX_SIZE, TABLE_MAX_RANK = 16, 12  # largest n and r whose ranks are tabulated
+
+
+def rank_tables(m: Matroid) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """(h, low, high) with h = n // 2, cached on m: ``low[s]`` is the index
+    mask of the cocycle-space vectors that avoid the positions in s, for
+    every subset s of positions 0..h-1, and ``high[t]`` the same for every
+    subset t of positions h..n-1, shifted down by h.  A(X) is then the
+    popcount of ``low[X & (2^h - 1)] & high[X >> h]``.  None, with nothing
+    built, when n > TABLE_MAX_SIZE or r > TABLE_MAX_RANK."""
+    if m._rank_tables is None and m.size <= TABLE_MAX_SIZE and m.rank <= TABLE_MAX_RANK:
+        contains = cocycle_index(m)[1]
+        h = m.size // 2
+        full = (1 << (1 << m.rank)) - 1
+        m._rank_tables = (h, _avoiding(contains[:h], full), _avoiding(contains[h:], full))
+    return m._rank_tables
+
+
+def _avoiding(contains: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """Entry s: the AND of ``full & ~contains[j]`` over the bits j of s, in
+    one AND per entry (the entries with bit j set copy those before them)."""
+    table = [full]
+    for c in contains:
+        avoid = full & ~c
+        table += [t & avoid for t in table]
+    return tuple(table)
 
 
 def make_matroid(matrix: BitMatrix, labels=None) -> Matroid:

@@ -3,7 +3,7 @@ decomposer verification engine.
 
 `in_class` is one `has_any_minor` search.  The search filters every
 deletion/contraction split on its rank and cocycle weight enumerator,
-read off the parent's `iso.cocycle_index` with a few ANDs and popcounts
+read off the parent's `cocycle_index` with a few ANDs and popcounts
 per split after one count per removed set (`_KeptWeights`), and builds
 only the minors that pass.  Every other membership question
 goes through an `ExcludedClass`, which runs `in_class` once per
@@ -50,10 +50,10 @@ from itertools import combinations
 from .connectivity import bridging_value, is_n_connected, lam
 from .extension import enumerate_growth_classes, extend, growth_labels, growths
 from .gf2 import BitVector
-from .iso import IsoIndex, are_isomorphic, cocycle_index, isomorphism, weight_profile
+from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
-from .matroid import Matroid, dual, is_circuit, is_cocircuit, is_union_of_circuits, is_union_of_cocircuits
-from .matroid import remove, simplicity
+from .matroid import Matroid, cocycle_index, dual, is_circuit, is_cocircuit, is_union_of_circuits
+from .matroid import is_union_of_cocircuits, remove, simplicity
 
 
 class HypothesisError(ValueError):
@@ -76,7 +76,7 @@ class Verdict(enum.Enum):
 
 class _KeptWeights(dict):
     """m's cocycles seen from one removed set R of positions: w -> the
-    index mask (see `iso.cocycle_index`) of the cocycles of m that meet
+    index mask (see `cocycle_index`) of the cocycles of m that meet
     E - R in exactly w positions, built on first lookup.
 
     A split of R contracts C and deletes R - C.  The minor's cocycles are
@@ -121,7 +121,7 @@ def has_any_minor(m: Matroid, targets):
     one member.  Splits are visited by the number of removed elements,
     smallest first (gap 0's only split is m itself), as position sets
     taken in label order.  Each split is filtered on its cocycle weight
-    enumerator, read off m's `iso.cocycle_index` through `_KeptWeights`,
+    enumerator, read off m's `cocycle_index` through `_KeptWeights`,
     built once per removed set: first its rank, log2 of the cocycles
     that avoid the contracted positions over the kernel, then its weights
     from 1 up, stopping at the first that differs from the target's.

@@ -86,7 +86,7 @@ def oracle_rank(m: Matroid, elements) -> int:
 
 def oracle_weight_profile(m: Matroid) -> tuple[int, ...]:
     """The cocycle weight enumerator by a loop over the row space, built
-    here from the rows: neither `gf2.span` nor `iso.cocycle_index`."""
+    here from the rows: neither `gf2.span` nor `matroid.cocycle_index`."""
     space = {0}
     for row in m.matrix.rows:
         space |= {s ^ row for s in space}

@@ -1,9 +1,15 @@
 """End-to-end tests for the binmat command-line interface."""
 
+import random
+
 import pytest
 
 from binmat.catalog import get
 from binmat.cli import InputError, _parse_set, main, matroid_to_bmx, parse_bmx
+from binmat.gf2 import BitMatrix
+from binmat.matroid import make_matroid
+
+from conftest import oracle_lam
 
 
 def run(capsys, *argv):
@@ -76,6 +82,20 @@ class TestCommands:
         code, out, _ = run(capsys, "lambda", str(path), "1,2,5,6")
         assert code == 0
         assert out.strip().endswith("2")
+
+    def test_lambda_of_a_large_bmx_builds_no_tables(self, capsys, tmp_path, monkeypatch):
+        # 30 elements of rank 15: rank tables would hold 2^16 masks of
+        # 2^15 bits, about 256 MB.  Its ranks are eliminated per call.
+        rng = random.Random(30)
+        cols = [1 << k for k in range(15)] + [rng.getrandbits(15) for _ in range(15)]
+        rows = tuple(sum(((c >> k) & 1) << j for j, c in enumerate(cols)) for k in range(15))
+        m = make_matroid(BitMatrix(15, 30, rows))
+        path = tmp_path / "big.bmx"
+        path.write_text(matroid_to_bmx(m))
+        monkeypatch.setattr("binmat.matroid._avoiding", None)  # any table build would raise
+        code, out, _ = run(capsys, "lambda", str(path), "1,2,16,17,18")
+        assert code == 0
+        assert out.strip().endswith(str(oracle_lam(m, {1, 2, 16, 17, 18})))
 
     def test_exts(self, capsys):
         code, out, _ = run(capsys, "exts", "F7*")

@@ -15,7 +15,7 @@ from binmat.connectivity import (
     nonminimal_exact_3seps,
 )
 from binmat.gf2 import BitMatrix
-from binmat.matroid import Matroid, dual, remove
+from binmat.matroid import Matroid, dual, make_matroid, remove, simplicity
 from binmat.structure import HypothesisError, theorem21_check
 
 from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids, relabeled_copy
@@ -134,6 +134,22 @@ def covered_by(side, sets) -> bool:
     return frozenset().union(*(s for s in sets if s <= side)) == side
 
 
+def random_simple_matroids(seed, count):
+    """`count` seeded simple matroids of 10 to 12 elements and rank 4 to 6:
+    distinct nonzero columns holding the unit vectors, shuffled, on
+    shuffled labels."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, r = rng.randint(10, 12), rng.randint(4, 6)
+        units = [1 << k for k in range(r)]
+        cols = units + rng.sample([c for c in range(1, 1 << r) if c not in units], n - r)
+        rng.shuffle(cols)
+        rows = tuple(sum(((c >> k) & 1) << j for j, c in enumerate(cols)) for k in range(r))
+        out.append(make_matroid(BitMatrix(r, n, rows), labels=rng.sample(range(1, n + 1), n)))
+    return out
+
+
 class TestSeparations:
     def test_small_side_rejected(self):
         # Either side below k elements is an input error, not a failed
@@ -150,6 +166,18 @@ class TestSeparations:
             got = nonminimal_exact_3seps(m)
             assert all(isinstance(s, frozenset) for s in got)
             assert [tuple(sorted(s)) for s in got] == oracle_3seps(m), name
+
+    def test_nonminimal_3seps_match_exhaustive_oracle_on_random_simple_matroids(self):
+        # Sides are read off the rank tables in one sweep; the oracle takes
+        # lambda by span on every candidate side.
+        cases = random_simple_matroids(seed=41, count=6)
+        assert all(simplicity(m)[0] for m in cases) and {m.size for m in cases} == {10, 11, 12}
+        found = 0
+        for m in cases:
+            got = nonminimal_exact_3seps(m)
+            assert [tuple(sorted(s)) for s in got] == oracle_3seps(m), (m.matrix.rows, m.labels)
+            found += len(got)
+        assert found
 
     def test_require_unions_filters(self):
         # A side qualifies when it is the union of the circuits it
@@ -286,6 +314,22 @@ class TestBridging:
             assert bridging_value(m, a, b) == min(values), (m.matrix.rows, m.labels, a, b)
             only_at_a += values.count(values[0]) == 1 and values[0] == min(values)
         assert only_at_a
+
+    def test_matches_exhaustive_oracle_on_random_simple_matroids(self):
+        # Random disjoint sides of two to four elements each, so at most
+        # eight elements are free.  The sample must hold a minimum at
+        # neither X = A nor X = E - B.
+        rng = random.Random(44)
+        inner = 0
+        for m in random_simple_matroids(seed=44, count=30):
+            labels = rng.sample(m.labels, m.size)
+            ka, kb = rng.randint(2, 4), rng.randint(2, 4)
+            a, b = frozenset(labels[:ka]), frozenset(labels[ka : ka + kb])
+            rest = labels[ka + kb :]
+            values = [oracle_lam(m, a | set(y)) for j in range(len(rest) + 1) for y in combinations(rest, j)]
+            assert bridging_value(m, a, b) == min(values), (m.matrix.rows, m.labels, a, b)
+            inner += min(values) < min(values[0], values[-1])
+        assert inner
 
     def test_bounded_by_lambda_of_either_side(self):
         m = M("E4")

@@ -301,15 +301,18 @@ class TestGeneratorRule:
     def test_growths_compute_no_rank(self, monkeypatch):
         # Building a growth reads and writes matrices only: a coextension's
         # new cocircuit follows from the standard form and is not asked for.
+        # Fresh bases start with no rank tables, and no base or child has
+        # any afterwards, so no rank was read around `rank_of_mask` either.
         def no_rank(self, mask):
             raise AssertionError("rank computed")
 
-        bases = {name: M(name) for name in ("S8", "P9", "E4")}
+        bases = {name: fresh(name) for name in ("S8", "P9", "E4")}
         monkeypatch.setattr(Matroid, "rank_of_mask", no_rank)
         for name, m in bases.items():
             for kind in ("extension", "coextension"):
                 children = [child for _, child in growths(m, kind)]
                 assert len(children) == len(growth_candidates(m, kind)) > 0, (name, kind)
+                assert m._rank_tables is None and all(c._rank_tables is None for c in children), (name, kind)
 
     def test_unknown_kind_is_named(self):
         for fn in (growth_candidates, growths):

@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binmat import connectivity, iso, matroid
 from binmat.catalog import get, list_names
-from binmat.gf2 import BitMatrix, BitVector
+from binmat.gf2 import BitMatrix, BitVector, rank_of_columns
 from binmat.matroid import (
     Matroid,
     dual,
@@ -18,11 +19,12 @@ from binmat.matroid import (
     is_union_of_circuits,
     is_union_of_cocircuits,
     make_matroid,
+    rank_tables,
     remove,
     simplicity,
 )
 
-from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_rank, random_matroids
+from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids
 
 
 def M(name):
@@ -104,6 +106,77 @@ class TestConstruction:
         b = fresh("S8")
         assert a == b and hash(a) == hash(b)
         assert a != fresh("Z4")
+
+
+def _eliminated_ranks(m):
+    """r(X) of every position mask X by GF(2) elimination, the oracle the
+    rank tables share no code with."""
+    cols = m._cols
+    return [rank_of_columns(cols[p] for p in range(m.size) if (mask >> p) & 1) for mask in range(1 << m.size)]
+
+
+class TestRankTables:
+    def test_catalog_ranks_match_elimination_on_every_mask(self):
+        # Every catalog entry: 40 of at most 12 elements, and PG(3,2) and
+        # PG(3,2)*, whose 15 elements split 7 | 8; PG(3,2)*'s index masks
+        # run to 2048 bits.
+        cases = [fresh(name) for name in list_names()]
+        assert sorted(m.size for m in cases)[-3:] == [12, 15, 15] and max(m.rank for m in cases) == 11
+        for m in cases:
+            assert [m.rank_of_mask(mask) for mask in range(1 << m.size)] == _eliminated_ranks(m), m.labels
+
+    def test_random_ranks_match_elimination_on_every_mask(self):
+        # Seeded random matroids with loops, coloops and parallel pairs,
+        # of rank 0 and of one element, and the empty matroid.
+        cases = random_matroids(seed=29, count=60, max_size=12) + [Matroid(BitMatrix(0, 0, ()), ())]
+        assert {m.size for m in cases} >= {0, 1, 12} and min(m.rank for m in cases) == 0
+        assert any(0 in m._cols for m in cases)  # a loop
+        assert any(oracle_rank(m, m.ground_set() - {e}) < m.rank for m in cases for e in m.labels)  # a coloop
+        for m in cases:
+            ranks = [m.rank_of_mask(mask) for mask in range(1 << m.size)]
+            assert ranks == _eliminated_ranks(m), (m.matrix.rows, m.labels)
+
+    def test_large_matroids_are_eliminated_not_tabulated(self):
+        # Tables are kept up to n = 16 and r = 12.  Past either bound no
+        # table and no cocycle index is built, and ranks still match.
+        rng = random.Random(30)
+        for n, r, tabulated in ((16, 12, True), (17, 6, False), (14, 13, False), (30, 15, False)):
+            cols = [1 << k for k in range(r)] + [rng.getrandbits(r) for _ in range(n - r)]
+            rows = tuple(sum(((c >> k) & 1) << j for j, c in enumerate(cols)) for k in range(r))
+            m = Matroid(BitMatrix(r, n, rows), tuple(range(1, n + 1)))
+            assert (rank_tables(m) is not None) == tabulated, (n, r)
+            for _ in range(40):
+                x = rng.sample(m.labels, rng.randint(0, n))
+                assert m.rank_of(x) == oracle_rank(m, x), (n, r, x)
+            if not tabulated:
+                assert m._rank_tables is None and m._cocycle_index is None, (n, r)
+
+    def test_tables_are_built_once_per_matroid(self, monkeypatch):
+        # Ranks, lambda and both connectivity sweeps all read the tables
+        # that the first rank built: one half-table each.
+        built = []
+        real = matroid._avoiding
+
+        def counting(contains, full):
+            built.append(len(contains))
+            return real(contains, full)
+
+        monkeypatch.setattr(matroid, "_avoiding", counting)
+        m = fresh("P9")
+        assert not hasattr(m, "_rank_cache") and m._rank_tables is None
+        tables = rank_tables(m)
+        assert built == [4, 5] and tables[0] == 4
+        assert m.rank_of(m.labels[:3]) == 3 and connectivity.lam(m, m.labels[:4]) == oracle_lam(m, m.labels[:4])
+        assert connectivity.is_n_connected(m, 3) and not connectivity.is_internally_4_connected(m)
+        assert connectivity.nonminimal_exact_3seps(m)
+        assert rank_tables(m) is tables and built == [4, 5]
+        # The tables read the matroid's one cocycle index.
+        assert iso.cocycle_index is matroid.cocycle_index and m._cocycle_index is not None
+        # A fresh copy carries no cached state and builds its own.
+        other = fresh("P9")
+        assert other._rank_tables is None
+        assert rank_tables(other) == tables and rank_tables(other) is not tables
+        assert built == [4, 5, 4, 5]
 
 
 class TestCircuits:

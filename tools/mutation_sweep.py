@@ -147,6 +147,41 @@ MUTANTS = [
         "classes = next(iter(m._growth_classes.values()), None)",
         ("tests/test_extension.py::TestGrowthClasses::test_classes_are_enumerated_once_per_matroid_and_kind",),
     ),
+    # A high table one position short still answers every mask that
+    # avoids the last position.
+    Mutant(
+        "rank-high-table-drops-last",
+        "src/binmat/matroid.py",
+        "_avoiding(contains[h:], full)",
+        "_avoiding(contains[h:-1], full)",
+        (
+            "tests/test_matroid.py::TestRankTables::test_catalog_ranks_match_elimination_on_every_mask",
+            "tests/test_matroid.py::TestRankTables::test_random_ranks_match_elimination_on_every_mask",
+        ),
+    ),
+    # Tables built at h but read at h + 1 agree on every mask below 2^h.
+    Mutant(
+        "rank-lookup-split-at-h-plus-1",
+        "src/binmat/matroid.py",
+        "low[mask & (len(low) - 1)] & high[mask >> h]",
+        "low[mask & (2 * len(low) - 1)] & high[mask >> (h + 1)]",
+        (
+            "tests/test_matroid.py::TestRankTables::test_catalog_ranks_match_elimination_on_every_mask",
+            "tests/test_matroid.py::TestRankTables::test_random_ranks_match_elimination_on_every_mask",
+        ),
+    ),
+    # Tables built at any size still give every rank right, but a large
+    # input's first rank then builds 2^(n - n//2) masks of 2^r bits.
+    Mutant(
+        "rank-tables-unbounded",
+        "src/binmat/matroid.py",
+        "if m._rank_tables is None and m.size <= TABLE_MAX_SIZE and m.rank <= TABLE_MAX_RANK:",
+        "if m._rank_tables is None:",
+        (
+            "tests/test_matroid.py::TestRankTables::test_large_matroids_are_eliminated_not_tabulated",
+            "tests/test_cli.py::TestCommands::test_lambda_of_a_large_bmx_builds_no_tables",
+        ),
+    ),
 ]
 
 
