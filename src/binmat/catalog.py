@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .extension import coextend, extend
+from .extension import grow
 from .gf2 import BitMatrix, BitVector, reduce_rows
 from .matroid import Matroid, dual, make_matroid
 
@@ -106,8 +106,7 @@ def _entries() -> dict[str, CatalogEntry]:
 
     for name, (parent, kind, gen) in _DERIVED_GROWTHS.items():
         pm = entries[parent].matroid
-        vec = BitVector.parse(gen)
-        child = extend(pm, vec) if kind == "extension" else coextend(pm, vec)
+        child = grow(pm, kind, BitVector.parse(gen))
         add(name, child, "derived-construction", f"{kind} of {parent} by {gen}")
 
     add("M(K5)", graphic_matroid(_k5_edges(), 5), "derived-construction", "cycle matroid of K5")

@@ -8,9 +8,10 @@ column of D, or a coextension row of length n - r not a row of D (a row
 of m is then a column of dual(m)).  `growth_candidates`, `extend` and
 `coextend` read it; `coextend` appends the row below m's D block and a
 unit column at position r and checks nothing after building, so building
-a growth computes no rank.  `growth_labels` is the one statement of
-where a growth puts its labels: an extension keeps every parent label
-and adds n+1; a coextension adds r+1 and moves labels above r up by one.
+a growth computes no rank; `grow` is the one choice between the two by
+kind.  `growth_labels` is the one statement of where a growth puts its
+labels: an extension keeps every parent label and adds n+1; a
+coextension adds r+1 and moves labels above r up by one.
 `enumerate_growth_classes` groups the growths of one kind into
 isomorphism classes, once per matroid and kind; the parent keeps them.
 """
@@ -110,12 +111,18 @@ def coextend(m: Matroid, row: BitVector) -> Matroid:
     return Matroid(BitMatrix(r + 1, n + 1, tuple(rows)), labels)
 
 
+def grow(m: Matroid, kind: str, v: BitVector) -> Matroid:
+    """The growth of m of `kind` by generator `v`: the one choice between
+    `extend` and `coextend`."""
+    if kind not in ("extension", "coextension"):
+        raise ValueError(f"unknown growth kind {kind!r}")
+    return (extend if kind == "extension" else coextend)(m, v)
+
+
 def growths(m: Matroid, kind: str):
     """(generator, child) for each simple extension ("extension") or cosimple
     coextension ("coextension") of m, in ascending bracket order."""
-    candidates = growth_candidates(m, kind)  # raises on an unknown kind
-    grow = extend if kind == "extension" else coextend
-    return ((v, grow(m, v)) for v in candidates)
+    return ((v, grow(m, kind, v)) for v in growth_candidates(m, kind))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,18 @@ per split after one count per removed set (`_KeptWeights`), and builds
 only the minors that pass.  Every other membership question
 goes through an `ExcludedClass`, which runs `in_class` once per
 isomorphism class of the matroids it is asked about.  One object
-serves the splitter test, the decomposer's children in both
-orientations, and every caller that keeps it, such as one verification
-run.  Every growth question, from `growth_classes_in` (the claims'
-and the splitter test's, one per class) and both decomposer phases,
-goes through `ExcludedClass.growth_membership`, once per parent:
-isomorphic parents have isomorphic children, so a parent isomorphic to
-one the class has met takes its children's answers along the parents'
-map, by one rule for columns and rows (orbit reuse, after B. D. McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998).  That
-covers a repeat one-step extension in the two-step phase, and the whole
-dual orientation of a base isomorphic to its dual, whose class is the
-same object.  Only in-class children without a deferred minor get
-per-side records; the records' `active` property states this once.
+serves the splitter test, both decomposer orientations, and every
+caller that keeps it, such as one verification run.  Every growth
+question, from `growth_classes_in` (the claims' and the splitter
+test's) and both decomposer phases, is a growth-class question
+(`ExcludedClass.growth_membership`): a parent isomorphic to one the
+class has met carries its generators along the parents' map, by one
+rule for columns and rows (orbit reuse, after B. D. McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998), and the
+first parent's growth class asks once.  That covers a repeat one-step
+extension in the two-step phase, and the whole dual orientation of a
+base isomorphic to its dual, whose class is the same object.  Only
+active records (in the class, no deferred minor) build their growth.
 
 One engine, `_decompose`, checks one orientation of the decomposer
 argument for a list of one or two separation sides; `theorem21_check`
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import bridging_value, is_n_connected, lam
-from .extension import enumerate_growth_classes, extend, growth_labels, growths
+from .extension import coextend, enumerate_growth_classes, extend, grow, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
@@ -180,37 +179,39 @@ class ExcludedClass:
     member of `family`.  Membership is an isomorphism invariant, so
     ``m in cls`` searches (`in_class`) once per isomorphism class.
 
-    Growths are asked through `growth_membership`, once per parent.
-    Parents are kept in a second `IsoIndex`.  A parent isomorphic by
-    sigma to an earlier one carries each generator along sigma to the
-    earlier parent's (`_carried_column`, in `_carry_frames`), whose child
-    is isomorphic, and takes that child's answer if it was asked.  So a
-    repeat parent asks nothing about growths asked of its first."""
+    Growths are asked through `growth_membership`, once per growth class
+    of the first parent met of each isomorphism class, kept in a second
+    `IsoIndex`.  A parent isomorphic by sigma to an earlier one carries
+    each generator along sigma to the earlier parent's (`_carried_column`,
+    in `_carry_frames`), whose growth is isomorphic, so a repeat parent
+    asks nothing about growth classes asked of its first."""
 
     def __init__(self, family):
         self.family = list(family)
         self._answers = IsoIndex()
-        self._growths = IsoIndex()  # parent -> (first parent, {(kind, generator bits): answer})
+        self._growths = IsoIndex()  # parent -> (first parent, {(kind, least generator bits): answer})
 
     def __contains__(self, m: Matroid) -> bool:
         return self._answers.find(m, lambda: in_class(m, self.family))[0]
 
     def growth_membership(self, parent: Matroid):
-        """``ask(kind, generator, child) -> child in self`` for the growths
-        of `parent`, ``child`` being the growth of `kind` by `generator`.
-        Answers are kept by the generator carried to the first parent of
-        `parent`'s isomorphism class; a key not kept yet asks ``child in
-        self``, which gives the same answer, as the two children are
-        isomorphic."""
+        """``ask(kind, generator) -> bool``: is `parent`'s growth of `kind`
+        by `generator` in the class?  The generator is carried to the first
+        parent p1 of `parent`'s isomorphism class, and p1's growth class
+        that holds it (`enumerate_growth_classes`) asks its representative
+        once, the answer kept under the class's least generator."""
         (p1, answers), sigma = self._growths.find(parent, lambda: (parent, {}))
         frames = None if sigma is None else _carry_frames(parent, p1)
+        class_of = {}  # kind -> {generator bits of p1: its growth class}
 
-        def ask(kind, v: BitVector, child: Matroid) -> bool:
-            key = kind, (v.bits if frames is None else _carried_column(*frames[kind], v, sigma))
-            found = answers.get(key)
-            if found is None:
-                found = answers[key] = child in self
-            return found
+        def ask(kind, v: BitVector) -> bool:
+            if kind not in class_of:
+                class_of[kind] = {u.bits: c for c in enumerate_growth_classes(p1, kind) for u in c.members}
+            c = class_of[kind][v.bits if frames is None else _carried_column(*frames[kind], v, sigma)]
+            key = kind, c.members[0].bits
+            if key not in answers:
+                answers[key] = c.representative in self
+            return answers[key]
 
         return ask
 
@@ -257,10 +258,9 @@ def growth_classes_in(parent: Matroid, kind: str, excluded):
     """The growth classes of `parent` of `kind` (`enumerate_growth_classes`,
     which enumerates them once per parent) that lie in `excluded`, an
     `ExcludedClass` or a list of excluded minors, each asked through
-    `growth_membership` by its least generator and that generator's
-    child, its representative."""
+    `growth_membership` by its least generator."""
     ask = _as_class(excluded).growth_membership(parent)
-    return [c for c in enumerate_growth_classes(parent, kind) if ask(kind, c.members[0], c.representative)]
+    return [c for c in enumerate_growth_classes(parent, kind) if ask(kind, c.members[0])]
 
 
 def is_splitter(n: Matroid, excluded):
@@ -380,44 +380,37 @@ def _check_hypotheses(n: Matroid, sides, k: int, require_self_dual: bool):
 
 
 def _one_step_phase(n: Matroid, sides, k, excluded, defer):
-    """Check conditions (i)/(ii) for every candidate; returns records."""
+    """Records checking conditions (i)/(ii); only active ones build their growth."""
     records = []
     membership = _membership(n, excluded, defer)
     for kind in ("extension", "coextension"):
         move, x = growth_labels(n, kind)
         moved = [frozenset(map(move, a)) for a in sides]
-        for v, child in growths(n, kind):
-            records.append(_one_step_record(kind, v, child, x, moved, k, membership(kind, v, child)))
+        for v in growth_candidates(n, kind):
+            rec = OneStepRecord(kind, v, *membership(kind, v))
+            if rec.active:
+                child = grow(n, kind, v)
+                for a in moved:
+                    la, lax = lam(child, a), lam(child, a | {x})
+                    rec.sides.append(OneStepSide(la, lax, satisfied=(la == k - 1 or lax == k - 1), direct=la == k - 1))
+            records.append(rec)
     return records
 
 
 def _membership(parent, excluded, defer):
-    """``ask(kind, generator, child) -> (in the class, deferred)`` for the
-    growths of `parent`, through each class's `growth_membership`: a
-    deferred child is in the class but has a minor in `defer` (None: no
-    deferral); a separate splitter argument covers it."""
+    """``ask(kind, generator) -> (in the class, deferred)`` for the growths
+    of `parent`, through each class's `growth_membership`: `defer` (None:
+    no deferral) is asked only about growths in the class, and one with a
+    minor in it is deferred, left to a separate splitter argument."""
     in_excluded = excluded.growth_membership(parent)
     in_defer = None if defer is None else defer.growth_membership(parent)
 
-    def ask(kind, v, child) -> tuple[bool, bool]:
-        if not in_excluded(kind, v, child):
+    def ask(kind, v) -> tuple[bool, bool]:
+        if not in_excluded(kind, v):
             return False, False
-        return True, in_defer is not None and not in_defer(kind, v, child)
+        return True, in_defer is not None and not in_defer(kind, v)
 
     return ask
-
-
-def _one_step_record(kind, v, child, x, sides, k, membership):
-    rec = OneStepRecord(kind, v, *membership)
-    if not rec.active:
-        return rec
-    for a in sides:
-        la = lam(child, a)
-        lax = lam(child, set(a) | {x})
-        rec.sides.append(
-            OneStepSide(la, lax, satisfied=(la == k - 1 or lax == k - 1), direct=la == k - 1)
-        )
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +463,9 @@ def _triangle_escape(child, e, f, side_s):
 
 def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every active extension; only
-    active rows get per-side outcomes.  Membership is asked per parent
-    through `_membership`, so a parent isomorphic to one asked before
-    takes its children's answers along the parents' map."""
+    active rows build their child and get per-side outcomes.  Membership
+    is asked through `_membership`, so a parent isomorphic to one asked
+    before takes its growth classes' answers along the parents' map."""
     records = []
     _, x = growth_labels(n, "extension")
     for ext in one_step:
@@ -483,9 +476,10 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
         move, f = growth_labels(type_i, "coextension")
         e = move(x)
         moved = [frozenset(map(move, a)) for a in sides]
-        for row, child in growths(type_i, "coextension"):
-            rec = TwoStepRecord(ext.vector, row, *membership("coextension", row, child))
+        for row in growth_candidates(type_i, "coextension"):
+            rec = TwoStepRecord(ext.vector, row, *membership("coextension", row))
             if rec.active:
+                child = coextend(type_i, row)
                 rec.sides = [_classify_built(child, e, f, a, k) for a in moved]
             records.append(rec)
     return records

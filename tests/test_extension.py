@@ -12,6 +12,7 @@ from binmat.extension import (
     coextend,
     enumerate_growth_classes,
     extend,
+    grow,
     growth_candidates,
     growth_labels,
     growths,
@@ -418,4 +419,6 @@ class TestGrowthClasses:
         ]
         with pytest.raises(ValueError):
             growths(m, "growth")
+        with pytest.raises(ValueError, match="unknown growth kind"):
+            grow(m, "growth", growth_candidates(m, "extension")[0])
 

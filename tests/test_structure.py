@@ -838,26 +838,56 @@ def _engine_result(report):
     return report.overall, report.notes, one, two, _engine_result(report.dual_report)
 
 
+_E3_COUPLING = ("E3", [{1, 2, 3, 4, 8, 9}, {1, 2, 5, 6, 7, 10}], ["S10", "S10*"], [], True)
+_E4_DEFERRED = ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], True)
+
+
 @pytest.mark.parametrize(
-    "n, sides, family, defer, check_dual",
+    "n, sides, family, defer, check_dual, seeded",
     [
-        ("E3", [{1, 2, 3, 4, 8, 9}, {1, 2, 5, 6, 7, 10}], ["S10", "S10*"], [], True),
-        ("E4", [SIDE_A1], ["S10", "S10*"], ["T12/e", "T12\\e"], False),
-        ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], True),
+        (*_E3_COUPLING, None),
+        ("E4", [SIDE_A1], ["S10", "S10*"], ["T12/e", "T12\\e"], False, None),
+        (*_E4_DEFERRED, None),
+        (*_E3_COUPLING, "fresh"),
+        (*_E3_COUPLING, "shared"),
+        (*_E4_DEFERRED, "fresh"),
+        (*_E4_DEFERRED, "shared"),
     ],
-    ids=["E3-coupling", "E4-A1-alone", "E4-deferred"],
+    ids=[
+        "E3-coupling",
+        "E4-A1-alone",
+        "E4-deferred",
+        "E3-coupling-seeded-fresh",
+        "E3-coupling-seeded-shared",
+        "E4-deferred-seeded-fresh",
+        "E4-deferred-seeded-shared",
+    ],
 )
-def test_decompose_matches_a_literal_oracle(n, sides, family, defer, check_dual):
+def test_decompose_matches_a_literal_oracle(n, sides, family, defer, check_dual, seeded):
     # Every one-step record (membership, lambda pair), every two-step
     # record (membership, verdict and witness per side), the notes and
     # the overall result, in both orientations where the check runs both.
+    # A seeded case runs on two seeded presentations of n (relabeled_copy
+    # keeps labels, so the sides still apply), with fresh families or with
+    # one ExcludedClass per family shared across both, so the second
+    # presentation's records carry the first's growth-class answers while
+    # the oracle searches every child afresh.
     sides = [frozenset(a) for a in sides]
     family, defer = [M(x) for x in family], [M(x) for x in defer]
     entry = theorem21_check if len(sides) == 1 else corollary22_check
-    report = entry(M(n), *sides, 3, family, defer=defer, check_dual=check_dual)
-    expected = _oracle_decompose(M(n), sides, 3, family, defer, check_dual)
-    assert _engine_result(report) == expected
-    assert expected[0] == ("failed" if n == "E3" or len(sides) == 1 else "induced-one-of-two")
+    bases = [M(n)]
+    if seeded:
+        rng = random.Random(30)
+        bases = [relabeled_copy(M(n), rng) for _ in range(2)]
+        assert all(base.labels != M(n).labels for base in bases)
+    classes = family, defer
+    if seeded == "shared":
+        classes = ExcludedClass(family), (ExcludedClass(defer) if defer else defer)
+    for base in bases:
+        report = entry(base, *sides, 3, classes[0], defer=classes[1], check_dual=check_dual)
+        expected = _oracle_decompose(base, sides, 3, family, defer, check_dual)
+        assert _engine_result(report) == expected
+        assert expected[0] == ("failed" if n == "E3" or len(sides) == 1 else "induced-one-of-two")
 
 
 def _e4_check(n):
@@ -974,7 +1004,7 @@ def test_growth_membership_matches_fresh_searches(name):
             ask = cls.growth_membership(p)
             for kind in ("extension", "coextension"):
                 for v, child in growths(p, kind):
-                    answer = ask(kind, v, child)
+                    answer = ask(kind, v)
                     assert answer == in_class(child, family), (p.matrix.rows, kind, v.bits)
                     seen[answer] += 1
     assert seen[False] >= 20 and (seen[True] >= 20 or name == "M(K4)"), seen
@@ -988,13 +1018,64 @@ def test_growth_membership_of_a_kept_parent_builds_no_frames(monkeypatch):
     cls, s8 = ExcludedClass([M("P9"), M("P9*")]), fresh("S8")
     for p in (s8, s8):
         ask = cls.growth_membership(p)
-        assert [v for v, child in growths(p, "extension") if ask("extension", v, child)] == [
-            BitVector.parse("1110")
-        ]
+        assert [v for v in growth_candidates(p, "extension") if ask("extension", v)] == [BitVector.parse("1110")]
     assert built == []
     copy = relabeled_copy(s8, random.Random(26))
     cls.growth_membership(copy)
     assert built == [copy]
+
+
+def test_growth_membership_asks_once_per_growth_class(monkeypatch):
+    # Every generator of both kinds of a fresh T12, asked through one
+    # growth_membership: the class is asked once per growth class of each
+    # kind, about that class's representative, in class order.
+    asked = []
+    contains = ExcludedClass.__contains__
+    monkeypatch.setattr(ExcludedClass, "__contains__", lambda self, m: asked.append(m) or contains(self, m))
+    t12, kinds = fresh("T12"), ("extension", "coextension")
+    ask = ExcludedClass([M("S10"), M("S10*")]).growth_membership(t12)
+    answers = {(kind, v): ask(kind, v) for kind in kinds for v in growth_candidates(t12, kind)}
+    classes = [c for kind in kinds for c in enumerate_growth_classes(t12, kind)]
+    assert len(answers) == 102 and len(classes) < len(answers)
+    assert len(asked) == len(classes)
+    assert all(m is c.representative for m, c in zip(asked, classes))
+    for kind in kinds:
+        for c in enumerate_growth_classes(t12, kind):
+            assert len({answers[kind, v] for v in c.members}) == 1
+
+
+def test_decomposer_builds_a_growth_only_for_an_active_record(monkeypatch):
+    # Membership is read off growth classes, so in both orientations the
+    # one-step phase builds the growth of each active record alone, once
+    # (`grow`), and the two-step phase builds each active extension
+    # (`extend`) and then the coextension of each of its active rows alone.
+    built = []  # one list of builds per orientation
+    decompose = structure._decompose
+
+    def per_orientation(*args):
+        built.append([])
+        return decompose(*args)
+
+    def recording(name, build):
+        def recorded(m, *args):
+            built[-1].append((name, *args))
+            return build(m, *args)
+
+        return recorded
+
+    monkeypatch.setattr(structure, "_decompose", per_orientation)
+    for name in ("grow", "extend", "coextend"):
+        monkeypatch.setattr(structure, name, recording(name, getattr(structure, name)))
+    report = _e4_check(fresh("E4"))
+    monkeypatch.undo()
+    for rep, made in zip((report, report.dual_report), built, strict=True):
+        assert any(not r.active for r in rep.one_step) and any(not r.active for r in rep.two_step)
+        expected = [("grow", r.kind, r.vector) for r in rep.one_step if r.active]
+        for r in rep.one_step:
+            if r.kind == "extension" and r.active:
+                expected.append(("extend", r.vector))
+                expected += [("coextend", t.row) for t in rep.two_step if t.active and t.parent_vector == r.vector]
+        assert made == expected
 
 
 def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):

@@ -120,15 +120,14 @@ class TestFullReport:
         assert len(searched) <= 162
 
     def test_growth_questions_and_isomorphism_calls_stay_carried(self, monkeypatch):
-        # Growth membership is asked once per parent class and carried
-        # along parent maps (ExcludedClass.growth_membership), so E4's
-        # dual orientation and every repeat parent ask nothing, and the
-        # claims' growth classes and the splitter test are asked through
-        # it once per growth class (growth_classes_in), each parent's
-        # classes enumerated once: a run asks 348 ExcludedClass questions
-        # and makes 759 isomorphism calls.  The catalog matroids start
-        # without the classes earlier tests kept on them, as in a fresh
-        # interpreter.
+        # Every growth question is a growth-class question: it is carried
+        # along parent maps to the first isomorphic parent and asked once
+        # per growth class of that parent (ExcludedClass.growth_membership),
+        # so E4's dual orientation and every repeat parent ask nothing, the
+        # decomposer builds no child to ask about, and each parent's classes
+        # are enumerated once: a run asks 201 ExcludedClass questions and
+        # makes 715 isomorphism calls.  The catalog matroids start without
+        # the classes earlier tests kept on them, as in a fresh interpreter.
         for name in list_names():
             monkeypatch.setattr(get(name).matroid, "_growth_classes", {})
         asked, calls = [], []
@@ -146,8 +145,8 @@ class TestFullReport:
         for module in (iso, structure):
             monkeypatch.setattr(module, "isomorphism", counting)
         run_verification()
-        assert len(asked) <= 348
-        assert len(calls) <= 759
+        assert len(asked) <= 201
+        assert len(calls) <= 715
 
 
 class _RecordsOnly:

@@ -110,6 +110,30 @@ MUTANTS = [
             "tests/test_structure.py::test_carried_generators_map_children_across_duality[extension-E4]",
         ),
     ),
+    # A repeat parent's generator must be read in the first parent's
+    # growth classes as the generator carried there, not as its own bits.
+    Mutant(
+        "class-map-reads-uncarried-bits",
+        "src/binmat/structure.py",
+        "c = class_of[kind][v.bits if frames is None else _carried_column(*frames[kind], v, sigma)]",
+        "c = class_of[kind][v.bits]",
+        (
+            "tests/test_structure.py::test_growth_membership_matches_fresh_searches[F7]",
+            "tests/test_structure.py::test_decompose_matches_a_literal_oracle[E4-deferred-seeded-shared]",
+        ),
+    ),
+    # Carried generators are the first parent's; the asked parent's own
+    # growth classes hold other bits.
+    Mutant(
+        "class-map-of-the-asked-parent",
+        "src/binmat/structure.py",
+        "enumerate_growth_classes(p1, kind) for u in c.members}",
+        "enumerate_growth_classes(parent, kind) for u in c.members}",
+        (
+            "tests/test_structure.py::test_growth_membership_matches_fresh_searches[F7]",
+            "tests/test_structure.py::test_decompose_matches_a_literal_oracle[E4-deferred-seeded-shared]",
+        ),
+    ),
     # The census asks one question per growth class, but must list every
     # member of an in-class class.
     Mutant(
