@@ -11,9 +11,18 @@ unit column at position r and checks nothing after building, so building
 a growth computes no rank; `grow` is the one choice between the two by
 kind.  `growth_labels` is the one statement of where a growth puts its
 labels: an extension keeps every parent label and adds n+1; a
-coextension adds r+1 and moves labels above r up by one.
+coextension adds r+1 and moves labels above r up by one.  `carrier` is
+the one rule that carries a generator along an isomorphism of parents.
+
 `enumerate_growth_classes` groups the growths of one kind into
 isomorphism classes, once per matroid and kind; the parent keeps them.
+The classes are the orbits of the generators under the parent's
+automorphism group, so it reuses orbits after B. D. McKay,
+"Isomorph-free exhaustive generation" (J. Algorithms 1998), with
+automorphisms found for free: an `IsoIndex` map between two growths
+that fixes the new element restricts to an automorphism of the parent,
+and every generator already placed is carried along it.  A placed
+generator joins its class with no growth built and no search.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVector
 from .iso import IsoIndex
-from .matroid import Matroid, simplicity
+from .matroid import Matroid, dual, simplicity
 
 
 def _generator_rule(m: Matroid, kind: str):
@@ -80,6 +89,36 @@ def growth_labels(m: Matroid, kind: str):
     raise ValueError(f"unknown growth kind {kind!r}")
 
 
+def carrier(p2: Matroid, p1: Matroid, kind: str, sigma):
+    """``carry(bits) -> bits``: for an isomorphism `sigma` (a label map)
+    from p2 onto p1, the generator of p1 of `kind` whose growth is
+    isomorphic to p2's growth by a generator of p2.
+
+    A generator is an extension column of a frame: the parent itself for
+    an extension, and its dual for a coextension, since a coextension of
+    m by row w is dual(extend(dual(m), w)) up to labels (see `coextend`),
+    and sigma maps dual(p2) onto dual(p1) too.  The frames are built
+    once per carrier.  The generator is the sum of the frame's basis
+    columns it marks, and a binary matroid has one representation up to
+    row operations, so the linear map taking each column of p2's frame to
+    p1's column at its image takes the generator to the sum of p1's
+    columns at sigma of those basis labels.  So sigma, with the new
+    element to the new element, maps growth onto growth."""
+    if kind == "coextension":
+        p2, p1 = dual(p2), dual(p1)
+    images = [p1.column_of(sigma[x]) for x in p2.labels[: p2.rank]]
+
+    def carry(bits: int) -> int:
+        c = 0
+        for image in images:
+            if bits & 1:
+                c ^= image
+            bits >>= 1
+        return c
+
+    return carry
+
+
 def extend(m: Matroid, col: BitVector) -> Matroid:
     """Append `col` as a new element labeled per `growth_labels`: n + 1,
     or the largest label + 1 when n + 1 is taken."""
@@ -135,20 +174,53 @@ class IsoClass:
 
 def enumerate_growth_classes(m: Matroid, kind: str) -> tuple[IsoClass, ...]:
     """All growth candidates of one kind (see `growths`) grouped into
-    isomorphism classes by an `IsoIndex`, once per matroid and kind: m
-    keeps the tuple, and every later call returns it.  Growths come in
-    ascending bracket order, so each class lists its generators in
-    ascending order, its representative is the child of the least one,
-    and classes are ordered by their least generator.  The classes inside
-    an excluded-minor class are `structure.growth_classes_in`."""
+    isomorphism classes, once per matroid and kind: m keeps the tuple,
+    and every later call returns it.  Generators come in ascending
+    bracket order, so each class lists its generators in ascending order,
+    its representative is the child of the least one, and classes are
+    ordered by their least generator.  The classes inside an
+    excluded-minor class are `structure.growth_classes_in`.
+
+    A generator not yet placed is grown and looked up in an `IsoIndex`
+    of the classes' representatives.  When the map phi found fixes the
+    new element, phi restricted to the parent's labels (moved back
+    through `growth_labels`) is an automorphism alpha of m: both growths
+    lose the new element to give m.  By `carrier`, alpha carries each
+    generator to one whose growth is isomorphic, so every placed
+    generator is carried along every alpha recorded until nothing new is
+    placed, each image in its source's class.  A placed generator then
+    joins its class when its turn comes, with no growth built and no
+    search.  The partition cannot change: images are isomorphic growths,
+    and a class is still made only by a generator that no smaller one
+    placed, so it is made by its least member.  An image below the
+    current generator was already placed by its own turn."""
     classes = m._growth_classes.get(kind)
     if classes is None:
+        move, new = growth_labels(m, kind)
+        back = {move(x): x for x in m.labels}
         groups: list[tuple[Matroid, list[BitVector]]] = []
         index = IsoIndex()
-        for v, child in growths(m, kind):
-            members, _ = index.find(child, list)
-            if not members:  # a new class, represented by this child
-                groups.append((child, members))
+        placed: dict[int, list[BitVector]] = {}  # generator bits -> its class's members
+        carries = []  # one `carrier` per automorphism of m found
+        for v in growth_candidates(m, kind):
+            members = placed.get(v.bits)
+            if members is None:
+                child = grow(m, kind, v)
+                members, phi = index.find(child, list)
+                if not members:  # a new class, represented by this child
+                    groups.append((child, members))
+                placed[v.bits] = members
+                todo = [v.bits]
+                if phi is not None and phi[new] == new:
+                    carries.append(carrier(m, m, kind, {x: back[phi[move(x)]] for x in m.labels}))
+                    todo = list(placed)
+                while todo:  # carry placed generators along every automorphism
+                    bits = todo.pop()
+                    for carry in carries:
+                        image = carry(bits)
+                        if image not in placed:
+                            placed[image] = placed[bits]
+                            todo.append(image)
             members.append(v)
         classes = m._growth_classes[kind] = tuple(IsoClass(rep, tuple(vs)) for rep, vs in groups)
     return classes

@@ -13,8 +13,8 @@ caller that keeps it, such as one verification run.  Every growth
 question, from `growth_classes_in` (the claims' and the splitter
 test's) and both decomposer phases, is a growth-class question
 (`ExcludedClass.growth_membership`): a parent isomorphic to one the
-class has met carries its generators along the parents' map, by one
-rule for columns and rows (orbit reuse, after B. D. McKay,
+class has met carries its generators along the parents' map, by the
+one carry rule, `extension.carrier` (orbit reuse, after B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998), and the
 first parent's growth class asks once.  That covers a repeat one-step
 extension in the two-step phase, and the whole dual orientation of a
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .connectivity import bridging_value, is_n_connected, lam
-from .extension import coextend, enumerate_growth_classes, extend, grow, growth_candidates, growth_labels
+from .extension import carrier, coextend, enumerate_growth_classes, extend, grow, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import IsoIndex, are_isomorphic, isomorphism, weight_profile
 from .iso import canonical_key  # noqa: F401  unused; perfbench/test_perfbench.py checks the tracer rebinds it
@@ -182,8 +182,8 @@ class ExcludedClass:
     Growths are asked through `growth_membership`, once per growth class
     of the first parent met of each isomorphism class, kept in a second
     `IsoIndex`.  A parent isomorphic by sigma to an earlier one carries
-    each generator along sigma to the earlier parent's (`_carried_column`,
-    in `_carry_frames`), whose growth is isomorphic, so a repeat parent
+    each generator along sigma to the earlier parent's
+    (`extension.carrier`), whose growth is isomorphic, so a repeat parent
     asks nothing about growth classes asked of its first."""
 
     def __init__(self, family):
@@ -201,13 +201,14 @@ class ExcludedClass:
         that holds it (`enumerate_growth_classes`) asks its representative
         once, the answer kept under the class's least generator."""
         (p1, answers), sigma = self._growths.find(parent, lambda: (parent, {}))
-        frames = None if sigma is None else _carry_frames(parent, p1)
-        class_of = {}  # kind -> {generator bits of p1: its growth class}
+        class_of = {}  # kind -> (carrier or None, {generator bits of p1: its growth class})
 
         def ask(kind, v: BitVector) -> bool:
             if kind not in class_of:
-                class_of[kind] = {u.bits: c for c in enumerate_growth_classes(p1, kind) for u in c.members}
-            c = class_of[kind][v.bits if frames is None else _carried_column(*frames[kind], v, sigma)]
+                carry = None if sigma is None else carrier(parent, p1, kind, sigma)
+                class_of[kind] = carry, {u.bits: c for c in enumerate_growth_classes(p1, kind) for u in c.members}
+            carry, classes = class_of[kind]
+            c = classes[v.bits if carry is None else carry(v.bits)]
             key = kind, c.members[0].bits
             if key not in answers:
                 answers[key] = c.representative in self
@@ -224,29 +225,6 @@ class ExcludedClass:
         if all(any(are_isomorphic(d, x) for x in self.family) for d in duals):
             return self
         return ExcludedClass(duals)
-
-
-def _carry_frames(p2: Matroid, p1: Matroid) -> dict:
-    """kind -> the pair, p2's and p1's, of which a growth generator of
-    `kind` is an extension column: a coextension of m by row w is
-    dual(extend(dual(m), w)) up to labels (see `coextend`), and an
-    isomorphism from p2 onto p1 is one between their duals too."""
-    return {"extension": (p2, p1), "coextension": (dual(p2), dual(p1))}
-
-
-def _carried_column(p2: Matroid, p1: Matroid, col: BitVector, sigma) -> int:
-    """p1's extension column c', as bits, whose child is isomorphic to
-    extend(p2, col), for an isomorphism `sigma` from p2 onto p1.  `col`
-    is the sum of p2's basis columns it marks, and a binary matroid has
-    one representation up to row operations, so the linear map taking
-    each column of p2 to p1's column at its image takes `col` to the sum
-    of p1's columns at sigma of those basis labels.  So sigma, with the
-    new element to the new element, maps child onto child."""
-    c = 0
-    for i in range(col.length):
-        if (col.bits >> i) & 1:
-            c ^= p1.column_of(sigma[p2.labels[i]])
-    return c
 
 
 def _as_class(family) -> ExcludedClass:

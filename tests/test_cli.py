@@ -1,9 +1,14 @@
 """End-to-end tests for the binmat command-line interface."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import binmat
 from binmat.catalog import get
 from binmat.cli import InputError, _parse_set, main, matroid_to_bmx, parse_bmx
 from binmat.gf2 import BitMatrix
@@ -168,6 +173,19 @@ class TestCommands:
 
         payload = json.loads(out)
         assert payload["summary"]["pass"] == 1
+
+    def test_verify_paper_json_does_not_depend_on_the_hash_seed(self):
+        # A run iterates dicts and sets (growth-class orbits among them), so
+        # two fresh interpreters under different PYTHONHASHSEED values must
+        # print the same bytes.  Both import the package under test.
+        src = str(Path(binmat.__file__).resolve().parent.parent)
+        code = "import sys; from binmat.cli import main; sys.exit(main(['verify-paper', '--json']))"
+        outs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout)
+        assert outs[0] == outs[1]
+        assert b'"pass": 103' in outs[0]
 
 
 E4_DECOMPOSER = ["decomposer", "E4", "--sep", "1,2,5,6,7,10", "--k", "3"]

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from binmat import iso
+from binmat import extension, iso
 from binmat.catalog import get, list_names
 from binmat.extension import (
     coextend,
@@ -18,7 +18,7 @@ from binmat.extension import (
     growths,
 )
 from binmat.gf2 import BitMatrix, BitVector
-from binmat.iso import are_isomorphic, weight_profile
+from binmat.iso import IsoIndex, are_isomorphic, weight_profile
 from binmat.matroid import Matroid, dual, make_matroid, remove, simplicity
 from binmat.structure import ExcludedClass, growth_classes_in, in_class
 
@@ -399,6 +399,72 @@ class TestGrowthClasses:
         for _ in range(10):
             m = relabeled_copy(M(name), rng)
             assert {kind: summary(m, kind) for kind in expected} == expected, m.labels
+
+    def test_classes_match_plain_iso_index_grouping(self):
+        # Orbit reuse places generators without building their growths; the
+        # classes must be those of building every growth and grouping it in
+        # an IsoIndex: representatives' rows and labels, members, and class
+        # order, on the catalog (but PG(3,2)'s 2,000-odd growths of one
+        # kind) and on seeded random parents in shuffled presentations.
+        def plain(m, kind):
+            groups, index = [], IsoIndex()
+            for v in growth_candidates(m, kind):
+                child = grow(m, kind, v)
+                members, _ = index.find(child, list)
+                if not members:
+                    groups.append((child, members))
+                members.append(v)
+            return [(rep.matrix.rows, rep.labels, tuple(vs)) for rep, vs in groups]
+
+        def orbits(m, kind):
+            classes = enumerate_growth_classes(m, kind)
+            return [(c.representative.matrix.rows, c.representative.labels, c.members) for c in classes]
+
+        rng = random.Random(31)
+        parents = [fresh(name) for name in list_names() if get(name).matroid.size <= 12]
+        parents += [relabeled_copy(_random_simple_cosimple(rng), rng) for _ in range(150)]
+        seen = Counter()
+        for m in parents:
+            for kind in ("extension", "coextension"):
+                expected = plain(m, kind)
+                assert orbits(m, kind) == expected, (m.matrix.rows, m.labels, kind)
+                seen[kind] += len(expected)
+                seen["merged"] += sum(len(vs) > 1 for _, _, vs in expected)
+        assert min(seen.values()) >= 300, seen
+
+    def test_recorded_automorphisms_fix_the_parent(self, monkeypatch):
+        # Every automorphism alpha that the orbit rule records maps m's
+        # frame onto itself by GF(2) columns: the matrix whose columns are
+        # the frame's columns at alpha of its basis labels takes the column
+        # of every label x to the column of alpha(x).  The frame is m for
+        # extensions and dual(m) for coextensions, where the rows are carried.
+        recorded = []
+        made = extension.carrier
+
+        def recording(p2, p1, kind, sigma):
+            recorded.append((p2, p1, kind, dict(sigma)))
+            return made(p2, p1, kind, sigma)
+
+        monkeypatch.setattr(extension, "carrier", recording)
+        rng = random.Random(31)
+        parents = [fresh(name) for name in ("S8", "P9", "E4", "E5", "T12", "T12/e", "M(K3,3)", "S10*")]
+        parents += [relabeled_copy(_random_simple_cosimple(rng), rng) for _ in range(60)]
+        for m in parents:
+            for kind in ("extension", "coextension"):
+                enumerate_growth_classes(m, kind)
+        seen = Counter()
+        for p2, p1, kind, alpha in recorded:
+            assert p2 is p1 and sorted(alpha) == sorted(alpha.values()) == sorted(p1.labels)
+            frame = p1 if kind == "extension" else dual(p1)
+            images = [frame.column_of(alpha[b]) for b in frame.labels[: frame.rank]]
+            for x in frame.labels:
+                col, image = frame.column_of(x), 0
+                for i, c in enumerate(images):
+                    if (col >> i) & 1:
+                        image ^= c
+                assert image == frame.column_of(alpha[x]), (p1.matrix.rows, kind, alpha)
+            seen[kind] += 1
+        assert min(seen.values()) >= 50, seen
 
     def test_excluded_filter_drops_children_with_minors(self):
         # growth_classes_in keeps a class iff its representative has no

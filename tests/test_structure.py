@@ -8,7 +8,15 @@ import pytest
 
 from binmat import iso, structure
 from binmat.catalog import get
-from binmat.extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels, growths
+from binmat.extension import (
+    carrier,
+    coextend,
+    enumerate_growth_classes,
+    extend,
+    growth_candidates,
+    growth_labels,
+    growths,
+)
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic, canonical_key, cocycle_index, isomorphism, weight_profile
 from binmat.matroid import Matroid, dual, remove
@@ -16,8 +24,6 @@ from binmat.structure import (
     ExcludedClass,
     HypothesisError,
     Verdict,
-    _carried_column,
-    _carry_frames,
     _classify_built,
     _triangle_escape,
     corollary22_check,
@@ -525,6 +531,42 @@ class TestTheorem21:
         verdicts = Counter(rec.sides[0].verdict for rec in report.two_step if rec.in_class)
         assert verdicts == {Verdict.GOOD: 56, Verdict.BAD: 12}
 
+    def test_bridging_candidates_are_noted_on_an_extension_of_d1star(self):
+        # Theorem 2.1's hypotheses let a bridging candidate lie in the
+        # class: 6 of the 72 active two-step records of this input are
+        # bridging (so noted, not as good for no side), and 18 are bad.
+        report = theorem21_check(
+            _base("D1*+[000110]"), _D1_BRIDGING[1][0], 3, [M("S10"), M("S10*")], check_dual=False
+        )
+        assert report.overall == "failed"
+        assert sum(rec.active for rec in report.two_step) == 72
+        assert report.notes == [
+            "bridging candidate [001001]/[000011]",
+            "candidate [001001]/[001101] is good for no side",
+            "candidate [001001]/[110001] is good for no side",
+            "candidate [001001]/[111101] is good for no side",
+            "bridging candidate [001111]/[000011]",
+            "candidate [001111]/[001101] is good for no side",
+            "candidate [001111]/[110000] is good for no side",
+            "candidate [001111]/[111100] is good for no side",
+            "candidate [110000]/[001101] is good for no side",
+            "candidate [110000]/[110001] is good for no side",
+            "candidate [110000]/[111101] is good for no side",
+            "bridging candidate [110000]/[111111]",
+            "candidate [110100]/[001100] is good for no side",
+            "candidate [110100]/[110001] is good for no side",
+            "candidate [110100]/[111100] is good for no side",
+            "bridging candidate [110100]/[111110]",
+            "candidate [111101]/[001100] is good for no side",
+            "candidate [111101]/[110001] is good for no side",
+            "bridging candidate [111101]/[110011]",
+            "candidate [111101]/[111100] is good for no side",
+            "candidate [111111]/[001101] is good for no side",
+            "candidate [111111]/[110000] is good for no side",
+            "bridging candidate [111111]/[110010]",
+            "candidate [111111]/[111100] is good for no side",
+        ]
+
 
 class TestCorollary22:
     def test_requires_self_dual_base(self):
@@ -840,6 +882,15 @@ def _engine_result(report):
 
 _E3_COUPLING = ("E3", [{1, 2, 3, 4, 8, 9}, {1, 2, 5, 6, 7, 10}], ["S10", "S10*"], [], True)
 _E4_DEFERRED = ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], True)
+# A base whose Theorem 2.1 check has bridging candidates in the class.
+_D1_BRIDGING = ("D1*+[000110]", [{1, 2, 3, 4, 5, 6, 7, 10}], ["S10", "S10*"], [], False)
+
+
+def _base(name):
+    """A catalog matroid by name, or ``"name+[column]"``: its extension by
+    that column."""
+    name, _, column = name.partition("+")
+    return extend(M(name), BitVector.parse(column)) if column else M(name)
 
 
 @pytest.mark.parametrize(
@@ -852,6 +903,7 @@ _E4_DEFERRED = ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], 
         (*_E3_COUPLING, "shared"),
         (*_E4_DEFERRED, "fresh"),
         (*_E4_DEFERRED, "shared"),
+        (*_D1_BRIDGING, None),
     ],
     ids=[
         "E3-coupling",
@@ -861,6 +913,7 @@ _E4_DEFERRED = ("E4", [SIDE_A1, SIDE_A2], ["S10", "S10*"], ["T12/e", "T12\\e"], 
         "E3-coupling-seeded-shared",
         "E4-deferred-seeded-fresh",
         "E4-deferred-seeded-shared",
+        "D1star-bridging",
     ],
 )
 def test_decompose_matches_a_literal_oracle(n, sides, family, defer, check_dual, seeded):
@@ -875,7 +928,7 @@ def test_decompose_matches_a_literal_oracle(n, sides, family, defer, check_dual,
     sides = [frozenset(a) for a in sides]
     family, defer = [M(x) for x in family], [M(x) for x in defer]
     entry = theorem21_check if len(sides) == 1 else corollary22_check
-    bases = [M(n)]
+    bases = [_base(n)]
     if seeded:
         rng = random.Random(30)
         bases = [relabeled_copy(M(n), rng) for _ in range(2)]
@@ -914,8 +967,8 @@ def _repeat_parents(n, report):
 
 
 def _assert_carried_growths_map_children(p2, p1, kind):
-    # Every generator v of p2 of `kind`: v' = _carried_column(...) in the
-    # frames of _carry_frames (the parents for a column, their duals for a
+    # Every generator v of p2 of `kind`: v' = carrier(p2, p1, kind,
+    # sigma)(v) (carried in the parents for a column, in their duals for a
     # row) is a generator of p1, and sigma on the moved parent labels with
     # the new element to itself relabels the growth of p2 by v into p1's
     # growth by v' exactly (GF(2) columns compared through
@@ -924,11 +977,11 @@ def _assert_carried_growths_map_children(p2, p1, kind):
     move, new = growth_labels(p2, kind)
     child_map = {move(x): move(sigma[x]) for x in p2.labels} | {new: new}
     grow = coextend if kind == "coextension" else extend
-    frames = _carry_frames(p2, p1)[kind]
+    carry = carrier(p2, p1, kind, sigma)
     generators = {v.bits: v for v in growth_candidates(p1, kind)}
     candidates = growth_candidates(p2, kind)
     for v in candidates:
-        carried = _carried_column(*frames, v, sigma)
+        carried = carry(v.bits)
         assert carried in generators, (p2.matrix.rows, kind, v.bits)
         child = grow(p2, v)
         relabeled = Matroid(child.matrix, tuple(child_map[x] for x in child.labels))
@@ -1012,16 +1065,19 @@ def test_growth_membership_matches_fresh_searches(name):
 
 def test_growth_membership_of_a_kept_parent_builds_no_frames(monkeypatch):
     # The class finds the parent it keeps by identity, so asking that
-    # object again carries nothing; a relabeled copy carries once.
-    carry, built = structure._carry_frames, []
-    monkeypatch.setattr(structure, "_carry_frames", lambda p2, p1: built.append(p2) or carry(p2, p1))
+    # object again carries nothing; a relabeled copy builds one carrier
+    # for the kind it is asked about, not one per generator.
+    made, built = structure.carrier, []
+    monkeypatch.setattr(structure, "carrier", lambda p2, p1, kind, sigma: built.append(p2) or made(p2, p1, kind, sigma))
     cls, s8 = ExcludedClass([M("P9"), M("P9*")]), fresh("S8")
     for p in (s8, s8):
         ask = cls.growth_membership(p)
         assert [v for v in growth_candidates(p, "extension") if ask("extension", v)] == [BitVector.parse("1110")]
     assert built == []
     copy = relabeled_copy(s8, random.Random(26))
-    cls.growth_membership(copy)
+    ask = cls.growth_membership(copy)
+    assert built == []
+    assert sum(ask("extension", v) for v in growth_candidates(copy, "extension")) == 1
     assert built == [copy]
 
 

@@ -8,10 +8,13 @@ import pytest
 
 from binmat import iso, structure, verify
 from binmat.catalog import get, list_names
+from binmat.extension import coextend, extend
 from binmat.gf2 import BitVector
-from binmat.structure import OneStepRecord, OneStepSide, TwoStepRecord
+from binmat.structure import DecomposerReport, OneStepRecord, OneStepSide, SideOutcome, TwoStepRecord, Verdict
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B, GrowthCell
 from binmat.verify import claim_ids, report_to_json, report_to_text, run_verification
+
+from conftest import oracle_lam
 
 
 # Known disagreements between the printed values and recomputation; each
@@ -125,9 +128,11 @@ class TestFullReport:
         # per growth class of that parent (ExcludedClass.growth_membership),
         # so E4's dual orientation and every repeat parent ask nothing, the
         # decomposer builds no child to ask about, and each parent's classes
-        # are enumerated once: a run asks 201 ExcludedClass questions and
-        # makes 715 isomorphism calls.  The catalog matroids start without
-        # the classes earlier tests kept on them, as in a fresh interpreter.
+        # are enumerated once, by orbits of the automorphisms that class
+        # lookups find, so a generator placed by an orbit makes no search:
+        # a run asks 201 ExcludedClass questions and makes 443 isomorphism
+        # calls.  The catalog matroids start without the classes earlier
+        # tests kept on them, as in a fresh interpreter.
         for name in list_names():
             monkeypatch.setattr(get(name).matroid, "_growth_classes", {})
         asked, calls = [], []
@@ -146,7 +151,7 @@ class TestFullReport:
             monkeypatch.setattr(module, "isomorphism", counting)
         run_verification()
         assert len(asked) <= 201
-        assert len(calls) <= 715
+        assert len(calls) <= 443
 
 
 class _RecordsOnly:
@@ -177,6 +182,41 @@ def test_deferred_two_step_row_reads_deferred():
     rec = TwoStepRecord(BitVector.parse("11000"), BitVector.parse("110000"), True, True)
     assert verify._verdict_state(rec, 0) == {"s10-minor": False, "row": "deferred"}
     assert verify._verdict_state(rec, 1) == {"s10-minor": False, "row": "deferred"}
+
+
+def test_all_good_parents_lists_only_parents_with_active_rows_all_good():
+    # Synthetic records: a parent whose active rows are all good is listed;
+    # one with a bad row, one whose rows are all out of the class or
+    # deferred, and an inactive parent with good rows are not.
+    good, bad = SideOutcome(Verdict.GOOD, witness_set=frozenset({1})), SideOutcome(Verdict.BAD)
+    side = OneStepSide(lam_a=2, lam_ax=2, satisfied=True, direct=True)
+    parents = [BitVector.parse(v) for v in ("00110", "01111", "10110", "11000")]
+    one_step = [OneStepRecord("extension", v, True, False, [side]) for v in parents[:3]]
+    one_step.append(OneStepRecord("extension", parents[3], False, False))
+    row = BitVector.parse("110000")
+    two_step = [
+        TwoStepRecord(parents[0], row, True, False, [good]),
+        TwoStepRecord(parents[0], BitVector.parse("001100"), False, False),
+        TwoStepRecord(parents[1], row, True, False, [good]),
+        TwoStepRecord(parents[1], BitVector.parse("001100"), True, False, [bad]),
+        TwoStepRecord(parents[2], row, False, False),
+        TwoStepRecord(parents[2], BitVector.parse("001100"), True, True),
+        TwoStepRecord(parents[3], row, True, False, [good]),
+    ]
+    report = DecomposerReport("failed", one_step, two_step)
+    assert verify._all_good_parents(report, 0) == ["[00110]"]
+
+
+def test_printed_witness_equal_to_the_side_is_valid():
+    # E4's A1 side in the two-step child [00110]/[000101] has lambda 2
+    # (oracle_lam), so the printed witness A itself is valid; a set that
+    # is not between A and A u {e, f} is not.
+    side = sorted({1, 2, 5, 7, 8, 11})  # A1 = {1, 2, 5, 6, 7, 10} moved by the coextension
+    child = coextend(extend(get("E4").matroid, BitVector.parse("00110")), BitVector.parse("000101"))
+    assert oracle_lam(child, side) == 2
+    context = _RecordsOnly({})
+    assert verify._printed_witness_valid(context, "[00110]", "[000101]", 0, side)
+    assert not verify._printed_witness_valid(context, "[00110]", "[000101]", 0, side[1:])
 
 
 def _context_values_read_once(source: str) -> list[str]:

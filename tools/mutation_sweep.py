@@ -92,9 +92,9 @@ MUTANTS = [
     # not of their duals, reads the row's bits as basis labels.
     Mutant(
         "carry-frame-not-dualed",
-        "src/binmat/structure.py",
-        '"coextension": (dual(p2), dual(p1))',
-        '"coextension": (p2, p1)',
+        "src/binmat/extension.py",
+        "p2, p1 = dual(p2), dual(p1)",
+        "p2, p1 = p2, p1",
         (
             "tests/test_structure.py::test_carried_rows_map_children_of_random_presentations",
             "tests/test_structure.py::test_carried_generators_map_children_across_duality[coextension-E4]",
@@ -102,9 +102,9 @@ MUTANTS = [
     ),
     Mutant(
         "carried-column-uses-p2-columns",
-        "src/binmat/structure.py",
-        "            c ^= p1.column_of(sigma[p2.labels[i]])\n",
-        "            c ^= p2.column_of(sigma[p2.labels[i]])\n",
+        "src/binmat/extension.py",
+        "images = [p1.column_of(sigma[x]) for x in p2.labels[: p2.rank]]",
+        "images = [p2.column_of(sigma[x]) for x in p2.labels[: p2.rank]]",
         (
             "tests/test_structure.py::test_carried_columns_map_children_of_random_presentations",
             "tests/test_structure.py::test_carried_generators_map_children_across_duality[extension-E4]",
@@ -115,8 +115,8 @@ MUTANTS = [
     Mutant(
         "class-map-reads-uncarried-bits",
         "src/binmat/structure.py",
-        "c = class_of[kind][v.bits if frames is None else _carried_column(*frames[kind], v, sigma)]",
-        "c = class_of[kind][v.bits]",
+        "c = classes[v.bits if carry is None else carry(v.bits)]",
+        "c = classes[v.bits]",
         (
             "tests/test_structure.py::test_growth_membership_matches_fresh_searches[F7]",
             "tests/test_structure.py::test_decompose_matches_a_literal_oracle[E4-deferred-seeded-shared]",
@@ -150,6 +150,45 @@ MUTANTS = [
         '                fail(f"candidate {rec.parent_vector}/{rec.row} is good for no side")\n',
         "",
         ("tests/test_structure.py::TestTheorem21::test_two_step_failure_on_one_e4_side",),
+    ),
+    # A bridging candidate that is good for no side still fails, so only
+    # the notes, or the literal oracle, tell this one apart.
+    Mutant(
+        "bridging-branch-deleted",
+        "src/binmat/structure.py",
+        "            if Verdict.BRIDGING in verdicts:\n"
+        '                fail(f"bridging candidate {rec.parent_vector}/{rec.row}")\n'
+        "            elif Verdict.GOOD not in verdicts:\n",
+        "            if Verdict.GOOD not in verdicts:\n",
+        (
+            "tests/test_structure.py::TestTheorem21::test_bridging_candidates_are_noted_on_an_extension_of_d1star",
+            "tests/test_structure.py::test_decompose_matches_a_literal_oracle[D1star-bridging]",
+        ),
+    ),
+    # A map between two growths that moves the new element restricts to
+    # no automorphism of the parent.
+    Mutant(
+        "orbit-without-new-element-test",
+        "src/binmat/extension.py",
+        "if phi is not None and phi[new] == new:",
+        "if phi is not None:",
+        ("tests/test_extension.py::TestGrowthClasses::test_classes_match_plain_iso_index_grouping",),
+    ),
+    # The registry's data never reaches these two differences, so the
+    # report pin cannot see them; unit tests on synthetic records can.
+    Mutant(
+        "all-good-parents-without-rows",
+        "src/binmat/verify.py",
+        "if rows and all(",
+        "if all(",
+        ("tests/test_verify.py::test_all_good_parents_lists_only_parents_with_active_rows_all_good",),
+    ),
+    Mutant(
+        "printed-witness-strictly-above-a",
+        "src/binmat/verify.py",
+        "return side_s <= w <= (side_s | {move(x), f})",
+        "return side_s < w <= (side_s | {move(x), f})",
+        ("tests/test_verify.py::test_printed_witness_equal_to_the_side_is_valid",),
     ),
     # Reporting the side that holds the first column, not the smaller
     # by sorted labels, is the same on the catalog's presentations, whose
