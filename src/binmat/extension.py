@@ -98,14 +98,15 @@ def carrier(p2: Matroid, p1: Matroid, kind: str, sigma):
     an extension, and its dual for a coextension, since a coextension of
     m by row w is dual(extend(dual(m), w)) up to labels (see `coextend`),
     and sigma maps dual(p2) onto dual(p1) too.  The frames are built
-    once per carrier.  The generator is the sum of the frame's basis
-    columns it marks, and a binary matroid has one representation up to
+    once per carrier, and are one dual when sigma is an automorphism (p2
+    is p1).  The generator is the sum of the frame's basis columns it
+    marks, and a binary matroid has one representation up to
     row operations, so the linear map taking each column of p2's frame to
     p1's column at its image takes the generator to the sum of p1's
     columns at sigma of those basis labels.  So sigma, with the new
     element to the new element, maps growth onto growth."""
     if kind == "coextension":
-        p2, p1 = dual(p2), dual(p1)
+        p2, p1 = (dual(p1),) * 2 if p2 is p1 else (dual(p2), dual(p1))
     images = [p1.column_of(sigma[x]) for x in p2.labels[: p2.rank]]
 
     def carry(bits: int) -> int:

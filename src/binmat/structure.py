@@ -30,7 +30,12 @@ each separation (lambda(A) = k-1 directly, or after adding the new
 element); if every one-step check succeeds directly, the one-element
 check suffices and the two-step phase is skipped.  Otherwise every
 in-class two-step matroid (a cosimple coextension of a one-step
-extension) is classified good, bad, or bridging per side.
+extension) is classified good, bad, or bridging per side.  An excluded-
+minor class is minor-closed, and a two-step matroid M by row w deletes
+its e to the coextension of the base by w without e's bit (bit n - r:
+`extend` appends e as the last D column).  So when the one-step phase
+found that coextension outside the class, M is outside too, and nothing
+is asked about it.
 
 The engine reads every structural fact off one source, the rank
 function: the hypotheses (exactness, unions of circuits and of
@@ -443,9 +448,19 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
     """Classify every coextension row over every active extension; only
     active rows build their child and get per-side outcomes.  Membership
     is asked through `_membership`, so a parent isomorphic to one asked
-    before takes its growth classes' answers along the parents' map."""
+    before takes its growth classes' answers along the parents' map.
+
+    A row whose child has a minor outside the class is outside it with no
+    question asked.  `extend` appends e as the last D column, so bit
+    n - r of a row of type I marks e, and the bits below it are a
+    coextension row of n: deleting e from the child leaves the
+    coextension of n by ``row & mask`` (labels aside).  When the one-step
+    phase found that coextension outside the class, the child, which has
+    it as a minor, is outside too."""
     records = []
     _, x = growth_labels(n, "extension")
+    mask = (1 << (n.size - n.rank)) - 1
+    outside = {rec.vector.bits for rec in one_step if rec.kind == "coextension" and not rec.in_class}
     for ext in one_step:
         if ext.kind != "extension" or not ext.active:
             continue
@@ -455,7 +470,8 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
         e = move(x)
         moved = [frozenset(map(move, a)) for a in sides]
         for row in growth_candidates(type_i, "coextension"):
-            rec = TwoStepRecord(ext.vector, row, *membership("coextension", row))
+            minor_outside = (row.bits & mask) in outside
+            rec = TwoStepRecord(ext.vector, row, *((False, False) if minor_outside else membership("coextension", row)))
             if rec.active:
                 child = coextend(type_i, row)
                 rec.sides = [_classify_built(child, e, f, a, k) for a in moved]

@@ -466,6 +466,26 @@ class TestGrowthClasses:
             seen[kind] += 1
         assert min(seen.values()) >= 50, seen
 
+    def test_an_automorphism_carrier_builds_one_dual(self, monkeypatch):
+        # A coextension carrier reads rows in the parents' duals, and the
+        # two parents of an automorphism are one object: each carrier the
+        # orbit rule makes for a fresh T12's coextensions builds one dual.
+        duals, per_carrier = [], []
+        made, build = extension.carrier, extension.dual
+
+        def recording(p2, p1, kind, sigma):
+            before = len(duals)
+            carry = made(p2, p1, kind, sigma)
+            per_carrier.append(len(duals) - before)
+            return carry
+
+        monkeypatch.setattr(extension, "dual", lambda m: duals.append(m) or build(m))
+        monkeypatch.setattr(extension, "carrier", recording)
+        t12 = fresh("T12")
+        enumerate_growth_classes(t12, "coextension")
+        assert per_carrier and per_carrier == [1] * len(per_carrier)
+        assert all(m is t12 for m in duals)
+
     def test_excluded_filter_drops_children_with_minors(self):
         # growth_classes_in keeps a class iff its representative has no
         # excluded minor, and keeps some classes and drops others.

@@ -1167,6 +1167,82 @@ def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):
         assert not first.isdisjoint(child for _, child in growths(p1, "coextension"))
 
 
+def _d1_bridging_check(n):
+    return theorem21_check(n, _D1_BRIDGING[1][0], 3, [M("S10"), M("S10*")], check_dual=False)
+
+
+@pytest.mark.parametrize(
+    "base, check, families, deduced",
+    [
+        (lambda: fresh("E4"), _e4_check, _E4_DEFERRED[2:4], [150, 150]),
+        (lambda: _base("D1*+[000110]"), _d1_bridging_check, _D1_BRIDGING[2:4], [192]),
+        (lambda: relabeled_copy(M("E4"), random.Random(32)), _e4_check, _E4_DEFERRED[2:4], [150, 150]),
+        (lambda: relabeled_copy(M("E4"), random.Random(33)), _e4_check, _E4_DEFERRED[2:4], [150, 150]),
+    ],
+    ids=["E4", "D1star-bridging", "E4-seeded-32", "E4-seeded-33"],
+)
+def test_two_step_records_with_a_one_step_minor_outside_ask_nothing(monkeypatch, base, check, families, deduced):
+    # A two-step child of n deletes its e to a one-step coextension of n:
+    # the row's bits below e's (bit n - r, as `extend` appends e as the
+    # last D column).  When a fresh search puts that coextension outside
+    # the class, the record is outside too, and no `ask` of any
+    # growth_membership names it.  The classes are asked only from inside
+    # an `ask`, so nothing else asks about it either (its child may still
+    # be asked as the representative of a growth class another row asks).
+    asked_growths, outside_any_ask = set(), []
+    contains, growth_membership = ExcludedClass.__contains__, ExcludedClass.growth_membership
+    depth = 0  # asks in progress
+
+    def recording(self, m):
+        if not depth:
+            outside_any_ask.append(m)
+        return contains(self, m)
+
+    def recording_growths(self, parent):
+        ask = growth_membership(self, parent)
+
+        def recorded(kind, v):
+            nonlocal depth
+            asked_growths.add((parent.matrix.rows, parent.labels, kind, v.bits))
+            depth += 1
+            try:
+                return ask(kind, v)
+            finally:
+                depth -= 1
+
+        return recorded
+
+    monkeypatch.setattr(ExcludedClass, "__contains__", recording)
+    monkeypatch.setattr(ExcludedClass, "growth_membership", recording_growths)
+    n = base()
+    report = check(n)
+    monkeypatch.undo()
+    assert asked_growths and not outside_any_ask
+    excluded, defer = ([M(x) for x in names] for names in families)
+    orientations = [(report, n, excluded, defer)]
+    if report.dual_report:
+        orientations.append((report.dual_report, dual(n), [dual(x) for x in excluded], [dual(x) for x in defer]))
+    counts = []  # deduced records per orientation
+    for rep, n, excluded, defer in orientations:
+        mask = (1 << (n.size - n.rank)) - 1
+        outside = {v.bits for v in growth_candidates(n, "coextension") if not in_class(coextend(n, v), excluded)}
+        _, x = growth_labels(n, "extension")
+        seen = 0
+        for rec in rep.two_step:
+            if (rec.row.bits & mask) not in outside:
+                continue
+            seen += 1
+            type_i = extend(n, rec.parent_vector)
+            child = coextend(type_i, rec.row)
+            move, _ = growth_labels(type_i, "coextension")
+            assert (type_i.matrix.rows, type_i.labels, "coextension", rec.row.bits) not in asked_growths
+            minor = coextend(n, BitVector(n.size - n.rank, rec.row.bits & mask))
+            assert are_isomorphic(remove(child, {move(x)}), minor)
+            assert (rec.in_class, rec.deferred) == _fresh_membership(child, excluded, defer) == (False, False)
+        counts.append(seen)
+    assert counts == deduced
+
+
 def _summary(report):
     """A decomposer report without its generators: the overall result, the
     multiset of one-step (kind, in_class, deferred, per-side lambda pairs)

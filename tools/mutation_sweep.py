@@ -93,7 +93,7 @@ MUTANTS = [
     Mutant(
         "carry-frame-not-dualed",
         "src/binmat/extension.py",
-        "p2, p1 = dual(p2), dual(p1)",
+        "p2, p1 = (dual(p1),) * 2 if p2 is p1 else (dual(p2), dual(p1))",
         "p2, p1 = p2, p1",
         (
             "tests/test_structure.py::test_carried_rows_map_children_of_random_presentations",
@@ -132,6 +132,30 @@ MUTANTS = [
         (
             "tests/test_structure.py::test_growth_membership_matches_fresh_searches[F7]",
             "tests/test_structure.py::test_decompose_matches_a_literal_oracle[E4-deferred-seeded-shared]",
+        ),
+    ),
+    # A two-step record is outside the class by its minor only when the
+    # one-step coextension it deletes to is outside; one inside says nothing.
+    Mutant(
+        "two-step-deduces-from-in-class-records",
+        "src/binmat/structure.py",
+        'if rec.kind == "coextension" and not rec.in_class}',
+        'if rec.kind == "coextension" and rec.in_class}',
+        (
+            "tests/test_structure.py::test_decompose_matches_a_literal_oracle[E4-deferred]",
+            "tests/test_structure.py::TestInClass::test_decomposer_membership_per_class_matches_fresh_searches",
+        ),
+    ),
+    # A mask that keeps e's bit still deduces only true answers, from the
+    # rows without it, so only the questions asked tell it apart.
+    Mutant(
+        "two-step-mask-keeps-e",
+        "src/binmat/structure.py",
+        "mask = (1 << (n.size - n.rank)) - 1",
+        "mask = (1 << (n.size - n.rank + 1)) - 1",
+        (
+            "tests/test_structure.py::test_two_step_records_with_a_one_step_minor_outside_ask_nothing",
+            "tests/test_verify.py::TestFullReport::test_growth_questions_and_isomorphism_calls_stay_carried",
         ),
     ),
     # The census asks one question per growth class, but must list every
