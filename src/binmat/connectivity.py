@@ -1,18 +1,22 @@
 """Connectivity function, k-separations, and their enumeration.
 
-lambda(X) = r(X) + r(E - X) - r(M).  Every value is two subset ranks
+lambda(X) = r(X) + r(E - X) - r(M).  A single value is two subset ranks
 (`Matroid.rank_of_mask`, two lookups each in the matroid's rank tables),
 including lambda in a minor M \\ D / C, whose rank function is
 r(Y u C) - r(C) on E - D - C: no minor is built.  Separations
 are label sets, one side each.  Enumeration is exhaustive over the
 bipartitions (ground sets here never exceed ~15 elements), each taken once,
-and each connectivity predicate is one sweep that evaluates lambda once
-per bipartition.
+and each connectivity predicate is one sweep over rows of lambda: the
+2^(n//2) sides that share their high half, read as two `matroid.rank_row`
+rows added entry by entry, one of them reversed for the complements.
 """
 
 from __future__ import annotations
 
-from .matroid import Matroid, is_union_of_circuits, is_union_of_cocircuits
+from functools import cache
+from operator import add
+
+from .matroid import Matroid, is_union_of_circuits, is_union_of_cocircuits, rank_row
 
 
 def lam(m: Matroid, x, deletions=(), contractions=()) -> int:
@@ -35,24 +39,32 @@ def _lam_mask(m: Matroid, mask: int) -> int:
     return m.rank_of_mask(mask) + m.rank_of_mask(m.full_mask & ~mask) - m.rank
 
 
-def _bipartitions(size: int, k: int):
-    """One side's mask of each bipartition of ``size`` positions, taken
-    once, with both sides of at least ``k`` elements."""
-    # Fix position 0 on side A to take each partition once.
-    for sub in range(1 << size >> 1):
-        mask = (sub << 1) | 1
-        na = mask.bit_count()
-        if na >= k and size - na >= k:
-            yield mask
+@cache
+def _by_size(h: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of h positions by size: entry j holds those of j elements."""
+    return tuple(tuple(s for s in range(1 << h) if s.bit_count() == j) for j in range(h + 1))
+
+
+def _lam_rows(m: Matroid):
+    """(t, row) for each subset t of positions h..n-2 (h = n // 2), shifted
+    down by h: ``row[s]`` is lambda(X) + r(M) for X = s | t << h.  Each X
+    avoids position n - 1, so each bipartition is met once, by its side X,
+    whose complement's ranks are the row of top ^ t read backwards."""
+    top = (1 << (m.size - m.size // 2)) - 1
+    for t in range(top + 1 >> 1):
+        yield t, list(map(add, rank_row(m, t), reversed(rank_row(m, top ^ t))))
 
 
 def _lam_bounded_below(m: Matroid, floor) -> bool:
     """True iff lambda(X) >= floor(s) for every bipartition (X, E - X),
-    s the size of its smaller side."""
-    for mask in _bipartitions(m.size, 1):
-        na = mask.bit_count()
-        if _lam_mask(m, mask) < floor(min(na, m.size - na)):
-            return False
+    s the size of its smaller side: per row, the least value over the
+    sides X of each size j."""
+    n = m.size
+    least = [floor(min(j, n - j)) + m.rank for j in range(n + 1)]
+    for t, row in _lam_rows(m):
+        for j, ss in enumerate(_by_size(n // 2), t.bit_count()):
+            if min(map(row.__getitem__, ss)) < least[j]:
+                return False
     return True
 
 
@@ -95,12 +107,15 @@ def nonminimal_exact_3seps(m: Matroid, require_unions: bool = False) -> list[fro
     qualifies, reporting the smaller qualifying side.
     """
     out = []
-    for mask in _bipartitions(m.size, 4):
-        if _lam_mask(m, mask) != 2:
-            continue
-        sides = sorted((m.labels_of(mask), m.labels_of(m.full_mask & ~mask)), key=sorted)
-        if require_unions:
-            sides = [s for s in sides if is_union_of_circuits(m, s) and is_union_of_cocircuits(m, s)]
-        if sides:
-            out.append(sides[0])
+    h, target = m.size // 2, m.rank + 2
+    for t, row in _lam_rows(m):
+        for s, value in enumerate(row):
+            mask = s | t << h
+            if value != target or not 4 <= mask.bit_count() <= m.size - 4:
+                continue
+            sides = sorted((m.labels_of(mask), m.labels_of(m.full_mask & ~mask)), key=sorted)
+            if require_unions:
+                sides = [x for x in sides if is_union_of_circuits(m, x) and is_union_of_cocircuits(m, x)]
+            if sides:
+                out.append(sides[0])
     return sorted(out, key=sorted)

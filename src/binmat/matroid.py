@@ -17,11 +17,12 @@ counts the cocycle-space vectors that avoid X.  Those vectors are the
 AND of ``~contains[p]`` over p in X, one index mask.  `rank_tables`
 keeps that AND for every subset of the first h = n // 2 positions and
 for every subset of the rest, so each rank is two lookups, one AND and
-a popcount.  The tables hold 2^(n//2) + 2^(n - n//2) masks of 2^r bits,
-so they are kept only for n <= 16 and r <= 12 (at most 256 KB; the
-catalog's matroids have n <= 15, r <= 11).  A larger matroid's ranks are
-eliminated per call (`gf2.rank_of_columns`), so one question about a
-large input stays cheap.
+a popcount; `rank_row` reads the ranks of the 2^h sets with one high
+half as one pass over the low table.  The tables hold 2^(n//2) +
+2^(n - n//2) masks of 2^r bits, so they are kept only for n <= 16 and
+r <= 12 (at most 256 KB; the catalog's matroids have n <= 15, r <= 11).
+A larger matroid's ranks are eliminated per call (`gf2.rank_of_columns`),
+so one question about a large input stays cheap.
 """
 
 from __future__ import annotations
@@ -193,6 +194,19 @@ def rank_tables(m: Matroid) -> tuple[int, tuple[int, ...], tuple[int, ...]] | No
         full = (1 << (1 << m.rank)) - 1
         m._rank_tables = (h, _avoiding(contains[:h], full), _avoiding(contains[h:], full))
     return m._rank_tables
+
+
+def rank_row(m: Matroid, t: int) -> list[int]:
+    """Entry s: r(s | t << h), h = n // 2, for every subset s of positions
+    0..h-1 and a subset t of the rest: one row of `rank_tables`, or one
+    elimination per entry for a matroid too large to tabulate."""
+    tables = m._rank_tables or rank_tables(m)
+    if tables is None:
+        h = m.size // 2
+        return [m.rank_of_mask(s | t << h) for s in range(1 << h)]
+    _, low, high = tables
+    base, avoid = m.rank + 1, high[t]
+    return [base - (a & avoid).bit_count().bit_length() for a in low]
 
 
 def _avoiding(contains: tuple[int, ...], full: int) -> tuple[int, ...]:

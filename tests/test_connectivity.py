@@ -1,11 +1,13 @@
 """Unit and property tests for the connectivity function and separations."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binmat import matroid
 from binmat.catalog import get, list_names
 from binmat.connectivity import (
     bridging_value,
@@ -18,7 +20,7 @@ from binmat.gf2 import BitMatrix
 from binmat.matroid import Matroid, dual, make_matroid, remove, simplicity
 from binmat.structure import HypothesisError, theorem21_check
 
-from conftest import oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids, relabeled_copy
+from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids, relabeled_copy
 
 
 def M(name):
@@ -190,6 +192,17 @@ class TestSeparations:
             expected = oracle_3seps(m, lambda s: covered_by(s, circ) and covered_by(s, cocirc))
             assert [tuple(sorted(s)) for s in got] == expected, name
 
+    def test_nonminimal_3seps_match_exhaustive_oracle_by_elimination(self, monkeypatch):
+        # With no matroid tabulated, every row is eliminated entry by entry.
+        monkeypatch.setattr(matroid, "TABLE_MAX_SIZE", 0)
+        cases = [fresh(name) for name in ("S8", "P9", "E4", "AG(3,2)")] + random_simple_matroids(seed=41, count=6)
+        found = 0
+        for m in cases:
+            got = nonminimal_exact_3seps(m)
+            assert [tuple(sorted(s)) for s in got] == oracle_3seps(m), (m.matrix.rows, m.labels)
+            found += len(got)
+        assert found and all(m._rank_tables is None for m in cases)
+
     @pytest.mark.parametrize("name", ["S8", "P9", "E4", "E5"])
     def test_nonminimal_3seps_are_invariant_under_presentation(self, name):
         # Separations are label sets, so the same labeled matroid on
@@ -245,25 +258,57 @@ def structure_flags(m):
     }
 
 
+def connectivity_cases():
+    """Seeded random matroids with at most 9 elements, every catalog
+    matroid that small, and T12: 4-connected, but with 4|8 splits of
+    lambda 3, it tells 5-connectivity apart from 4-connectivity.  Each is
+    a fresh object carrying no cached state."""
+    rng = random.Random(13)
+    matroids = [fresh(name) for name in list_names() if M(name).size <= 9] + [fresh("T12")]
+    return matroids + [random_matroid(rng, rng.randint(0, 9)) for _ in range(312)]
+
+
+def assert_predicates_match_definitions(matroids):
+    seen = set()
+    for m in matroids:
+        connected, i4c = oracle_connectivity(m)
+        for n, flag in connected.items():
+            assert is_n_connected(m, n) is flag, (m.matrix, m.labels, n)
+            seen.add((n, flag))
+        assert is_internally_4_connected(m) is i4c, (m.matrix, m.labels)
+        seen.add(("i4c", i4c))
+        seen.update(key for key, shown in structure_flags(m).items() if shown)
+    assert {(q, flag) for q in (2, 3, 4, 5, "i4c") for flag in (True, False)} <= seen
+    assert {"loop", "coloop", "parallel", "rank 0", "full rank"} <= seen
+
+
 class TestConnectivityPredicates:
     def test_predicates_match_definitions(self):
-        # Seeded random matroids with at most 9 elements, every catalog
-        # matroid that small, and T12: 4-connected, but with 4|8 splits
-        # of lambda 3, it tells 5-connectivity apart from 4-connectivity.
-        rng = random.Random(13)
-        matroids = [M(name) for name in list_names() if M(name).size <= 9] + [M("T12")]
-        matroids += [random_matroid(rng, rng.randint(0, 9)) for _ in range(312)]
-        seen = set()
-        for m in matroids:
-            connected, i4c = oracle_connectivity(m)
-            for n, flag in connected.items():
-                assert is_n_connected(m, n) is flag, (m.matrix, m.labels, n)
-                seen.add((n, flag))
-            assert is_internally_4_connected(m) is i4c, (m.matrix, m.labels)
-            seen.add(("i4c", i4c))
-            seen.update(key for key, shown in structure_flags(m).items() if shown)
-        assert {(q, flag) for q in (2, 3, 4, 5, "i4c") for flag in (True, False)} <= seen
-        assert {"loop", "coloop", "parallel", "rank 0", "full rank"} <= seen
+        assert_predicates_match_definitions(connectivity_cases())
+
+    def test_predicates_match_definitions_by_elimination(self, monkeypatch):
+        # With no matroid tabulated (the empty one aside), every row is
+        # eliminated entry by entry.
+        monkeypatch.setattr(matroid, "TABLE_MAX_SIZE", 0)
+        cases = connectivity_cases()
+        assert_predicates_match_definitions(cases)
+        assert all(m._rank_tables is None for m in cases if m.size)
+
+    def test_sweeps_past_the_rank_bound_hold_one_row_pair(self, monkeypatch):
+        # The circuit [I_13 | 1] has r = 13 > TABLE_MAX_RANK: no table is
+        # built, and a sweep holds two rows of 2^7 ranks at a time, where
+        # a list of all 2^14 ranks would take over 128 KB.
+        rows = tuple(1 << i | 1 << 13 for i in range(13))
+        m = Matroid(BitMatrix(13, 14, rows), tuple(range(1, 15)))
+        monkeypatch.setattr(matroid, "_avoiding", None)  # any table build would raise
+        tracemalloc.start()
+        try:
+            assert is_n_connected(m, 2) and not is_internally_4_connected(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert m._rank_tables is None
 
     def test_three_connected_catalog_members(self):
         for name in ("F7", "S8", "P9", "S10", "E4", "E5", "T12"):

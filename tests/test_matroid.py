@@ -19,6 +19,7 @@ from binmat.matroid import (
     is_union_of_circuits,
     is_union_of_cocircuits,
     make_matroid,
+    rank_row,
     rank_tables,
     remove,
     simplicity,
@@ -135,6 +136,22 @@ class TestRankTables:
         for m in cases:
             ranks = [m.rank_of_mask(mask) for mask in range(1 << m.size)]
             assert ranks == _eliminated_ranks(m), (m.matrix.rows, m.labels)
+
+    def test_rank_rows_match_elimination_on_every_mask(self):
+        # Row t holds the masks s | t << h in order of s, so the rows in
+        # order of t list every mask in order.  The 14-element matroid of
+        # rank 13 is past the tables' bound: its rows are eliminated.
+        rng = random.Random(33)
+        cols = [1 << k for k in range(13)] + [rng.getrandbits(13)]
+        rows = tuple(sum(((c >> k) & 1) << j for j, c in enumerate(cols)) for k in range(13))
+        large = Matroid(BitMatrix(13, 14, rows), tuple(range(1, 15)))
+        cases = [fresh("P9"), fresh("T12"), fresh("PG(3,2)*"), large, Matroid(BitMatrix(0, 0, ()), ())]
+        cases += random_matroids(seed=33, count=20, max_size=11)
+        for m in cases:
+            table = [rank_row(m, t) for t in range(1 << (m.size - m.size // 2))]
+            assert {len(row) for row in table} == {1 << (m.size // 2)}
+            assert [r for row in table for r in row] == _eliminated_ranks(m), (m.matrix.rows, m.labels)
+        assert large._rank_tables is None and large._cocycle_index is None
 
     def test_large_matroids_are_eliminated_not_tabulated(self):
         # Tables are kept up to n = 16 and r = 12.  Past either bound no

@@ -214,15 +214,37 @@ MUTANTS = [
         "return side_s < w <= (side_s | {move(x), f})",
         ("tests/test_verify.py::test_printed_witness_equal_to_the_side_is_valid",),
     ),
-    # Reporting the side that holds the first column, not the smaller
-    # by sorted labels, is the same on the catalog's presentations, whose
-    # first column is label 1.
+    # Reporting the side that avoids the last column, not the smaller by
+    # sorted labels, depends on the presentation.
     Mutant(
-        "3sep-side-by-first-column",
+        "3sep-side-by-last-column",
         "src/binmat/connectivity.py",
         "sides = sorted((m.labels_of(mask), m.labels_of(m.full_mask & ~mask)), key=sorted)",
         "sides = [m.labels_of(mask), m.labels_of(m.full_mask & ~mask)]",
         ("tests/test_connectivity.py::TestSeparations::test_nonminimal_3seps_are_invariant_under_presentation",),
+    ),
+    # Read forwards, the complement's row pairs the side s | t << h with
+    # r(s | (top ^ t) << h), not with the rank of its complement.
+    Mutant(
+        "lambda-row-not-reversed",
+        "src/binmat/connectivity.py",
+        "list(map(add, rank_row(m, t), reversed(rank_row(m, top ^ t))))",
+        "list(map(add, rank_row(m, t), rank_row(m, top ^ t)))",
+        (
+            "tests/test_connectivity.py::TestConnectivityPredicates::test_predicates_match_definitions",
+            "tests/test_connectivity.py::TestSeparations::test_nonminimal_3seps_match_exhaustive_oracle",
+        ),
+    ),
+    # Half the high-half subsets that avoid position n - 1 never meet a sweep.
+    Mutant(
+        "sweep-skips-high-rows",
+        "src/binmat/connectivity.py",
+        "for t in range(top + 1 >> 1):",
+        "for t in range(top + 1 >> 2):",
+        (
+            "tests/test_connectivity.py::TestConnectivityPredicates::test_predicates_match_definitions",
+            "tests/test_connectivity.py::TestSeparations::test_nonminimal_3seps_match_exhaustive_oracle",
+        ),
     ),
     # A parent keeps one tuple per kind; read by the parent alone, the
     # coextension classes of a parent asked for extensions first are its
