@@ -11,6 +11,11 @@ colours and growth classes of each kind
 cocircuits are decided by rank on label sets (`is_circuit`,
 `is_cocircuit`), never listed.
 
+Two instances are equal when they are the same labelled matroid: with
+columns in label order their matrices have one row space (a binary
+matroid has one representation up to row operations), and `pivots_first`
+over that order gives one form for it.  No space is listed.
+
 Ranks need no elimination.  The row vectors that vanish on a set X form
 a space of dimension r - r(X), so r(X) = r - log2 A(X), where A(X)
 counts the cocycle-space vectors that avoid X.  Those vectors are the
@@ -106,7 +111,8 @@ class Matroid:
 
     def cycle_masks(self) -> list[int]:
         """All vectors of the cycle space (null space) as position masks,
-        computed on each call: only `cycle_key` reads it."""
+        computed on each call.  Nothing in the package reads it; it is
+        kept because the benchmark's layer tracer names it."""
         return cycle_space_masks(self.matrix)
 
     def cocycle_masks(self) -> list[int]:
@@ -115,29 +121,20 @@ class Matroid:
         the transposed view instead."""
         return span(self.matrix.rows)
 
-    def cycle_key(self) -> frozenset[int]:
-        """The cycle space as masks over label values (bit l = label l);
-        equal iff equal labeled matroids on the same ground set."""
-        label_bits = [1 << lab for lab in self.labels]
-        out = set()
-        for mask in self.cycle_masks():
-            acc = 0
-            p = 0
-            while mask:
-                if mask & 1:
-                    acc |= label_bits[p]
-                mask >>= 1
-                p += 1
-            out.add(acc)
-        return frozenset(out)
+    def _labelled_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(labels in column order, rows) of `pivots_first` over the
+        columns in label order: the first basis in label order, then the
+        other columns over it.  Equal iff equal labelled matroids."""
+        matrix, order = pivots_first(list(self.matrix.rows), sorted(range(self.size), key=self.labels.__getitem__))
+        return tuple(self.labels[p] for p in order), matrix.rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matroid):
             return NotImplemented
-        return self.ground_set() == other.ground_set() and self.cycle_key() == other.cycle_key()
+        return self._labelled_form() == other._labelled_form()
 
     def __hash__(self):
-        return hash((self.ground_set(), self.cycle_key()))
+        return hash(self._labelled_form())
 
     def __repr__(self):
         return f"Matroid(rank={self.rank}, size={self.size}, labels={self.labels})"

@@ -3,12 +3,14 @@
 A full verification run takes under a second on a 2-core box, but it is
 still computed once per session, timed, and shared by the reporting and
 acceptance tests.
-Relabeling, brute-force rank, weight-profile, circuit-list and
-coextension-shift helpers live here so property tests can check the
-fast implementations against independent definitions.  The package
-decides circuits and cocircuits by rank alone (`matroid.is_circuit`,
-`is_cocircuit`); the lists here are the minimal supports of the cycle
-and cocycle spaces, so they share no rank code with it.
+Relabeling, brute-force rank, cycle- and cocycle-space, weight-profile,
+circuit-list and coextension-shift helpers live here so property tests
+can check the fast implementations against independent definitions.
+The two spaces are XOR closures built here from [I_r | D], with no
+`gf2` or `matroid` routine.  The package decides circuits and
+cocircuits by rank alone (`matroid.is_circuit`, `is_cocircuit`); the
+lists here are the minimal supports of the two spaces, so they share
+no rank code with it.
 """
 
 import random
@@ -84,14 +86,37 @@ def oracle_rank(m: Matroid, elements) -> int:
     return size.bit_length() - 1
 
 
+def _xor_closure(vectors) -> list[int]:
+    """All XOR combinations of the vectors, 0 first: mask i is the sum of
+    the vectors k with bit k of i set (distinct when they are independent)."""
+    space = [0]
+    for v in vectors:
+        space += [s ^ v for s in space]
+    return space
+
+
+def oracle_cocycle_masks(m: Matroid) -> list[int]:
+    """The cocycle space as position masks, the XOR closure of the rows,
+    built here: neither `gf2.span` nor `Matroid.cocycle_masks`."""
+    return _xor_closure(m.matrix.rows)
+
+
+def oracle_cycle_masks(m: Matroid) -> list[int]:
+    """The cycle space as position masks, the XOR closure of the
+    fundamental circuits read off [I_r | D]: column j >= r with the basis
+    positions of the rows that have bit j set.  Neither
+    `gf2.cycle_space_masks` nor `Matroid.cycle_masks`."""
+    rows = m.matrix.rows
+    return _xor_closure(
+        1 << j | sum(1 << i for i, row in enumerate(rows) if (row >> j) & 1) for j in range(m.rank, m.size)
+    )
+
+
 def oracle_weight_profile(m: Matroid) -> tuple[int, ...]:
-    """The cocycle weight enumerator by a loop over the row space, built
-    here from the rows: neither `gf2.span` nor `matroid.cocycle_index`."""
-    space = {0}
-    for row in m.matrix.rows:
-        space |= {s ^ row for s in space}
+    """The cocycle weight enumerator by a loop over `oracle_cocycle_masks`:
+    neither `gf2.span` nor `matroid.cocycle_index`."""
     counts = [0] * (m.size + 1)
-    for s in space:
+    for s in oracle_cocycle_masks(m):
         counts[s.bit_count()] += 1
     return tuple(counts)
 
@@ -113,12 +138,12 @@ def _minimal_supports(m: Matroid, masks) -> list[frozenset[int]]:
 def oracle_circuits(m: Matroid) -> list[frozenset[int]]:
     """All circuits, as the minimal supports of the cycle space: no rank
     code is shared with `matroid.is_circuit`."""
-    return _minimal_supports(m, m.cycle_masks())
+    return _minimal_supports(m, oracle_cycle_masks(m))
 
 
 def oracle_cocircuits(m: Matroid) -> list[frozenset[int]]:
     """All cocircuits, as the minimal supports of the cocycle space."""
-    return _minimal_supports(m, m.cocycle_masks())
+    return _minimal_supports(m, oracle_cocycle_masks(m))
 
 
 def oracle_shift_label(label: int, r: int) -> int:

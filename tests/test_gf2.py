@@ -14,7 +14,7 @@ from binmat.gf2 import (
     standard_form,
 )
 
-from conftest import span_size
+from conftest import oracle_cycle_masks, random_matroids, span_size
 
 
 def small_matrices():
@@ -25,6 +25,11 @@ def small_matrices():
             ).map(lambda rows: BitMatrix(r, n, tuple(rows)))
         )
     )
+
+
+def _null_space(m: BitMatrix) -> set[int]:
+    """Every v with m v = 0, by a loop over all 2^n vectors (oracle)."""
+    return {v for v in range(1 << m.ncols) if all((row & v).bit_count() % 2 == 0 for row in m.rows)}
 
 
 class TestBitVector:
@@ -147,8 +152,8 @@ class TestStandardForm:
         # Row operations keep the null space; column moves permute it.
         m = BitMatrix.from_rows(["0111", "1011", "1101"])
         sf, perm = standard_form(m)
-        before = set(cycle_space_masks(m))
-        after = set(cycle_space_masks(sf))
+        before = _null_space(m)
+        after = _null_space(sf)
 
         def permute(mask):
             out = 0
@@ -173,6 +178,16 @@ class TestCycleSpace:
             assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
         # 2^(n - rank) distinct null-space vectors are all of them.
         assert len(set(masks)) == len(masks) == 1 << (m.ncols - rank_of_columns(m.columns()))
+
+    def test_masks_match_the_fundamental_circuit_oracle(self):
+        # On [I_r | D] the first-come basis is the identity block, so both
+        # list the closure of the same fundamental circuits in one order.
+        cases = random_matroids(seed=34, count=40, max_size=12)
+        assert {m.rank == 0 for m in cases} == {True, False} and any(m.rank == m.size for m in cases)
+        for m in cases:
+            expected = oracle_cycle_masks(m)
+            assert cycle_space_masks(m.matrix) == expected, (m.matrix.rows, m.size)
+            assert m.cycle_masks() == expected, (m.matrix.rows, m.size)
 
     @given(st.lists(st.integers(0, 255), max_size=6))
     def test_span_of_independent_vectors(self, vectors):

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binmat import connectivity, iso, matroid
+from binmat import connectivity, gf2, iso, matroid
 from binmat.catalog import get, list_names
 from binmat.gf2 import BitMatrix, BitVector, rank_of_columns
 from binmat.matroid import (
@@ -25,7 +25,16 @@ from binmat.matroid import (
     simplicity,
 )
 
-from conftest import fresh, oracle_circuits, oracle_cocircuits, oracle_lam, oracle_rank, random_matroids
+from conftest import (
+    fresh,
+    oracle_circuits,
+    oracle_cocircuits,
+    oracle_cycle_masks,
+    oracle_lam,
+    oracle_rank,
+    random_matroids,
+    relabeled_copy,
+)
 
 
 def M(name):
@@ -107,6 +116,89 @@ class TestConstruction:
         b = fresh("S8")
         assert a == b and hash(a) == hash(b)
         assert a != fresh("Z4")
+
+
+def oracle_equal(a, b):
+    """Equal labelled matroids: the same ground set and the same cycle
+    space as masks over label bits (bit l = label l), built here."""
+
+    def key(m):
+        return frozenset(
+            sum(1 << lab for p, lab in enumerate(m.labels) if (mask >> p) & 1) for mask in oracle_cycle_masks(m)
+        )
+
+    return a.ground_set() == b.ground_set() and key(a) == key(b)
+
+
+def _re_presented(m, rng):
+    """m after random row operations on [I_r | D] and a random column
+    order, labels carried: the same labelled matroid, which `make_matroid`
+    presents over the first basis of the new column order."""
+    rows = list(m.matrix.rows)
+    for _ in range(2 * m.rank if m.rank > 1 else 0):
+        i, j = rng.sample(range(m.rank), 2)
+        rows[i] ^= rows[j]
+    perm = rng.sample(range(m.size), m.size)
+    permuted = tuple(sum(((row >> p) & 1) << q for q, p in enumerate(perm)) for row in rows)
+    return make_matroid(BitMatrix(m.rank, m.size, permuted), [m.labels[p] for p in perm])
+
+
+def _flipped(m, rng):
+    """m with one entry of D flipped, labels kept: another matroid."""
+    rows = list(m.matrix.rows)
+    rows[rng.randrange(m.rank)] ^= 1 << rng.randrange(m.rank, m.size)
+    return Matroid(BitMatrix(m.rank, m.size, tuple(rows)), m.labels)
+
+
+def _new_label(m, rng):
+    """m with one label replaced by one outside its ground set."""
+    labels = list(m.labels)
+    labels[rng.randrange(m.size)] = max(labels) + 1
+    return Matroid(m.matrix, tuple(labels))
+
+
+class TestEquality:
+    @pytest.mark.parametrize("seed", [5, 34, 61])
+    def test_equality_and_hash_agree_with_the_cycle_space_oracle(self, seed):
+        # Loops, coloops, parallel pairs, rank 0 and corank 0 all occur in
+        # `random_matroids`; labels are shuffled, so positions and labels
+        # differ.
+        rng = random.Random(seed)
+        seen = Counter()
+        for m in random_matroids(seed, count=40, max_size=10):
+            again = _re_presented(m, rng)
+            seen["other basis"] += set(again.labels[: m.rank]) != set(m.labels[: m.rank])
+            pairs = [("re-presented", again, True), ("relabeled copy", relabeled_copy(m, rng), True)]
+            if 0 < m.rank < m.size:
+                pairs.append(("D entry flipped", _flipped(m, rng), False))
+            if m.size:
+                pairs.append(("other ground set", _new_label(m, rng), False))
+            for kind, other, equal in pairs:
+                assert oracle_equal(m, other) is equal, (kind, m.matrix.rows, m.labels)
+                assert (m == other) is equal and (other == m) is equal, (kind, m.matrix.rows, m.labels)
+                if equal:
+                    assert hash(m) == hash(other), (kind, m.matrix.rows, m.labels)
+                seen[kind] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_30_element_pair_compares_without_listing_a_space(self, monkeypatch):
+        # Its cycle space has 2^20 vectors; equality and hashing list none.
+        def no_space(*args):
+            raise AssertionError("space listed")
+
+        monkeypatch.setattr(gf2, "span", no_space)
+        monkeypatch.setattr(matroid, "span", no_space)
+        monkeypatch.setattr(matroid, "cycle_space_masks", no_space)
+        monkeypatch.setattr(Matroid, "cycle_masks", no_space)
+        rng = random.Random(30)
+        n, r = 30, 10
+        cols = [1 << k for k in range(r)] + [rng.getrandbits(r) for _ in range(n - r)]
+        rows = tuple(sum(((c >> k) & 1) << j for j, c in enumerate(cols)) for k in range(r))
+        m = Matroid(BitMatrix(r, n, rows), tuple(rng.sample(range(1, n + 1), n)))
+        again = _re_presented(m, rng)
+        assert set(again.labels[:r]) != set(m.labels[:r])
+        assert m == again and hash(m) == hash(again)
+        assert m != _flipped(m, rng) and m != _new_label(m, rng)
 
 
 def _eliminated_ranks(m):

@@ -291,6 +291,31 @@ MUTANTS = [
             "tests/test_cli.py::TestCommands::test_lambda_of_a_large_bmx_builds_no_tables",
         ),
     ),
+    # In position order the form is the presentation itself, so two
+    # presentations of one labelled matroid compare unequal.
+    Mutant(
+        "labelled-form-position-order",
+        "src/binmat/matroid.py",
+        "sorted(range(self.size), key=self.labels.__getitem__)",
+        "range(self.size)",
+        (
+            "tests/test_matroid.py::TestRemove::test_duality_swaps_deletion_and_contraction",
+            "tests/test_matroid.py::TestEquality::test_equality_and_hash_agree_with_the_cycle_space_oracle[5]",
+        ),
+    ),
+    # `standard_form` and `remove` pivot in position order, where sorting
+    # the pivots changes nothing; only the label-order pass behind
+    # equality sees it.
+    Mutant(
+        "pivots-first-sorted-pivots",
+        "src/binmat/gf2.py",
+        "order = tuple(pivots) + tuple(j for j in columns if j not in pivot_set)",
+        "order = tuple(sorted(pivots)) + tuple(j for j in columns if j not in pivot_set)",
+        (
+            "tests/test_matroid.py::TestRemove::test_duality_swaps_deletion_and_contraction",
+            "tests/test_matroid.py::TestEquality::test_equality_and_hash_agree_with_the_cycle_space_oracle[5]",
+        ),
+    ),
 ]
 
 
