@@ -48,11 +48,6 @@ class BitVector:
             raise ValueError(f"not a bit vector: {text!r}")
         return cls.from_coords([int(c) for c in t])
 
-    def coord(self, i: int) -> int:
-        if not 1 <= i <= self.length:
-            raise ValueError(f"coordinate {i} out of range")
-        return (self.bits >> (i - 1)) & 1
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 

@@ -107,19 +107,13 @@ class Matroid:
     def rank_of(self, elements) -> int:
         return self.rank_of_mask(self.mask_of(elements))
 
-    # -- cycle and cocycle space ------------------------------------------
+    # -- cycle space ---------------------------------------------------------
 
     def cycle_masks(self) -> list[int]:
         """All vectors of the cycle space (null space) as position masks,
         computed on each call.  Nothing in the package reads it; it is
         kept because the benchmark's layer tracer names it."""
         return cycle_space_masks(self.matrix)
-
-    def cocycle_masks(self) -> list[int]:
-        """All vectors of the cocycle space (row space) as position masks,
-        computed on each call: `cocycle_index` reads it once and caches
-        the transposed view instead."""
-        return span(self.matrix.rows)
 
     def _labelled_form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(labels in column order, rows) of `pivots_first` over the
@@ -151,16 +145,17 @@ def _index_masks(r: int) -> tuple[int, ...]:
 def cocycle_index(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """m's cocycle space transposed, as (of_weight, contains), cached on m.
 
-    Both hold index masks over ``cocycle_masks()``: bit i stands for mask
-    i.  ``of_weight[w]`` holds the masks of weight w, for w = 0..n.
-    ``contains[p]`` holds the masks that contain position p.  Mask i is
-    the sum of the rows k with bit k of i set, so p lies in it iff column
-    p and i share an odd number of bits: ``contains[p]`` is the sum of
-    the index masks of the rows that column p meets.
+    Both hold index masks over ``span(m.matrix.rows)``, the cocycle space
+    as position masks: bit i stands for mask i.  ``of_weight[w]`` holds
+    the masks of weight w, for w = 0..n.  ``contains[p]`` holds the masks
+    that contain position p.  Mask i is the sum of the rows k with bit k
+    of i set, so p lies in it iff column p and i share an odd number of
+    bits: ``contains[p]`` is the sum of the index masks of the rows that
+    column p meets.
     """
     if m._cocycle_index is None:
         of_weight = [0] * (m.size + 1)
-        for i, mk in enumerate(m.cocycle_masks()):
+        for i, mk in enumerate(span(m.matrix.rows)):
             of_weight[mk.bit_count()] |= 1 << i
         index = _index_masks(m.rank)
         contains = list(index)  # column p < r is the unit vector of row p

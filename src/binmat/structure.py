@@ -27,15 +27,17 @@ argument for a list of one or two separation sides; `theorem21_check`
 and each re-runs itself on the dual for the other orientation.  First
 every in-class one-step extension and coextension must move or keep
 each separation (lambda(A) = k-1 directly, or after adding the new
-element); if every one-step check succeeds directly, the one-element
-check suffices and the two-step phase is skipped.  Otherwise every
-in-class two-step matroid (a cosimple coextension of a one-step
-extension) is classified good, bad, or bridging per side.  An excluded-
-minor class is minor-closed, and a two-step matroid M by row w deletes
-its e to the coextension of the base by w without e's bit (bit n - r:
-`extend` appends e as the last D column).  So when the one-step phase
-found that coextension outside the class, M is outside too, and nothing
-is asked about it.
+element, then with every other side direct): the one-step rule, stated
+once, in `OneStepRecord.failures`, which the engine and the
+`claim4.coupling` claim both read.  If every one-step check succeeds
+directly, the one-element check suffices and the two-step phase is
+skipped.  Otherwise every in-class two-step matroid (a cosimple
+coextension of a one-step extension) is classified good, bad, or
+bridging per side.  An excluded-minor class is minor-closed, and a
+two-step matroid M by row w deletes its e to the coextension of the
+base by w without e's bit (bit n - r: `extend` appends e as the last D
+column).  So when the one-step phase found that coextension outside
+the class, M is outside too, and nothing is asked about it.
 
 The engine reads every structural fact off one source, the rank
 function: the hypotheses (exactness, unions of circuits and of
@@ -294,6 +296,17 @@ class OneStepRecord(_Active):
     deferred: bool  # in the class, but left to the `defer` splitter argument
     sides: list[OneStepSide] = field(default_factory=list)
 
+    def failures(self):
+        """The notes of the one-step rule, the one statement of it: every
+        side is satisfied, and a side that relies on lambda(A u x) = k-1
+        needs every other side direct.  A record that is not active has
+        no sides and no notes."""
+        for i, side in enumerate(self.sides):
+            if not side.satisfied:
+                yield f"one-step {self.kind} {self.vector} fails condition (i)/(ii) on side {i + 1}"
+            elif not side.direct and any(not o.direct for j, o in enumerate(self.sides) if j != i):
+                yield f"one-step {self.kind} {self.vector} violates the coupling on side {i + 1}"
+
 
 @dataclass
 class SideOutcome:
@@ -486,13 +499,12 @@ def _two_step_phase(n: Matroid, sides, k, excluded, defer, one_step):
 def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
     """One orientation of the decomposer argument for one or two sides.
 
-    One acceptance rule serves both statements: every side of every
-    active one-step candidate is satisfied; a side that relies on
-    lambda(A u x) = k-1 needs every other side to be direct; and every
-    in-class, non-deferred two-step candidate is good for at least one
-    side and bridging for none.  With a single side this is exactly
-    Theorem 2.1; with two it is Corollary 2.2, whose base must also be
-    self-dual.
+    One acceptance rule serves both statements: no active one-step
+    candidate yields a note of the one-step rule, whose one home is
+    `OneStepRecord.failures`; and every in-class, non-deferred two-step
+    candidate is good for at least one side and bridging for none.  With
+    a single side this is exactly Theorem 2.1; with two it is Corollary
+    2.2, whose base must also be self-dual.
     """
     _check_hypotheses(n, sides, k, require_self_dual=len(sides) > 1)
     success = "induced" if len(sides) == 1 else "induced-one-of-two"
@@ -503,15 +515,11 @@ def _decompose(n: Matroid, sides, k: int, excluded, defer) -> DecomposerReport:
         report.notes.append(note)
 
     report.one_step = _one_step_phase(n, sides, k, excluded, defer)
-    active = [r for r in report.one_step if r.active]
-    for rec in active:
-        for i, side in enumerate(rec.sides):
-            if not side.satisfied:
-                fail(f"one-step {rec.kind} {rec.vector} fails condition (i)/(ii) on side {i + 1}")
-            elif not side.direct and any(not o.direct for o in rec.sides if o is not side):
-                fail(f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}")
+    for rec in report.one_step:
+        for note in rec.failures():
+            fail(note)
 
-    if all(s.direct for rec in active for s in rec.sides):
+    if all(s.direct for rec in report.one_step for s in rec.sides):
         report.notes.append("one-element check: every one-step candidate keeps lambda = k-1")
     elif report.overall != "failed":
         report.two_step = _two_step_phase(n, sides, k, excluded, defer, report.one_step)

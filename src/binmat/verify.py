@@ -28,7 +28,7 @@ from .connectivity import (
     lam,
     nonminimal_exact_3seps,
 )
-from .extension import coextend, enumerate_growth_classes, extend, growth_candidates, growth_labels
+from .extension import coextend, enumerate_growth_classes, extend, grow, growth_candidates, growth_labels
 from .gf2 import BitVector
 from .iso import are_isomorphic
 from .matroid import dual, is_circuit, is_cocircuit, is_union_of_circuits, is_union_of_cocircuits, make_matroid
@@ -130,17 +130,15 @@ def _c_f7star_class_count(ctx):
     return 2, len(enumerate_growth_classes(ctx.m("F7*"), "extension"))
 
 
-def _c_f7star_ag32(ctx):
-    expected = {"generators": ["[1110]"], "isomorphic": True}
-    classes = enumerate_growth_classes(ctx.m("F7*"), "extension")
-    return expected, _named_classes(ctx, classes, ["AG(3,2)"], ["1110"])["AG(3,2)"]
+def _c_f7star_growth(name, printed):
+    """F7*'s extension class named `name`, found by its first printed generator."""
 
+    def check(ctx):
+        expected = {"generators": [_vs(b) for b in printed], "isomorphic": True}
+        classes = enumerate_growth_classes(ctx.m("F7*"), "extension")
+        return expected, _named_classes(ctx, classes, [name], printed[:1])[name]
 
-def _c_f7star_s8(ctx):
-    printed = ["[0011]", "[0101]", "[0110]", "[1001]", "[1100]", "[1111]"]
-    expected = {"generators": printed, "isomorphic": True}
-    classes = enumerate_growth_classes(ctx.m("F7*"), "extension")
-    return expected, _named_classes(ctx, classes, ["S8"], ["0011"])["S8"]
+    return check
 
 
 def _c_claim1_sep_lambda(ctx):
@@ -162,9 +160,20 @@ def _c_claim1_ext_classes(ctx):
     return expected, {"class-count": len(classes), **named}
 
 
-def _c_claim1_z4_lambda(ctx):
-    child = extend(ctx.m("S8"), BitVector.parse("1110"))
-    return {"set": sorted(SIDE_S8), "lambda": 2}, {"set": sorted(SIDE_S8), "lambda": lam(child, SIDE_S8)}
+def _growth_lambdas(ctx, base: str, kind: str, gens) -> tuple[list[int], dict[str, int]]:
+    """{1,2,5,6} moved into `base`'s growths of `kind`, and its lambda in
+    the growth by each generator: (sorted moved side, {"[gen]": lambda})."""
+    move, _ = growth_labels(ctx.m(base), kind)
+    side = frozenset(map(move, SIDE_S8))
+    return sorted(side), {_vs(g): lam(grow(ctx.m(base), kind, BitVector.parse(g)), side) for g in gens}
+
+
+def _c_z4_lambda(kind, printed_set):
+    def check(ctx):
+        side, lams = _growth_lambdas(ctx, "S8", kind, ["1110"])
+        return {"set": printed_set, "lambda": 2}, {"set": side, "lambda": lams["[1110]"]}
+
+    return check
 
 
 def _c_claim1_coext(ctx):
@@ -175,16 +184,6 @@ def _c_claim1_coext(ctx):
         and are_isomorphic(classes[0].representative, dual(ctx.m("Z4"))),
     }
     return {"in-class-classes": [["[1110]"]], "isomorphic-to-Z4*": True}, computed
-
-
-def _c_claim1_coext_lambda(ctx):
-    child = coextend(ctx.m("S8"), BitVector.parse("1110"))
-    move, _ = growth_labels(ctx.m("S8"), "coextension")
-    shifted = frozenset(map(move, SIDE_S8))
-    return (
-        {"set": [1, 2, 6, 7], "lambda": 2},
-        {"set": sorted(shifted), "lambda": lam(child, shifted)},
-    )
 
 
 def _c_claim1_decomposer(ctx):
@@ -242,11 +241,7 @@ def _c_claim2_ext_classes(ctx):
 
 
 def _c_claim2_ext_lambda(ctx):
-    computed = {}
-    for bits in ("1110", "0011"):
-        child = extend(ctx.m("P9"), BitVector.parse(bits))
-        computed[_vs(bits)] = lam(child, SIDE_S8)
-    return {"[1110]": 2, "[0011]": 2}, computed
+    return {"[1110]": 2, "[0011]": 2}, _growth_lambdas(ctx, "P9", "extension", ["1110", "0011"])[1]
 
 
 def _c_claim2_coext_count(ctx):
@@ -285,14 +280,9 @@ def _c_claim2_coext_lambda(ctx):
         for name in ("E1", "E2", "E3", "E6", "E6*", "E7")
         for b in _CLAIM2_COEXT_BULLETS[name]
     ]
-    move, _ = growth_labels(ctx.m("P9"), "coextension")
-    shifted = frozenset(map(move, SIDE_S8))
-    computed = {"set": sorted(shifted), "lambda": {}}
-    for bits in sorted(rows):
-        child = coextend(ctx.m("P9"), BitVector.parse(bits))
-        computed["lambda"][_vs(bits)] = lam(child, shifted)
+    side, lams = _growth_lambdas(ctx, "P9", "coextension", sorted(rows))
     expected = {"set": [1, 2, 6, 7], "lambda": {_vs(b): 2 for b in sorted(rows)}}
-    return expected, computed
+    return expected, {"set": side, "lambda": lams}
 
 
 def _c_claim2_decomposer(ctx):
@@ -374,31 +364,26 @@ _E4_COEXT_BULLETS = {
 }
 
 
-def _e4_growth(ctx, kind, bullets, iso_name):
-    """E4's in-class growths of one kind against the printed bullets.  The
-    decomposer's one-step records say which growths have an S10 minor."""
-    classes = growth_classes_in(ctx.m("E4"), kind, ctx.ex_s10)
-    expected = {name: [_vs(b) for b in sorted(gens)] for name, gens in bullets.items()}
-    expected["escalation-isomorphic"] = True
-    expected["all-others-have-s10-minor"] = True
-    computed = _bullet_classes(classes, bullets)
-    esc = _class_with(classes, bullets[iso_name][0])
-    computed["escalation-isomorphic"] = bool(esc) and are_isomorphic(
-        esc.representative, ctx.m(iso_name)
-    )
-    kept = {v for c in classes for v in c.members}
-    computed["all-others-have-s10-minor"] = all(
-        not r.in_class for r in ctx.e4_report.one_step if r.kind == kind and r.vector not in kept
-    )
-    return expected, computed
+def _c_e4_growth(kind, bullets, iso_name):
+    """E4's in-class growth classes of one kind against the printed
+    bullets.  Every growth outside the printed classes has an S10 minor
+    when every in-class class holds a printed generator."""
 
+    def check(ctx):
+        classes = growth_classes_in(ctx.m("E4"), kind, ctx.ex_s10)
+        expected = {name: [_vs(b) for b in sorted(gens)] for name, gens in bullets.items()}
+        expected["escalation-isomorphic"] = True
+        expected["all-others-have-s10-minor"] = True
+        computed = _bullet_classes(classes, bullets)
+        esc = _class_with(classes, bullets[iso_name][0])
+        computed["escalation-isomorphic"] = bool(esc) and are_isomorphic(
+            esc.representative, ctx.m(iso_name)
+        )
+        printed = {BitVector.parse(b) for gens in bullets.values() for b in gens}
+        computed["all-others-have-s10-minor"] = all(printed.intersection(c.members) for c in classes)
+        return expected, computed
 
-def _c_e4_extensions(ctx):
-    return _e4_growth(ctx, "extension", _E4_EXT_BULLETS, "T12/e")
-
-
-def _c_e4_coextensions(ctx):
-    return _e4_growth(ctx, "coextension", _E4_COEXT_BULLETS, "T12\\e")
+    return check
 
 
 def _c_e4_3seps(ctx):
@@ -542,24 +527,16 @@ def _all_good_parents(report, side_index):
     return sorted(out)
 
 
-def _c_claim4_a1_good(ctx):
-    return ["[00110]", "[01111]"], _all_good_parents(ctx.e4_report, 0)
+def _c_claim4_good(side_index, printed):
+    def check(ctx):
+        return printed, _all_good_parents(ctx.e4_report, side_index)
 
-
-def _c_claim4_a2_good(ctx):
-    return ["[01111]", "[10110]"], _all_good_parents(ctx.e4_report, 1)
+    return check
 
 
 def _c_claim4_coupling(ctx):
-    report = ctx.e4_report
-    active = [r for r in report.one_step if r.active]
-    ok = True
-    for rec in active:
-        for i, j in ((0, 1), (1, 0)):
-            if rec.sides and not rec.sides[i].direct and rec.sides[i].satisfied:
-                ok = ok and rec.sides[j].direct
-        ok = ok and any(s.satisfied for s in rec.sides)
-    return True, ok
+    """The one-step rule, read from the engine: no record yields a note."""
+    return True, not any(note for rec in ctx.e4_report.one_step for note in rec.failures())
 
 
 def _c_claim4_deferred(ctx):
@@ -591,13 +568,13 @@ def _c_claim4_dual(ctx):
 def _registry():
     claims = [
         ("f7star.extension-class-count", "strict", "Theorem 1.1 proof, F7* extensions", _c_f7star_class_count),
-        ("f7star.ag32-generators", "printed", "Theorem 1.1 proof, 'namely [1110]'", _c_f7star_ag32),
-        ("f7star.s8-generators", "printed", "Theorem 1.1 proof, 'any of the five columns'", _c_f7star_s8),
+        ("f7star.ag32-generators", "printed", "Theorem 1.1 proof, 'namely [1110]'", _c_f7star_growth("AG(3,2)", ["1110"])),
+        ("f7star.s8-generators", "printed", "Theorem 1.1 proof, 'any of the five columns'", _c_f7star_growth("S8", ["0011", "0101", "0110", "1001", "1100", "1111"])),
         ("claim1.s8-separation-lambda", "printed", "Claim 1, lambda(A) = 2", _c_claim1_sep_lambda),
         ("claim1.s8-extension-classes", "printed", "Claim 1, extensions P9 and Z4", _c_claim1_ext_classes),
-        ("claim1.z4-extension-lambda", "printed", "Claim 1, lambda({1,2,5,6}) = 2 in Z4", _c_claim1_z4_lambda),
+        ("claim1.z4-extension-lambda", "printed", "Claim 1, lambda({1,2,5,6}) = 2 in Z4", _c_z4_lambda("extension", [1, 2, 5, 6])),
         ("claim1.z4-coextension-classes", "printed", "Claim 1, Z4* the only coextension", _c_claim1_coext),
-        ("claim1.z4-coextension-lambda", "printed", "Claim 1, lambda({1,2,6,7}) = 2", _c_claim1_coext_lambda),
+        ("claim1.z4-coextension-lambda", "printed", "Claim 1, lambda({1,2,6,7}) = 2", _c_z4_lambda("coextension", [1, 2, 6, 7])),
         ("claim1.s8-decomposer", "strict", "Claim 1, conclusion", _c_claim1_decomposer),
         ("claim2.p9-nonminimal-3seps", "printed", "Claim 2, three 3-separations", _c_claim2_3seps),
         ("claim2.p9-separation-unions", "printed", "Claim 2, circuit/cocircuit conditions", _c_claim2_sep_unions),
@@ -615,8 +592,8 @@ def _registry():
         ("claim3.e5-extension-classes", "printed", "Claim 3, ext1..ext7 bullets", _c_claim3_classes),
         ("claim3.e5-extensions-s10-minor", "printed", "Claim 3, every extension has S10 minor", _c_claim3_s10_minor),
         ("claim3.e5-splitter", "strict", "Claim 3, conclusion", _c_splitter(lambda ctx: ctx.e5_working)),
-        ("e4.extension-generators", "printed", "Theorem 1.1 proof, E4 extensions A/B/C/T12-e", _c_e4_extensions),
-        ("e4.coextension-generators", "printed", "Theorem 1.1 proof, E4 coextensions", _c_e4_coextensions),
+        ("e4.extension-generators", "printed", "Theorem 1.1 proof, E4 extensions A/B/C/T12-e", _c_e4_growth("extension", _E4_EXT_BULLETS, "T12/e")),
+        ("e4.coextension-generators", "printed", "Theorem 1.1 proof, E4 coextensions", _c_e4_growth("coextension", _E4_COEXT_BULLETS, "T12\\e")),
         ("e4.nonminimal-3seps", "printed", "Theorem 1.1 proof, (A1,B1) and (A2,B2)", _c_e4_3seps),
         ("e4.separation-unions", "printed", "Theorem 1.1 proof, circuit/cocircuit covers", _c_e4_sep_unions),
         ("t12.splitter", "strict", "Theorem 1.1 proof, T12 splitter escalation", _c_splitter(lambda ctx: ctx.m("T12"))),
@@ -652,8 +629,8 @@ def _registry():
 
     claims += [
         ("claim4.c-bad-rows-disjoint", "printed", "Claim 4, disjoint bad-row sets for C", _c_claim4_disjoint),
-        ("claim4.a1-all-good-parents", "printed", "Claim 4, all-good parents for (A1,B1)", _c_claim4_a1_good),
-        ("claim4.a2-all-good-parents", "printed", "Claim 4, all-good parents for (A2,B2)", _c_claim4_a2_good),
+        ("claim4.a1-all-good-parents", "printed", "Claim 4, all-good parents for (A1,B1)", _c_claim4_good(0, ["[00110]", "[01111]"])),
+        ("claim4.a2-all-good-parents", "printed", "Claim 4, all-good parents for (A2,B2)", _c_claim4_good(1, ["[01111]", "[10110]"])),
         ("claim4.coupling", "strict", "Corollary 2.2 hypothesis on Tables 1a/1b", _c_claim4_coupling),
         ("claim4.deferred-to-t12", "strict", "Theorem 1.1 proof, T12/e branch", _c_claim4_deferred),
         ("claim4.decomposer", "strict", "Claim 4, conclusion", _c_claim4_decomposer),

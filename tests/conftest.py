@@ -97,7 +97,7 @@ def _xor_closure(vectors) -> list[int]:
 
 def oracle_cocycle_masks(m: Matroid) -> list[int]:
     """The cocycle space as position masks, the XOR closure of the rows,
-    built here: neither `gf2.span` nor `Matroid.cocycle_masks`."""
+    built here, not by `gf2.span`."""
     return _xor_closure(m.matrix.rows)
 
 

@@ -53,12 +53,6 @@ class TestBitVector:
         assert BitVector.parse("1110").value == 0b1110
         assert BitVector.parse("0001").value == 0b0001
 
-    def test_coord_is_one_based(self):
-        v = BitVector.parse("100")
-        assert v.coord(1) == 1 and v.coord(2) == 0
-        with pytest.raises(ValueError):
-            v.coord(0)
-
     def test_bits_outside_length_rejected(self):
         with pytest.raises(ValueError):
             BitVector(2, 4)

@@ -9,7 +9,7 @@ import pytest
 
 from binmat import iso
 from binmat.catalog import get, list_names
-from binmat.gf2 import BitMatrix
+from binmat.gf2 import BitMatrix, span
 from binmat.iso import (
     are_isomorphic,
     canonical_form,
@@ -616,15 +616,16 @@ class TestElementColours:
             assert element_colours(m) == expected, (m.matrix.rows, m.rank, m.size)
 
     def test_cocycle_masks_follow_the_span_order(self):
-        # Colours read mask i as the sum of the rows k with bit k of i set,
-        # the order `oracle_cocycle_masks` lists them in.
+        # Colours and `cocycle_index` read mask i of `gf2.span` over the rows
+        # as the sum of the rows k with bit k of i set, the order
+        # `oracle_cocycle_masks` lists them in.
         rng = random.Random(12)
         cases = [fresh(name) for name in list_names()]
         for n in [rng.randint(0, 12) for _ in range(40)]:
             cases.append(_random_matroid(rng, n, rng.randint(0, n)))
         assert min(m.rank for m in cases) == 0 and max(m.rank for m in cases) >= 8
         for m in cases:
-            masks = m.cocycle_masks()
+            masks = span(m.matrix.rows)
             assert len(masks) == 1 << m.rank and masks == oracle_cocycle_masks(m), m.matrix.rows
 
     def test_catalog_matroids_match_the_definition(self):

@@ -8,7 +8,7 @@ import pytest
 
 from binmat import iso, structure, verify
 from binmat.catalog import get, list_names
-from binmat.extension import coextend, extend
+from binmat.extension import coextend, enumerate_growth_classes, extend
 from binmat.gf2 import BitVector
 from binmat.structure import DecomposerReport, OneStepRecord, OneStepSide, SideOutcome, TwoStepRecord, Verdict
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B, GrowthCell
@@ -165,11 +165,12 @@ class TestFullReport:
 
 
 class _RecordsOnly:
-    """The catalog and a fixed table of E4 records: all that one table
-    claim reads from a run's context."""
+    """The catalog, a fixed table of E4 records and, if given, a fixed E4
+    report: all that one table or Claim 4 claim reads from a run's context."""
 
-    def __init__(self, records):
+    def __init__(self, records, report=None):
         self.e4_records = records
+        self.e4_report = report
 
     def m(self, name):
         return get(name).matroid
@@ -186,6 +187,43 @@ def test_growth_cell_with_a_foreign_set_reads_no_value(kind):
     expected, computed = verify._growth_cell_claim(cell, kind)(context)
     assert expected == {"set": [1, 2, 3], "lambda": 2}
     assert computed == {"set": None, "lambda": None}
+
+
+@pytest.mark.parametrize(
+    "first, second, holds",
+    [
+        # Side 1 keeps neither lambda at k-1: the rule fails whatever side 2 does.
+        ((3, 3, False, False), (2, 2, True, True), False),
+        # Side 1 relies on lambda(A u x) while side 2 is direct.
+        ((3, 2, True, False), (2, 3, True, True), True),
+        # Both sides rely on lambda(A u x): neither has the other direct.
+        ((3, 2, True, False), (3, 2, True, False), False),
+    ],
+)
+def test_coupling_claim_reads_the_one_step_rule(first, second, holds):
+    # Synthetic one active record: claim4.coupling holds exactly when the
+    # decomposer's one-step rule writes no note for it.
+    sides = [OneStepSide(*first), OneStepSide(*second)]
+    rec = OneStepRecord("extension", BitVector.parse("00110"), True, False, sides)
+    inactive = OneStepRecord("coextension", BitVector.parse("11011"), False, False)
+    context = _RecordsOnly({}, DecomposerReport("failed", [rec, inactive]))
+    assert verify._c_claim4_coupling(context) == (True, holds)
+
+
+@pytest.mark.parametrize("claim", ["e4.extension-generators", "e4.coextension-generators"])
+def test_an_in_class_class_without_a_printed_generator_fails_all_others(monkeypatch, claim):
+    # An in-class growth class that holds no printed bullet is a growth the
+    # print does not list and that has no S10 minor.
+    classes_in = verify.growth_classes_in
+
+    def with_an_unprinted_class(parent, kind, excluded):
+        kept = classes_in(parent, kind, excluded)
+        extra = next(c for c in enumerate_growth_classes(parent, kind) if all(c is not k for k in kept))
+        return kept + [extra]
+
+    monkeypatch.setattr(verify, "growth_classes_in", with_an_unprinted_class)
+    (result,) = run_verification(only=[claim])["claims"]
+    assert result["computed"]["all-others-have-s10-minor"] is False
 
 
 def test_deferred_two_step_row_reads_deferred():

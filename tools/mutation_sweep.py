@@ -59,15 +59,18 @@ MUTANTS = [
         "        sub = (sub - 1) & free\n        if sub:\n            best = min(best, _lam_mask(m, amask | sub))\n",
         ("tests/test_connectivity.py::TestBridging::test_matches_exhaustive_oracle",),
     ),
+    # The engine and claim4.coupling both read the one statement of the
+    # one-step rule, so the deletion shows in both.
     Mutant(
         "coupling-deleted",
         "src/binmat/structure.py",
-        "            elif not side.direct and any(not o.direct for o in rec.sides if o is not side):\n"
-        '                fail(f"one-step {rec.kind} {rec.vector} violates the coupling on side {i + 1}")\n',
+        "            elif not side.direct and any(not o.direct for j, o in enumerate(self.sides) if j != i):\n"
+        '                yield f"one-step {self.kind} {self.vector} violates the coupling on side {i + 1}"\n',
         "",
         (
             "tests/test_structure.py::TestCorollary22::test_coupling_violations_are_noted_on_e3",
             "tests/test_structure.py::test_decompose_matches_a_literal_oracle",
+            "tests/test_verify.py::test_coupling_claim_reads_the_one_step_rule",
         ),
     ),
     Mutant(
@@ -314,6 +317,53 @@ MUTANTS = [
         (
             "tests/test_matroid.py::TestRemove::test_duality_swaps_deletion_and_contraction",
             "tests/test_matroid.py::TestEquality::test_equality_and_hash_agree_with_the_cycle_space_oracle[5]",
+        ),
+    ),
+    # Row echelon form, not reduced: the rows above each pivot keep their
+    # bit in its column, so no standard form is [I_r | D].
+    Mutant(
+        "reduce-rows-below-pivot-only",
+        "src/binmat/gf2.py",
+        "        for i in range(r):\n            if rows[i] & bit:",
+        "        for i in range(k + 1, r):\n            if rows[i] & bit:",
+        (
+            "tests/test_gf2.py::TestStandardForm::test_identity_prefix_and_column_permutation",
+            "tests/test_matroid.py::TestEquality::test_equality_and_hash_agree_with_the_cycle_space_oracle[5]",
+        ),
+    ),
+    # Stopping where exactly enough of a colour remain after a position
+    # loses the bases that pass it over and take all the rest.
+    Mutant(
+        "colour-bases-pass-at-equal",
+        "src/binmat/iso.py",
+        "if later[p] < need[c]:",
+        "if later[p] <= need[c]:",
+        (
+            "tests/test_iso.py::TestColourBases::test_walk_matches_filtered_combinations",
+            "tests/test_iso.py::TestIsomorphism::test_agrees_with_permutation_oracle",
+        ),
+    ),
+    # Without the projection test the first colour-matched row order
+    # wins, whether or not it turns the columns into the target's.
+    Mutant(
+        "match-rows-without-projections",
+        "src/binmat/iso.py",
+        "            if sorted(nxt) != projections[depth + 1]:\n                continue\n",
+        "",
+        (
+            "tests/test_iso.py::TestIsomorphism::test_first_matches_are_pinned",
+            "tests/test_iso.py::TestIsomorphism::test_agrees_with_permutation_oracle",
+        ),
+    ),
+    # Exit 1 means "verify-paper found failures"; bad input must exit 2.
+    Mutant(
+        "cli-input-error-exits-1",
+        "src/binmat/cli.py",
+        '        print(f"binmat: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"binmat: {exc}", file=sys.stderr)\n        return 1\n',
+        (
+            "tests/test_cli.py::TestErrorHandling::test_unknown_catalog_name_exits_2",
+            "tests/test_cli.py::TestErrorHandling::test_malformed_bmx_file_exits_2",
         ),
     ),
 ]
