@@ -1,10 +1,9 @@
 """Dense linear algebra over GF(2) with bit-packed rows.
 
 Matrices are stored row-major as Python ints: bit j of row i is the
-entry in row i, column j (columns 0-indexed internally).  Coordinates,
-`BitMatrix.column` and `standard_form`'s permutation use 1-based
-indices, matching the element labels used everywhere else in the
-package; the elimination routines take 0-based bit positions.
+entry in row i, column j.  Every index is a 0-based bit position, in
+`transpose`, `standard_form`'s permutation and the eliminations alike;
+only a `BitVector`'s bracket text counts from 1 (coordinate 1 is bit 0).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class BitVector:
-    """A vector over GF(2), coordinate i (1-based) stored in bit i-1."""
+    """A vector over GF(2); bracket coordinate i (from 1) is bit i-1."""
 
     length: int
     bits: int
@@ -96,17 +95,17 @@ class BitMatrix:
             width = 0
         return cls(len(packed), width, tuple(packed))
 
-    def column(self, j: int) -> int:
-        """Column j (1-based) packed as an int, bit i = row i."""
-        if not 1 <= j <= self.ncols:
-            raise ValueError(f"column {j} out of range")
-        c = 0
-        for i, row in enumerate(self.rows):
-            c |= ((row >> (j - 1)) & 1) << i
-        return c
 
-    def columns(self) -> list[int]:
-        return [self.column(j) for j in range(1, self.ncols + 1)]
+def transpose(rows: Sequence[int], ncols: int) -> list[int]:
+    """The ``ncols`` columns of ``rows``, bit i of column j = bit j of row
+    i, in one pass over each row's set bits: the one column-packing loop."""
+    cols = [0] * ncols
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
 
 
 def rank_of_columns(cols: Iterable[int]) -> int:
@@ -180,14 +179,14 @@ def pivots_first(rows: list[int], columns: Sequence[int]) -> tuple[BitMatrix, tu
 def standard_form(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Row-reduce ``m`` to [I_r | D] form, permuting columns as needed.
 
-    Returns the new matrix together with a permutation record: a tuple
-    whose entry at new position p (0-indexed) is the original 1-based
-    column index now sitting at position p.  Requires full row rank.
+    Returns the new matrix together with its column order: a tuple whose
+    entry at position p is the bit position of ``m``'s column now at p.
+    Requires full row rank.
     """
     std, order = pivots_first(list(m.rows), range(m.ncols))
     if std.nrows < m.nrows:
         raise RankDeficientError("matrix does not have full row rank")
-    return std, tuple(j + 1 for j in order)
+    return std, order
 
 
 def span(vectors: Iterable[int]) -> list[int]:

@@ -62,7 +62,7 @@ from collections import Counter
 from collections.abc import Callable
 from itertools import combinations
 
-from .gf2 import reduce_rows
+from .gf2 import reduce_rows, transpose
 from .matroid import Matroid, cocycle_index, dual
 
 
@@ -73,16 +73,11 @@ def _reduced_coords(m: Matroid, basis_positions: tuple[int, ...]):
     basis column k in column j, or None when the chosen columns are
     dependent.
     """
-    r = m.rank
     rows = list(m.matrix.rows)
-    if len(reduce_rows(rows, basis_positions)) < r:
+    if len(reduce_rows(rows, basis_positions)) < m.rank:
         return None
     basis_set = set(basis_positions)
-    return [
-        sum(((rows[k] >> j) & 1) << k for k in range(r))
-        for j in range(m.size)
-        if j not in basis_set
-    ]
+    return [c for j, c in enumerate(transpose(rows, m.size)) if j not in basis_set]
 
 
 def _fixed_form(t: Matroid):

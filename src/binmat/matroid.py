@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .gf2 import BitMatrix, cycle_space_masks, pivots_first, rank_of_columns, reduce_rows, span, standard_form
+from .gf2 import BitMatrix, cycle_space_masks, pivots_first, rank_of_columns, reduce_rows, span, standard_form, transpose
 
 
 class Matroid:
@@ -46,13 +46,7 @@ class Matroid:
             raise ValueError("one label per column required")
         if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
-        cols = [0] * n  # bit i of column j = row i; one pass over each row's set bits
-        for i, row in enumerate(matrix.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        self._cols = tuple(cols)
+        self._cols = tuple(transpose(matrix.rows, n))  # bit i of column j = row i
         if self._cols[:r] != tuple(1 << i for i in range(r)):
             raise ValueError("matrix is not in standard form [I_r | D]")
         self.matrix = matrix
@@ -226,8 +220,8 @@ def make_matroid(matrix: BitMatrix, labels=None) -> Matroid:
         labels = tuple(labels)
     if len(labels) != n:
         raise ValueError("one label per column required")
-    std, perm = standard_form(matrix)
-    return Matroid(std, tuple(labels[j - 1] for j in perm))
+    std, order = standard_form(matrix)
+    return Matroid(std, tuple(labels[j] for j in order))
 
 
 def dual(m: Matroid) -> Matroid:

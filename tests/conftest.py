@@ -80,6 +80,11 @@ def span_size(cols) -> int:
     return len(span)
 
 
+def oracle_columns(rows, ncols: int) -> list[int]:
+    """Column j of the rows, one entry at a time: bit i is bit j of row i (oracle)."""
+    return [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(ncols)]
+
+
 def oracle_rank(m: Matroid, elements) -> int:
     """Brute-force rank of a label set: log2 of the span of its columns."""
     size = span_size(m.column_of(lab) for lab in elements)

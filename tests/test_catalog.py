@@ -82,8 +82,7 @@ class TestEntries:
 
     def test_pg32_has_all_nonzero_points(self):
         m = get("PG(3,2)").matroid
-        cols = m.matrix.columns()
-        assert sorted(cols) == list(range(1, 16))
+        assert sorted(m._cols) == list(range(1, 16))
 
 
 class TestDerivedConstructions:

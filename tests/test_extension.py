@@ -257,7 +257,7 @@ class TestGeneratorRule:
     @pytest.mark.parametrize("kind", ["extension", "coextension"])
     def test_growth_is_built_iff_its_generator_is_a_candidate(self, kind):
         # Oracle: a generator must differ from every column of m (for an
-        # extension) or of dual(m) (for a coextension), as BitMatrix reads
+        # extension) or of dual(m) (for a coextension), as Matroid packs
         # them, and be nonzero.
         checked = 0
         for name in list_names():
@@ -266,7 +266,7 @@ class TestGeneratorRule:
             length = other.rank
             if length > 8:
                 continue
-            columns = set(other.matrix.columns())
+            columns = set(other._cols)
             allowed = {bits for bits in range(1, 1 << length) if bits not in columns}
             if simplicity(other)[0]:
                 assert {v.bits for v in growth_candidates(m, kind)} == allowed, name

@@ -1,5 +1,7 @@
 """Unit and property tests for the GF(2) vector/matrix layer."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,9 +14,10 @@ from binmat.gf2 import (
     reduce_rows,
     span,
     standard_form,
+    transpose,
 )
 
-from conftest import oracle_cycle_masks, random_matroids, span_size
+from conftest import oracle_columns, oracle_cycle_masks, random_matroids, span_size
 
 
 def small_matrices():
@@ -81,11 +84,6 @@ class TestBitMatrix:
         with pytest.raises(ValueError, match=f"^{message}$"):
             BitMatrix(nrows, ncols, rows)
 
-    @pytest.mark.parametrize("j", [0, 4])
-    def test_column_out_of_range(self, j):
-        with pytest.raises(ValueError, match=f"^column {j} out of range$"):
-            BitMatrix.from_rows(["101", "011"]).column(j)
-
     def test_from_rows_strings(self):
         m = BitMatrix.from_rows(["101", "011"])
         assert (m.nrows, m.ncols) == (2, 3)
@@ -100,15 +98,30 @@ class TestBitMatrix:
             BitMatrix.from_rows(["101", row], ncols=3)
 
     def test_columns_and_transpose_agree(self):
-        # Column j packs the rows' j-th entries, row i in bit i-1.
+        # Column j packs the rows' bit j, row i in bit i.
         m = BitMatrix.from_rows(["1101", "0110"])
-        assert m.columns() == [0b01, 0b11, 0b10, 0b01]
+        assert transpose(m.rows, m.ncols) == [0b01, 0b11, 0b10, 0b01]
+
+    def test_transpose_matches_the_entry_oracle(self):
+        # Entry (i, j) is bit j of row i, on row sets with zero rows and
+        # widths past every row's highest bit.
+        rng = random.Random(36)
+        cases = [([], 0), ([], 3), ([0, 0], 4), ([0b1], 1)]
+        for _ in range(60):
+            width = rng.randint(1, 12)
+            rows = [rng.choice([0, rng.randrange(1 << width)]) for _ in range(rng.randint(1, 8))]
+            cases.append((rows, width + rng.randint(0, 3)))
+        assert any(0 in rows for rows, _ in cases)
+        assert any(ncols > max(rows, default=0).bit_length() for rows, ncols in cases)
+        for rows, ncols in cases:
+            assert transpose(rows, ncols) == oracle_columns(rows, ncols), (rows, ncols)
 
     @given(small_matrices())
     def test_rank_matches_span_oracle(self, m):
         # rank = log2 |row span| = log2 |column span|.
-        assert 1 << rank_of_columns(m.columns()) == span_size(m.rows)
-        assert 1 << rank_of_columns(m.columns()) == span_size(m.columns())
+        cols = oracle_columns(m.rows, m.ncols)
+        assert 1 << rank_of_columns(cols) == span_size(m.rows)
+        assert 1 << rank_of_columns(cols) == span_size(cols)
 
     @given(small_matrices(), st.randoms(use_true_random=False))
     def test_rank_invariant_under_row_operations(self, m, rng):
@@ -117,14 +130,13 @@ class TestBitMatrix:
             i, j = rng.randrange(m.nrows), rng.randrange(m.nrows)
             if i != j:
                 rows[i] ^= rows[j]
-        changed = BitMatrix(m.nrows, m.ncols, tuple(rows))
-        assert rank_of_columns(changed.columns()) == rank_of_columns(m.columns())
+        assert rank_of_columns(oracle_columns(rows, m.ncols)) == rank_of_columns(oracle_columns(m.rows, m.ncols))
 
     @given(small_matrices())
     def test_rank_subset_matches_column_oracle(self, m):
-        cols = list(range(1, m.ncols + 1, 2))
-        expected = span_size(m.column(j) for j in cols).bit_length() - 1
-        assert rank_of_columns(m.column(j) for j in cols) == expected
+        cols = oracle_columns(m.rows, m.ncols)[::2]
+        expected = span_size(cols).bit_length() - 1
+        assert rank_of_columns(cols) == expected
 
     def test_rank_of_columns(self):
         assert rank_of_columns([0b01, 0b10, 0b11]) == 2
@@ -134,25 +146,26 @@ class TestBitMatrix:
 class TestStandardForm:
     def test_identity_prefix_and_column_permutation(self):
         m = BitMatrix.from_rows(["0111", "1011", "1101"])
-        sf, perm = standard_form(m)
-        assert sorted(perm) == [1, 2, 3, 4]
-        assert sf.columns()[:3] == [0b001, 0b010, 0b100]
+        sf, order = standard_form(m)
+        assert sorted(order) == [0, 1, 2, 3]
+        cols = oracle_columns(sf.rows, sf.ncols)
+        assert cols[:3] == [0b001, 0b010, 0b100]
         # The permuted columns present the same multiset of vectors only
         # up to the row operations; rank and column count are preserved.
         assert (sf.nrows, sf.ncols) == (m.nrows, m.ncols)
-        assert rank_of_columns(sf.columns()) == rank_of_columns(m.columns())
+        assert rank_of_columns(cols) == rank_of_columns(oracle_columns(m.rows, m.ncols))
 
     def test_standard_form_preserves_cycle_space(self):
         # Row operations keep the null space; column moves permute it.
         m = BitMatrix.from_rows(["0111", "1011", "1101"])
-        sf, perm = standard_form(m)
+        sf, order = standard_form(m)
         before = _null_space(m)
         after = _null_space(sf)
 
         def permute(mask):
             out = 0
-            for p, orig in enumerate(perm):
-                out |= ((mask >> (orig - 1)) & 1) << p
+            for p, orig in enumerate(order):
+                out |= ((mask >> orig) & 1) << p
             return out
 
         assert {permute(mk) for mk in before} == after
@@ -171,7 +184,7 @@ class TestCycleSpace:
             # m v = 0: every row meets v in an even number of positions.
             assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
         # 2^(n - rank) distinct null-space vectors are all of them.
-        assert len(set(masks)) == len(masks) == 1 << (m.ncols - rank_of_columns(m.columns()))
+        assert len(set(masks)) == len(masks) == 1 << (m.ncols - rank_of_columns(oracle_columns(m.rows, m.ncols)))
 
     def test_masks_match_the_fundamental_circuit_oracle(self):
         # On [I_r | D] the first-come basis is the identity block, so both

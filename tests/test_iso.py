@@ -25,6 +25,7 @@ from conftest import (
     fresh,
     oracle_cocycle_masks,
     oracle_cycle_masks,
+    oracle_rank,
     oracle_weight_profile,
     random_matroids,
     relabeled_copy,
@@ -82,12 +83,10 @@ class TestCanonicalKey:
         # Standardizing on a different basis is a row-equivalent
         # presentation of the same matroid.
         m = fresh("P9")
-        cols = m.matrix.columns()
         alt = make_matroid(
             BitMatrix(m.rank, m.size, tuple(m.matrix.rows[::-1])), m.labels
         )
         assert canonical_key(alt) == canonical_key(m)
-        assert len(cols) == m.size
 
     def test_distinguishes_nonisomorphic_pairs(self):
         assert canonical_key(M("S8")) != canonical_key(M("AG(3,2)"))
@@ -323,7 +322,7 @@ def _random_matroid(rng, n, r, labels=None):
 
 
 def _is_simple_cosimple(m):
-    cols, d_rows = m.matrix.columns()[m.rank :], [row >> m.rank for row in m.matrix.rows]
+    cols, d_rows = m._cols[m.rank :], [row >> m.rank for row in m.matrix.rows]
     return all(
         len(set(vs)) == len(vs) and all(v.bit_count() >= 2 for v in vs) for vs in (cols, d_rows)
     )
@@ -540,6 +539,33 @@ class TestIsoIndex:
         monkeypatch.setattr(iso, "isomorphism", lambda a, b: calls.append(a))
         assert [index.find(k, lambda: "C") for k in (other, m)] == [("A", None), ("B", None)]
         assert calls == []
+
+
+class TestReducedCoords:
+    @pytest.mark.parametrize("name", ["F7", "P9", "T12"])
+    def test_coords_rebuild_every_column_over_every_basis(self, name):
+        # None exactly on the dependent r-subsets; otherwise each non-basis
+        # column, in position order, is the XOR of the basis columns that
+        # its coordinate bits name (bit k = the k-th basis position).
+        m = M(name)
+        bases = 0
+        for basis in combinations(range(m.size), m.rank):
+            coords = iso._reduced_coords(m, basis)
+            independent = oracle_rank(m, [m.labels[p] for p in basis]) == m.rank
+            assert (coords is not None) == independent, (name, basis)
+            if coords is None:
+                continue
+            bases += 1
+            nonbasis = [j for j in range(m.size) if j not in basis]
+            assert len(coords) == len(nonbasis), (name, basis)
+            for j, c in zip(nonbasis, coords):
+                assert c >> m.rank == 0, (name, basis, j)
+                rebuilt = 0
+                for k, p in enumerate(basis):
+                    if (c >> k) & 1:
+                        rebuilt ^= m._cols[p]
+                assert rebuilt == m._cols[j], (name, basis, j)
+        assert 0 < bases < comb(m.size, m.rank)
 
 
 class TestColourBases:

@@ -108,20 +108,6 @@ class TestFullReport:
         again = run_verification()
         assert report_to_json(again) == report_to_json(report)
 
-    def test_minor_searches_stay_at_one_per_class_and_family(self, monkeypatch):
-        # A run asks 162 distinct (isomorphism class, excluded family)
-        # questions; each family's ExcludedClass searches each class once.
-        searched = []
-        search = structure.has_any_minor
-
-        def counting(m, targets):
-            searched.append(m)
-            return search(m, targets)
-
-        monkeypatch.setattr(structure, "has_any_minor", counting)
-        run_verification()
-        assert len(searched) <= 162
-
     def test_growth_questions_and_isomorphism_calls_stay_carried(self, monkeypatch):
         # Every growth question is a growth-class question: it is carried
         # along parent maps to the first isomorphic parent and asked once
@@ -133,9 +119,13 @@ class TestFullReport:
         # A two-step record whose row, without e's bit, names a one-step
         # coextension outside the class is outside it with no question:
         # a run asks 157 ExcludedClass questions and makes 317 isomorphism
-        # calls and 129 has_any_minor searches.  The catalog matroids start
-        # without the classes earlier tests kept on them, as in a fresh
-        # interpreter.
+        # calls and 129 has_any_minor searches, one per isomorphism class
+        # and family.  The 317 calls: 102 ExcludedClass index lookups (85
+        # for answers, 17 for growth parents), 55 inside has_any_minor,
+        # 111 in growth-class indexes and 49 through are_isomorphic (19 of
+        # them in ExcludedClass.dual's closure test).  The catalog matroids
+        # start without the classes earlier tests kept on them, as in a
+        # fresh interpreter; a run after them also makes 129 searches.
         for name in list_names():
             monkeypatch.setattr(get(name).matroid, "_growth_classes", {})
         asked, calls, searches = [], [], []

@@ -331,6 +331,30 @@ MUTANTS = [
             "tests/test_matroid.py::TestEquality::test_equality_and_hash_agree_with_the_cycle_space_oracle[5]",
         ),
     ),
+    # Each row's bits land one row too high in every column, so no packed
+    # matrix starts with the unit columns of [I_r | D].
+    Mutant(
+        "transpose-row-off-by-one",
+        "src/binmat/gf2.py",
+        "cols[low.bit_length() - 1] |= 1 << i",
+        "cols[low.bit_length() - 1] |= 1 << (i + 1)",
+        (
+            "tests/test_gf2.py::TestBitMatrix::test_transpose_matches_the_entry_oracle",
+            "tests/test_matroid.py::TestConstruction::test_columns_match_the_matrix",
+        ),
+    ),
+    # The column order counted from 1 again: `make_matroid` would give
+    # each column the next column's label, or index past the last.
+    Mutant(
+        "standard-form-one-based",
+        "src/binmat/gf2.py",
+        "return std, order",
+        "return std, tuple(j + 1 for j in order)",
+        (
+            "tests/test_matroid.py::TestConstruction::test_make_matroid_standardizes",
+            "tests/test_gf2.py::TestStandardForm::test_identity_prefix_and_column_permutation",
+        ),
+    ),
     # Stopping where exactly enough of a colour remain after a position
     # loses the bases that pass it over and take all the rest.
     Mutant(
