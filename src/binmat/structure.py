@@ -1,19 +1,20 @@
 """Minor detection, excluded-minor classes, splitters, and the
 decomposer verification engine.
 
-`in_class` is one `has_any_minor` search.  The search filters every
-deletion/contraction split on its rank and cocycle weight enumerator,
-read off the parent's `cocycle_index` with a few ANDs and popcounts
-per split after one count per removed set (`_KeptWeights`), and builds
-only the minors that pass.  Every other membership question
-goes through an `ExcludedClass`, which runs `in_class` once per
-isomorphism class of the matroids it is asked about.  One object
-serves the splitter test, both decomposer orientations, and every
-caller that keeps it, such as one verification run.  Every growth
-question, from `growth_classes_in` (the claims' and the splitter
-test's) and both decomposer phases, is a growth-class question
-(`ExcludedClass.growth_membership`): a parent isomorphic to one the
-class has met carries its generators along the parents' map, by the
+`in_class` is one `has_any_minor` search.  It visits only the splits
+that contract r(M) - r(N) elements for a target N (any other split
+contracts a loop or deletes a coloop of the rest, and moving that
+element across keeps the minor), filters each on its rank and cocycle
+weight enumerator, read off the parent's `cocycle_index` after one count
+per removed set (`_KeptWeights`), and builds only the minors that pass.
+Every other membership question goes through an `ExcludedClass`, which
+runs `in_class` once per isomorphism class of the matroids it is asked
+about.  One object serves the splitter test, both decomposer
+orientations, and every caller that keeps it, such as one verification
+run.  Every growth question, from `growth_classes_in` (the claims' and
+the splitter test's) and both decomposer phases, is a growth-class
+question (`ExcludedClass.growth_membership`): a parent isomorphic to one
+the class has met carries its generators along the parents' map, by the
 one carry rule, `extension.carrier` (orbit reuse, after B. D. McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998), and the
 first parent's growth class asks once.  That covers a repeat one-step
@@ -122,46 +123,48 @@ def has_any_minor(m: Matroid, targets):
     """First target of which m has a minor, with a deletion/contraction
     witness: (target index, deletions, contractions), or None.
 
-    Targets of equal size share one traversal of the removal splits, so
-    checking a matroid against a family costs barely more than against
-    one member.  Splits are visited by the number of removed elements,
-    smallest first (gap 0's only split is m itself), as position sets
-    taken in label order.  Each split is filtered on its cocycle weight
-    enumerator, read off m's `cocycle_index` through `_KeptWeights`,
-    built once per removed set: first its rank, log2 of the cocycles
-    that avoid the contracted positions over the kernel, then its weights
-    from 1 up, stopping at the first that differs from the target's.
-    Weight 0 is the kernel, and the last weight follows from the total.
-    Split and target have the same size, so equal cocycle enumerators
-    also mean equal cycle enumerators (see `iso`).  Only a split matching
-    a target's `weight_profile` is built with `remove` and handed to a
+    Targets of equal size share one traversal of the removal splits.
+    Removed sets are visited by size, smallest first (gap 0's only one is
+    empty), as position sets taken in label order, and in each only the
+    splits that contract c = r(m) - r(N) elements for a target N, c
+    ascending.  No minor is lost: a split that contracts more contracts a
+    loop of the rest, one that contracts fewer deletes a coloop of it, and
+    moving that element across keeps the minor (Oxley, *Matroid Theory*,
+    3.3).  Each split is filtered on its cocycle weight enumerator, read
+    off m's `cocycle_index` through `_KeptWeights`, built once per removed
+    set: first its rank r(m) - c (log2 of the cocycles that avoid the
+    contracted positions over the kernel), then its weights from 1 up,
+    stopping at the first that differs from the target's.  Weight 0 is the
+    kernel, and the last follows from the total.  Equal sizes and cocycle
+    enumerators mean equal cycle enumerators (see `iso`).  Only a split
+    matching a target's `weight_profile` is built (`remove`) for a
     first-match isomorphism search onto the target's fixed presentation.
     """
-    by_gap: dict[int, dict] = {}
+    by_gap: dict[int, dict] = {}  # gap -> number contracted, r(m) - r(target) -> profile -> targets
     for idx, target in enumerate(targets):
-        gap = m.size - target.size
-        if gap < 0 or target.rank > m.rank or (target.size - target.rank) > (
-            m.size - m.rank
-        ):
+        gap, c = m.size - target.size, m.rank - target.rank
+        if not 0 <= c <= gap:  # rank and corank at most m's
             continue
-        # per gap: the number of cocycles, 2^rank -> profile -> targets
-        of_rank = by_gap.setdefault(gap, {}).setdefault(1 << target.rank, {})
-        of_rank.setdefault(weight_profile(target), []).append((idx, target))
+        of_count = by_gap.setdefault(gap, {}).setdefault(c, {})
+        of_count.setdefault(weight_profile(target), []).append((idx, target))
 
     order = sorted(range(m.size), key=m.labels.__getitem__)
     for gap, wanted in sorted(by_gap.items()):
         of_weight, contains = index = cocycle_index(m)
         every = sum(of_weight)  # the weight classes partition the cocycles
+        counts = sorted(wanted.items())
         for removed in combinations(order, gap):
             kept = _KeptWeights(index, removed)
             inside = kept[0]
-            for c in range(gap + 1):
+            for c, of_count in counts:
                 for cons in combinations(removed, c):
                     avoid = every
                     for p in cons:
                         avoid &= ~contains[p]
                     kernel = (inside & avoid).bit_count()
-                    for profile, hits in wanted.get(avoid.bit_count() // kernel, {}).items():
+                    if avoid.bit_count() // kernel != 1 << (m.rank - c):
+                        continue
+                    for profile, hits in of_count.items():
                         for w in range(1, len(profile) - 1):
                             if (kept[w] & avoid).bit_count() != profile[w] * kernel:
                                 break

@@ -128,7 +128,7 @@ class TestCommands:
         path.write_text("bmx 1\n0 0\n")
         code, out, err = run(capsys, "minor", "S10", str(path))
         assert (code, err) == (0, "")
-        assert out == "yes  delete [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]  contract []\n"
+        assert out == "yes  delete [5, 6, 7, 8, 9, 10]  contract [1, 2, 3, 4]\n"
 
     def test_splitter(self, capsys):
         assert run(capsys, "splitter", "S8", "--exclude", "P9,P9*") == (

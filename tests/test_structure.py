@@ -42,6 +42,7 @@ from conftest import (
     oracle_lam,
     oracle_shift_label,
     oracle_shift_labels,
+    oracle_weight_profile,
     random_matroids,
     relabeled_copy,
     small_target,
@@ -59,12 +60,19 @@ SIDE_A2 = frozenset({1, 2, 3, 4, 8, 9})
 
 class TestHasMinor:
     def test_positive_cases_with_witness_replay(self):
+        # Every witness contracts exactly r(M) - r(N) elements, and its
+        # minor maps onto the target and has its canonical key; the cases
+        # contract 0 to 3 elements.
         cases = [("S10", "P9"), ("S10", "F7"), ("P9", "F7"), ("T12", "P9")]
+        cases += [("T12", "F7"), ("T12", "M(K5)"), ("T12", "E4"), ("P9*", "F7"), ("P9*", "S8")]
         for big, small in cases:
             hit = has_any_minor(M(big), [M(small)])
             assert hit is not None, (big, small)
             _, dels, cons = hit
-            assert are_isomorphic(remove(M(big), dels, cons), M(small)), (big, small)
+            minor = remove(M(big), dels, cons)
+            assert len(cons) == M(big).rank - M(small).rank, (big, small)
+            assert isomorphism(minor, M(small)) is not None, (big, small)
+            assert canonical_key(minor) == canonical_key(M(small)), (big, small)
 
     def test_negative_cases(self):
         # E4, E5, and T12 all live in EX[S10, S10*].
@@ -77,7 +85,8 @@ class TestHasMinor:
 
     def test_empty_matroid_is_a_minor_of_everything(self):
         empty = Matroid(BitMatrix(0, 0, ()), ())
-        assert has_any_minor(M("S10"), [empty]) == (0, M("S10").ground_set(), frozenset())
+        # r(S10) = 4, so the witness contracts four elements, the first four.
+        assert has_any_minor(M("S10"), [empty]) == (0, frozenset(range(5, 11)), frozenset(range(1, 5)))
 
     def test_self_minor(self):
         assert has_any_minor(M("P9"), [M("P9")]) == (0, frozenset(), frozenset())
@@ -198,18 +207,24 @@ def test_has_any_minor_matches_f7_oracle():
 def _brute_force_search(m, targets):
     """(first witness, indices of the targets found, splits to build) from
     every split of m built with `remove` and compared by `canonical_key`:
-    no filter, no colours and no `isomorphism`.  Splits are taken in the
-    search's order: by gap, then removed labels in `combinations` order
-    over the sorted labels, then by the number contracted.  The first
-    witness names the first target whose key its minor has; the splits
-    to build are those up to it whose minor has a target's profile."""
+    no filter, no colours and no `isomorphism`.  `found` reads every split,
+    whatever it contracts.  The search visits, per removed set, only the
+    splits that contract r(m) - r(t) elements for a target t of the gap,
+    fewest first, so `first` and `passed` follow that order: by gap, then
+    removed labels in `combinations` order over the sorted labels, then by
+    the number contracted.  The first witness names the first target of
+    that rank whose key its minor has; the splits to build are those up to
+    it whose minor has the profile of a target of that rank."""
     by_gap: dict[int, dict] = {}
     for idx, t in enumerate(targets):
         if t.size <= m.size:
             by_gap.setdefault(m.size - t.size, {}).setdefault(canonical_key(t), []).append(idx)
     first, found, passed = None, set(), []
     for gap, keys in sorted(by_gap.items()):
-        profiles = {weight_profile(targets[idx[0]]) for idx in keys.values()}
+        profiles = {}  # the number contracted, r(m) - r(t) -> profiles of those t
+        for idx in keys.values():
+            t = targets[idx[0]]
+            profiles.setdefault(m.rank - t.rank, set()).add(weight_profile(t))
         for removed in combinations(sorted(m.labels), gap):
             for c in range(gap + 1):
                 for cons in combinations(removed, c):
@@ -217,9 +232,9 @@ def _brute_force_search(m, targets):
                     minor = remove(m, dels, cons)
                     hits = keys.get(canonical_key(minor), [])
                     found.update(hits)
-                    if first is None and weight_profile(minor) in profiles:
+                    if first is None and weight_profile(minor) in profiles.get(c, ()):
                         passed.append((dels, frozenset(cons)))
-                    if hits and first is None:
+                    if hits and first is None and minor.rank == m.rank - c:
                         first = (hits[0], dels, frozenset(cons))
     return first, found, passed
 
@@ -260,6 +275,37 @@ def test_has_any_minor_matches_a_brute_force_decider(monkeypatch):
             verdicts[m.size - t.size, hit is not None] += 1
     # Both verdicts occur at every gap.
     assert all(verdicts[gap, hit] for gap in range(4) for hit in (False, True)), verdicts
+
+
+def test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile(monkeypatch):
+    # Every minor the search builds contracts r(m) - r(t) elements for a
+    # target t and has t's cocycle weight enumerator (`oracle_weight_profile`
+    # here, not the filter's masks): the rank test and every weight the
+    # filter compares keep out the rest, whatever the verdict.
+    built = []
+    real_remove = structure.remove
+
+    def recording_remove(m, dels, cons):
+        minor = real_remove(m, dels, cons)
+        built.append((len(cons), minor))
+        return minor
+
+    monkeypatch.setattr(structure, "remove", recording_remove)
+    # Targets of at most 5 elements have short enumerators, so splits that
+    # differ from one only in its last compared weight occur.
+    rng = random.Random(20143)
+    pool = random_matroids(seed=34, count=90, max_size=5)
+    builds = 0
+    for m in random_matroids(seed=33, count=60, max_size=8):
+        targets = [t for t in pool if 0 <= m.size - t.size <= 3]
+        targets = rng.sample(targets, min(3, len(targets)))
+        wanted = {(m.rank - t.rank, oracle_weight_profile(t)) for t in targets}
+        built.clear()
+        has_any_minor(m, targets)
+        for c, minor in built:
+            assert (c, oracle_weight_profile(minor)) in wanted, (m.matrix.rows, m.labels, c)
+        builds += len(built)
+    assert builds
 
 
 def test_split_profile_matches_built_minors():

@@ -379,6 +379,53 @@ MUTANTS = [
             "tests/test_iso.py::TestIsomorphism::test_agrees_with_permutation_oracle",
         ),
     ),
+    # The minor filter.  Contracting one element more than r(m) - r(target)
+    # reaches the target's rank only through a dependent contraction set,
+    # so minors go missing.
+    Mutant(
+        "minor-contractions-off-by-one",
+        "src/binmat/structure.py",
+        "for cons in combinations(removed, c):",
+        "for cons in combinations(removed, c + 1):",
+        (
+            "tests/test_structure.py::TestHasMinor::test_positive_cases_with_witness_replay",
+            "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
+        ),
+    ),
+    # The next two only build more minors, and `isomorphism` keeps every
+    # verdict, so only the two tests that watch what is built kill them.
+    Mutant(
+        "minor-weight-loop-one-short",
+        "src/binmat/structure.py",
+        "for w in range(1, len(profile) - 1):",
+        "for w in range(1, len(profile) - 2):",
+        (
+            "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
+            "tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",
+        ),
+    ),
+    Mutant(
+        "minor-rank-test-dropped",
+        "src/binmat/structure.py",
+        "                    if avoid.bit_count() // kernel != 1 << (m.rank - c):\n                        continue\n",
+        "",
+        (
+            "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
+            "tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",
+        ),
+    ),
+    # A split whose deletions hold a cocycle (kernel > 1) has its counts
+    # scaled by the kernel and is dropped.  Its minor is also reached in the
+    # same removed set with C independent and D coindependent, where the
+    # kernel is 1, so every verdict stands and only the brute-force
+    # decider's list of built splits sees the mutant.
+    Mutant(
+        "minor-kernel-ignored",
+        "src/binmat/structure.py",
+        "!= profile[w] * kernel:",
+        "!= profile[w]:",
+        ("tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",),
+    ),
     # Exit 1 means "verify-paper found failures"; bad input must exit 2.
     Mutant(
         "cli-input-error-exits-1",
