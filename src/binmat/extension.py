@@ -159,12 +159,6 @@ def grow(m: Matroid, kind: str, v: BitVector) -> Matroid:
     return (extend if kind == "extension" else coextend)(m, v)
 
 
-def growths(m: Matroid, kind: str):
-    """(generator, child) for each simple extension ("extension") or cosimple
-    coextension ("coextension") of m, in ascending bracket order."""
-    return ((v, grow(m, kind, v)) for v in growth_candidates(m, kind))
-
-
 @dataclass(frozen=True)
 class IsoClass:
     """A group of generator vectors whose children are pairwise isomorphic."""
@@ -174,9 +168,9 @@ class IsoClass:
 
 
 def enumerate_growth_classes(m: Matroid, kind: str) -> tuple[IsoClass, ...]:
-    """All growth candidates of one kind (see `growths`) grouped into
-    isomorphism classes, once per matroid and kind: m keeps the tuple,
-    and every later call returns it.  Generators come in ascending
+    """All growth candidates of one kind (see `growth_candidates`) grouped
+    into isomorphism classes, once per matroid and kind: m keeps the
+    tuple, and every later call returns it.  Generators come in ascending
     bracket order, so each class lists its generators in ascending order,
     its representative is the child of the least one, and classes are
     ordered by their least generator.  The classes inside an

@@ -28,15 +28,6 @@ class BitVector:
             raise ValueError("bits outside declared length")
 
     @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitVector":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
-
-    @classmethod
     def parse(cls, text: str) -> "BitVector":
         """Parse bracket notation like ``[1110]`` (first char = coordinate 1)."""
         t = text.strip()
@@ -45,10 +36,7 @@ class BitVector:
         t = t.replace(" ", "")
         if not t or any(c not in "01" for c in t):
             raise ValueError(f"not a bit vector: {text!r}")
-        return cls.from_coords([int(c) for c in t])
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
+        return cls(len(t), int(t[::-1], 2))
 
     @property
     def value(self) -> int:
@@ -59,7 +47,7 @@ class BitVector:
         return v
 
     def __str__(self) -> str:
-        return "[" + "".join(str(b) for b in self.coords()) + "]"
+        return "[" + "".join(str((self.bits >> i) & 1) for i in range(self.length)) + "]"
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,6 @@ class Matroid:
         h, low, high = tables
         return self.rank + 1 - (low[mask & (len(low) - 1)] & high[mask >> h]).bit_count().bit_length()
 
-    def rank_of(self, elements) -> int:
-        return self.rank_of_mask(self.mask_of(elements))
-
     # -- cycle space ---------------------------------------------------------
 
     def cycle_masks(self) -> list[int]:

@@ -647,10 +647,6 @@ def _registry():
     return claims
 
 
-def claim_ids() -> list[str]:
-    return [c[0] for c in _registry()]
-
-
 def run_verification(only=None) -> dict:
     """Recompute the registered claims; returns the report dictionary.
 

@@ -85,6 +85,11 @@ def oracle_columns(rows, ncols: int) -> list[int]:
     return [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(ncols)]
 
 
+def label_rank(m: Matroid, elements) -> int:
+    """r(X) for a label set X, through the package's `rank_of_mask`."""
+    return m.rank_of_mask(m.mask_of(elements))
+
+
 def oracle_rank(m: Matroid, elements) -> int:
     """Brute-force rank of a label set: log2 of the span of its columns."""
     size = span_size(m.column_of(lab) for lab in elements)

@@ -22,7 +22,7 @@ from binmat.iso import are_isomorphic, canonical_key
 from binmat.matroid import dual, remove
 from binmat.structure import ExcludedClass, has_any_minor, is_splitter
 from binmat.tables import SIDE_1, SIDE_2, TABLE_1A, TABLE_1B
-from binmat.verify import claim_ids, run_verification
+from binmat.verify import run_verification
 
 from conftest import fresh, oracle_lam, oracle_shift_labels, relabeled_copy
 
@@ -177,8 +177,8 @@ def test_06_table1_lambda_values():
         assert cell.printed_value in (2, None)
 
 
-def test_07_table2_cell_classification():
-    wanted = [i for i in claim_ids() if i.startswith("table2")]
+def test_07_table2_cell_classification(verification):
+    wanted = [c["id"] for c in verification[0]["claims"] if c["id"].startswith("table2")]
     wanted += ["claim4.c-bad-rows-disjoint", "claim4.coupling"]
 
     report = timed(60.0, lambda: run_verification(only=wanted))

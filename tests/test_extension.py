@@ -15,7 +15,6 @@ from binmat.extension import (
     grow,
     growth_candidates,
     growth_labels,
-    growths,
 )
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import IsoIndex, are_isomorphic, weight_profile
@@ -311,14 +310,16 @@ class TestGeneratorRule:
         monkeypatch.setattr(Matroid, "rank_of_mask", no_rank)
         for name, m in bases.items():
             for kind in ("extension", "coextension"):
-                children = [child for _, child in growths(m, kind)]
-                assert len(children) == len(growth_candidates(m, kind)) > 0, (name, kind)
+                children = [grow(m, kind, v) for v in growth_candidates(m, kind)]
+                assert children, (name, kind)
                 assert m._rank_tables is None and all(c._rank_tables is None for c in children), (name, kind)
 
     def test_unknown_kind_is_named(self):
-        for fn in (growth_candidates, growths):
+        for fn in (growth_candidates, growth_labels):
             with pytest.raises(ValueError, match="^unknown growth kind 'growth'$"):
                 fn(M("S8"), "growth")
+        with pytest.raises(ValueError, match="^unknown growth kind 'growth'$"):
+            grow(M("S8"), "growth", BitVector(4, 0b11))
 
     def test_coextension_candidates_require_a_cosimple_matroid(self):
         # Element 3 is a coloop: D's first row is zero.
@@ -339,7 +340,7 @@ class TestGrowthClasses:
         # sorting: members ascend, each representative is the child of its
         # class's least member, and classes ascend by least member.
         m = M(name)
-        children = dict(growths(m, kind))
+        children = {v: grow(m, kind, v) for v in growth_candidates(m, kind)}
         classes = enumerate_growth_classes(m, kind)
         assert len(classes) > 1
         for cls in classes:
@@ -497,14 +498,9 @@ class TestGrowthClasses:
             assert kept and len(kept) < len(classes), kind
             assert growth_classes_in(M("S8"), kind, family) == kept, kind
 
-    def test_growths_are_the_candidates_children(self):
+    def test_grow_builds_each_kind_by_its_own_step(self):
         m = M("P9")
-        assert list(growths(m, "extension")) == [(v, extend(m, v)) for v in growth_candidates(m, "extension")]
-        assert list(growths(m, "coextension")) == [
-            (v, coextend(m, v)) for v in growth_candidates(m, "coextension")
-        ]
-        with pytest.raises(ValueError):
-            growths(m, "growth")
-        with pytest.raises(ValueError, match="unknown growth kind"):
-            grow(m, "growth", growth_candidates(m, "extension")[0])
+        for kind, step in (("extension", extend), ("coextension", coextend)):
+            vectors = growth_candidates(m, kind)
+            assert [grow(m, kind, v) for v in vectors] == [step(m, v) for v in vectors], kind
 

@@ -40,10 +40,10 @@ class TestBitVector:
         v = BitVector.parse("[1110]")
         assert str(v) == "[1110]"
         assert v.length == 4
-        assert v.coords() == (1, 1, 1, 0)
+        assert v.bits == 0b0111
 
     def test_parse_accepts_bare_bits_and_spaces(self):
-        assert BitVector.parse("0 1 1").coords() == (0, 1, 1)
+        assert BitVector.parse("0 1 1") == BitVector(3, 0b110)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -60,15 +60,14 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(2, 4)
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
-    def test_from_coords_round_trip(self, coords):
-        v = BitVector.from_coords(coords)
-        assert list(v.coords()) == coords
-        assert v.bits.bit_count() == sum(coords)
-
-    def test_from_coords_rejects_non_bits(self):
-        with pytest.raises(ValueError, match="^entries must be 0 or 1$"):
-            BitVector.from_coords([1, 2, 0])
+    @given(st.text("01", min_size=1, max_size=12))
+    def test_random_bit_strings_round_trip(self, text):
+        # Character i of the text is bracket coordinate i + 1, bit i.
+        v = BitVector.parse(text)
+        assert str(v) == f"[{text}]"
+        assert v.length == len(text)
+        assert v.bits.bit_count() == text.count("1")
+        assert [(v.bits >> i) & 1 for i in range(v.length)] == [int(c) for c in text]
 
 
 class TestBitMatrix:
@@ -89,6 +88,9 @@ class TestBitMatrix:
         assert (m.nrows, m.ncols) == (2, 3)
         # Character j of a row string is bit j-1 of the packed row.
         assert m.rows == (0b101, 0b110)
+
+    def test_from_rows_of_no_rows_is_the_empty_matrix(self):
+        assert BitMatrix.from_rows([]) == BitMatrix(0, 0, ())
 
     @pytest.mark.parametrize("row", ["1\u06610", "120", "10"])
     def test_from_rows_rejects_bad_string_rows(self, row):

@@ -27,6 +27,7 @@ from binmat.matroid import (
 
 from conftest import (
     fresh,
+    label_rank,
     oracle_circuits,
     oracle_cocircuits,
     oracle_columns,
@@ -67,8 +68,8 @@ class TestConstruction:
             m = M(name)
             labels = sorted(m.ground_set())
             for combo in combinations(labels, 3):
-                assert m.rank_of(combo) == oracle_rank(m, combo)
-            assert m.rank_of(labels) == m.rank
+                assert label_rank(m, combo) == oracle_rank(m, combo)
+            assert label_rank(m, labels) == m.rank
 
     def test_column_of_and_mask_round_trip(self):
         m = M("S8")
@@ -117,6 +118,14 @@ class TestConstruction:
         b = fresh("S8")
         assert a == b and hash(a) == hash(b)
         assert a != fresh("Z4")
+
+    def test_comparison_with_another_type_is_left_to_that_type(self):
+        m = fresh("F7")
+        assert m.__eq__(m.labels) is NotImplemented
+        assert m != m.labels and m.labels != m
+
+    def test_repr_names_rank_size_and_labels(self):
+        assert repr(fresh("F7")) == "Matroid(rank=3, size=7, labels=(1, 2, 3, 4, 5, 6, 7))"
 
 
 def oracle_equal(a, b):
@@ -257,7 +266,7 @@ class TestRankTables:
             assert (rank_tables(m) is not None) == tabulated, (n, r)
             for _ in range(40):
                 x = rng.sample(m.labels, rng.randint(0, n))
-                assert m.rank_of(x) == oracle_rank(m, x), (n, r, x)
+                assert label_rank(m, x) == oracle_rank(m, x), (n, r, x)
             if not tabulated:
                 assert m._rank_tables is None and m._cocycle_index is None, (n, r)
 
@@ -276,7 +285,7 @@ class TestRankTables:
         assert not hasattr(m, "_rank_cache") and m._rank_tables is None
         tables = rank_tables(m)
         assert built == [4, 5] and tables[0] == 4
-        assert m.rank_of(m.labels[:3]) == 3 and connectivity.lam(m, m.labels[:4]) == oracle_lam(m, m.labels[:4])
+        assert label_rank(m, m.labels[:3]) == 3 and connectivity.lam(m, m.labels[:4]) == oracle_lam(m, m.labels[:4])
         assert connectivity.is_n_connected(m, 3) and not connectivity.is_internally_4_connected(m)
         assert connectivity.nonminimal_exact_3seps(m)
         assert rank_tables(m) is tables and built == [4, 5]
@@ -398,8 +407,8 @@ class TestDuality:
         d = dual(m)
         for combo in combinations(sorted(m.ground_set()), 3):
             x = frozenset(combo)
-            expected = len(x) + m.rank_of(m.ground_set() - x) - m.rank
-            assert d.rank_of(x) == expected
+            expected = len(x) + label_rank(m, m.ground_set() - x) - m.rank
+            assert label_rank(d, x) == expected
 
 
 class TestRemove:
@@ -414,7 +423,7 @@ class TestRemove:
         m = M("P9")
         for lab in sorted(m.ground_set())[:4]:
             mm = remove(m, contractions={lab})
-            assert mm.rank == m.rank - m.rank_of({lab})
+            assert mm.rank == m.rank - label_rank(m, {lab})
             assert mm.ground_set() == m.ground_set() - {lab}
 
     def test_contraction_rank_function(self):
@@ -424,7 +433,7 @@ class TestRemove:
         mm = remove(m, contractions=c)
         for combo in combinations(sorted(mm.ground_set()), 2):
             x = frozenset(combo)
-            assert mm.rank_of(x) == m.rank_of(x | c) - m.rank_of(c)
+            assert label_rank(mm, x) == label_rank(m, x | c) - label_rank(m, c)
 
     def test_deletion_contraction_commute(self):
         m = M("E4")
@@ -488,7 +497,7 @@ def test_remove_rank_matches_oracle(name, contract_circuit, delete_cocircuit, rn
     base = oracle_rank(m, cons)
     for size in range(len(survivors) + 1):
         for x in combinations(survivors, size):
-            assert mm.rank_of(x) == oracle_rank(m, set(x) | cons) - base
+            assert label_rank(mm, x) == oracle_rank(m, set(x) | cons) - base
 
     cols = [mm.column_of(e) for e in survivors]
     rows = tuple(sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(mm.rank))

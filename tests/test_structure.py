@@ -13,9 +13,9 @@ from binmat.extension import (
     coextend,
     enumerate_growth_classes,
     extend,
+    grow,
     growth_candidates,
     growth_labels,
-    growths,
 )
 from binmat.gf2 import BitMatrix, BitVector
 from binmat.iso import are_isomorphic, canonical_key, cocycle_index, isomorphism, weight_profile
@@ -361,8 +361,8 @@ def test_one_search_builds_the_index_once(monkeypatch):
     # The first E4 two-step child in EX[S10, S10*], so every split is visited.
     child = next(
         Matroid(child.matrix, child.labels)
-        for _, type_i in growths(M("E4"), "extension")
-        for _, child in growths(type_i, "coextension")
+        for type_i in (extend(M("E4"), u) for u in growth_candidates(M("E4"), "extension"))
+        for child in (coextend(type_i, v) for v in growth_candidates(type_i, "coextension"))
         if has_any_minor(child, [M("S10"), M("S10*")]) is None
     )
     monkeypatch.setattr(iso, "cocycle_index", counting_index)
@@ -455,6 +455,16 @@ class TestInClass:
             report.dual_report, dual(M("E4")), [dual(M("S10"))], []
         )
 
+    def test_decomposer_deferral_in_a_class_that_is_not_its_own_dual(self):
+        # EX[T12/e] contains T12\e, the dual of T12/e, so the dual
+        # orientation must defer to EX[(T12/e)*].
+        excluded, defer = [M("S10"), M("S10*")], [M("T12/e")]
+        report = theorem21_check(fresh("E4"), SIDE_A1, 3, excluded, defer=defer)
+        _assert_records_match_fresh_searches(report, M("E4"), excluded, defer)
+        _assert_records_match_fresh_searches(
+            report.dual_report, dual(M("E4")), [dual(x) for x in excluded], [dual(x) for x in defer]
+        )
+
 
 def _fresh_membership(child, excluded, defer):
     """(in the class, deferred) by a fresh `in_class` search per family."""
@@ -493,8 +503,8 @@ class TestIsSplitter:
         oracle = {
             (kind, v)
             for kind in ("extension", "coextension")
-            for v, child in growths(p9, kind)
-            if in_class(child, family)
+            for v in growth_candidates(p9, kind)
+            if in_class(grow(p9, kind, v), family)
         }
         assert not ok and len(counterexamples) == len(set(counterexamples)) == 24
         assert set(counterexamples) == oracle
@@ -1103,9 +1113,9 @@ def test_growth_membership_matches_fresh_searches(name):
         for p in [base] + [relabeled_copy(base, rng) for _ in range(3)]:
             ask = cls.growth_membership(p)
             for kind in ("extension", "coextension"):
-                for v, child in growths(p, kind):
+                for v in growth_candidates(p, kind):
                     answer = ask(kind, v)
-                    assert answer == in_class(child, family), (p.matrix.rows, kind, v.bits)
+                    assert answer == in_class(grow(p, kind, v), family), (p.matrix.rows, kind, v.bits)
                     seen[answer] += 1
     assert seen[False] >= 20 and (seen[True] >= 20 or name == "M(K4)"), seen
 
@@ -1210,8 +1220,8 @@ def test_two_step_phase_asks_nothing_of_a_repeat_parents_children(monkeypatch):
     pairs = _repeat_parents(M("E4"), report)
     assert pairs
     for p2, p1 in pairs:
-        assert first.isdisjoint(child for _, child in growths(p2, "coextension"))
-        assert not first.isdisjoint(child for _, child in growths(p1, "coextension"))
+        assert first.isdisjoint(coextend(p2, v) for v in growth_candidates(p2, "coextension"))
+        assert not first.isdisjoint(coextend(p1, v) for v in growth_candidates(p1, "coextension"))
 
 
 def _d1_bridging_check(n):

@@ -12,7 +12,7 @@ from binmat.extension import coextend, enumerate_growth_classes, extend
 from binmat.gf2 import BitVector
 from binmat.structure import DecomposerReport, OneStepRecord, OneStepSide, SideOutcome, TwoStepRecord, Verdict
 from binmat.tables import TABLE_1A, TABLE_1B, TABLE_2A, TABLE_2B, GrowthCell
-from binmat.verify import claim_ids, report_to_json, report_to_text, run_verification
+from binmat.verify import report_to_json, report_to_text, run_verification
 
 from conftest import oracle_lam
 
@@ -36,10 +36,27 @@ EXPECTED_DISCREPANCIES = [
 
 
 class TestRegistry:
-    def test_claim_ids_are_unique_and_stable(self):
-        ids = claim_ids()
+    def test_claim_ids_are_unique_and_stable(self, verification):
+        ids = [c["id"] for c in verification[0]["claims"]]
         assert len(ids) == 115
         assert len(set(ids)) == len(ids)
+
+    def test_registry_refuses_a_duplicate_claim_id(self, monkeypatch):
+        monkeypatch.setattr(verify, "TABLE_2A", verify.TABLE_2A + verify.TABLE_2A[:1])
+        with pytest.raises(AssertionError, match="^duplicate claim ids in registry$"):
+            verify._registry()
+
+    def test_registry_refuses_table_claims_that_miss_a_printed_cell(self, monkeypatch):
+        # The claim loop and the cell count read one manifest, so a
+        # manifest whose loop skips its last cell stands in for a claim
+        # loop that drops one.
+        class SkipsLastCell(tuple):
+            def __iter__(self):
+                return iter(self[:-1])
+
+        monkeypatch.setattr(verify, "TABLE_1A", SkipsLastCell(verify.TABLE_1A))
+        with pytest.raises(AssertionError, match="^table claims do not cover the printed-cell manifest$"):
+            verify._registry()
 
     def test_table_manifests_have_expected_shapes(self):
         assert len(TABLE_1A) == 10 and len(TABLE_1B) == 10

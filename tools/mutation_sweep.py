@@ -5,8 +5,9 @@
 Each entry of MUTANTS names a file under ``src/binmat``, a snippet that
 must occur in it exactly once, its replacement, and the tests expected
 to kill the mutant, or the reason it survives all of ``tests/``.  For
-each mutant the sweep copies ``src/``, ``tests/`` and ``pyproject.toml``
-into a fresh temporary directory, applies the replacement there and runs
+each mutant the sweep copies ``src/``, ``tests/``, ``perfbench/`` (whose
+reads ``tests/test_dependencies.py`` counts) and ``pyproject.toml`` into a
+fresh temporary directory, applies the replacement there and runs
 pytest on the named tests.  The checkout itself is never written.  A
 mutant is killed when pytest reports a failing test.  The unmutated copy
 runs the same tests first and must pass.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,23 @@ MUTANTS = [
             "tests/test_structure.py::TestTheorem21::test_bridging_candidates_are_noted_on_an_extension_of_d1star",
             "tests/test_structure.py::test_decompose_matches_a_literal_oracle[D1star-bridging]",
         ),
+    ),
+    # The dual orientation must ask the dual of each family.  EX[S10, S10*]
+    # and the paper's deferral family {T12/e, T12\e} are their own duals,
+    # so only a family that is not tells the two orientations apart.
+    Mutant(
+        "dual-orientation-keeps-excluded",
+        "src/binmat/structure.py",
+        "duals = excluded.dual(), defer and defer.dual()",
+        "duals = excluded, defer and defer.dual()",
+        ("tests/test_structure.py::TestInClass::test_decomposer_membership_in_a_class_that_is_not_its_own_dual",),
+    ),
+    Mutant(
+        "dual-orientation-keeps-defer",
+        "src/binmat/structure.py",
+        "duals = excluded.dual(), defer and defer.dual()",
+        "duals = excluded.dual(), defer",
+        ("tests/test_structure.py::TestInClass::test_decomposer_deferral_in_a_class_that_is_not_its_own_dual",),
     ),
     # A map between two growths that moves the new element restricts to
     # no automorphism of the parent.
