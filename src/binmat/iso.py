@@ -51,9 +51,12 @@ row-order search that reaches a leaf equal to the best one so far has
 found two presentations of the same [I_r | D]; matching their elements
 column by column is an automorphism.  Bases in the orbit of a searched
 basis under the group these generate give the same D blocks, so they are
-skipped.  An automorphism is kept as a generator only if it enlarges the
-set of skipped bases when found.  This only saves work: the key is still
-the minimum over every basis and row order.
+skipped.  An automorphism is kept as a generator only if it carries some
+searched basis outside the skipped set when found, and only then are its
+mask tables built.  The loop visits bases alone: a position set is
+searched only when the matroid's rank tables (`matroid.rank_tables`)
+give it full rank, so no dependent set is eliminated.  This only saves
+work: the key is still the minimum over every basis and row order.
 """
 
 from __future__ import annotations
@@ -307,16 +310,20 @@ def _mask_map(perm: tuple[int, ...]):
 def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
     """(rank, size, minimal sorted D columns) over all bases and row orders.
 
-    Bases are searched in ``combinations`` order, pruned by the
-    automorphisms that the row-order searches find.  An automorphism
-    carrying a searched basis B onto B' carries each row order of B to a
-    row order of B' with the same D columns, so B' need not be searched:
-    ``covered`` holds the orbits of the searched bases, as position
-    masks, under the group that the kept automorphisms generate, and the
-    bases in it are skipped.  An automorphism is kept as a generator only
-    if it carries ``covered`` beyond itself when found; one that does not
-    is dropped and not tested again.  Dropping one only skips fewer bases,
-    so the key is the same as without the pruning.
+    Bases are searched in ``combinations`` order.  Only bases are visited:
+    a position set is skipped unless `Matroid.rank_of_mask` gives it rank
+    r, read off the matroid's rank tables with no elimination (past the
+    tables' bound, n > 16 or r > 12, it eliminates once per set).  The
+    bases are pruned by the automorphisms that the row-order searches
+    find.  An automorphism carrying a searched basis B onto B' carries
+    each row order of B to a row order of B' with the same D columns, so
+    B' need not be searched: ``covered`` holds the orbits of the searched
+    bases, as position masks, under the group that the kept automorphisms
+    generate, and the bases in it are skipped.  An automorphism is kept as
+    a generator only if it carries some searched basis outside
+    ``covered`` when found, which takes r shifts per searched basis; one
+    that does not is dropped and not tested again.  Dropping one only
+    skips fewer bases, so the key is the same as without the pruning.
     """
     r, n = m.rank, m.size
     if r == 0:
@@ -325,6 +332,7 @@ def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
     # position map -> its mask map if kept as a generator, None if dropped
     generators: dict[tuple[int, ...], Callable[[int], int] | None] = {}
     covered: set[int] = set()
+    searched: list[tuple[int, ...]] = []
 
     def close(new: set[int]) -> None:
         while new:
@@ -333,20 +341,20 @@ def canonical_form(m: Matroid) -> tuple[int, int, tuple[int, ...]]:
 
     bits = [1 << p for p in range(n)]
     for basis, mask in zip(combinations(range(n), r), map(sum, combinations(bits, r))):
-        if mask in covered:
-            continue
-        coords = _reduced_coords(m, basis)
-        if coords is None:
+        if mask in covered or m.rank_of_mask(mask) < r:
             continue
         found: list[tuple[int, ...]] = []
-        best = _min_key_for_basis(basis, coords, best, found)
+        best = _min_key_for_basis(basis, _reduced_coords(m, basis), best, found)
+        searched.append(basis)
         close({mask})
         for g in found:
-            if g not in generators:
-                image = _mask_map(g)
-                new = set(map(image, covered)) - covered
-                generators[g] = image if new else None
-                close(new)
+            if g in generators:
+                continue
+            if any(sum(bits[g[p]] for p in b) not in covered for b in searched):
+                image = generators[g] = _mask_map(g)
+                close(set(map(image, covered)) - covered)
+            else:
+                generators[g] = None
     return (r, n, best[0])
 
 

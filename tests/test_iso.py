@@ -19,7 +19,7 @@ from binmat.iso import (
     isomorphism,
     weight_profile,
 )
-from binmat.matroid import Matroid, dual, make_matroid
+from binmat.matroid import Matroid, dual, make_matroid, rank_tables
 
 from conftest import (
     fresh,
@@ -197,21 +197,28 @@ def _image(perm, mask):
     return sum(1 << perm[p] for p in range(len(perm)) if (mask >> p) & 1)
 
 
+def _pruning_cases():
+    """20 seeded matroids with loops, coloops and parallel pairs."""
+    rng = random.Random(16)
+    return [_with_loops_coloops_and_parallels(rng, rng.randint(4, 9), rng.randint(1, 4)) for _ in range(20)]
+
+
 class TestAutomorphismPruning:
     def test_reported_maps_are_automorphisms(self, monkeypatch):
         # Skipping a basis is sound only if every position map the row-order
-        # search reports carries the cocycle space onto itself.
+        # search reports carries the cocycle space onto itself.  The spy
+        # sees every reported map, kept as a generator or dropped.
         maps = []
-        real = iso._mask_map
+        real = iso._min_key_for_basis
 
-        def spy(perm):
-            maps.append(perm)
-            return real(perm)
+        def spy(basis, coords, best, automorphisms):
+            before = len(automorphisms)
+            best = real(basis, coords, best, automorphisms)
+            maps.extend(automorphisms[before:])
+            return best
 
-        monkeypatch.setattr(iso, "_mask_map", spy)
-        rng = random.Random(16)
-        cases = [fresh(name) for name in ("PG(3,2)", "T12", "S10", "M(K3,3)")]
-        cases += [_with_loops_coloops_and_parallels(rng, rng.randint(4, 9), rng.randint(1, 4)) for _ in range(20)]
+        monkeypatch.setattr(iso, "_min_key_for_basis", spy)
+        cases = [fresh(name) for name in ("PG(3,2)", "T12", "S10", "M(K3,3)")] + _pruning_cases()
         reported = []
         for m in cases:
             maps.clear()
@@ -222,6 +229,33 @@ class TestAutomorphismPruning:
                 assert sorted(perm) == list(range(m.size))
                 assert {_image(perm, c) for c in cocycles} == cocycles, (m.matrix.rows, perm)
         assert all(reported[:4]) and sum(map(bool, reported[4:])) >= 10, reported
+
+    def test_only_bases_reach_the_row_order_search(self, monkeypatch):
+        # The basis loop reads independence off the rank tables, so every
+        # set it hands to `_reduced_coords` is a basis.
+        seen = []
+        real = iso._reduced_coords
+
+        def spy(m, basis):
+            seen.append(oracle_rank(m, [m.labels[p] for p in basis]) == m.rank)
+            return real(m, basis)
+
+        monkeypatch.setattr(iso, "_reduced_coords", spy)
+        for m in [fresh(name) for name in list_names()]:
+            canonical_key(m)
+        for m in _pruning_cases():
+            canonical_form(m)
+        assert seen and all(seen), seen.count(False)
+
+    def test_keys_past_the_rank_tables_bound(self):
+        # 17 elements: `rank_of_mask` eliminates once per position set
+        # instead of reading tables.
+        rng = random.Random(17)
+        m = _random_matroid(rng, 17, 4)
+        assert rank_tables(m) is None
+        key = canonical_key(m)
+        assert key.startswith(b"4|17|")
+        assert [canonical_key(relabeled_copy(m, rng)) for _ in range(2)] == [key, key]
 
 
 class TestAreIsomorphic:

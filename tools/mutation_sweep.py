@@ -397,6 +397,26 @@ MUTANTS = [
             "tests/test_iso.py::TestIsomorphism::test_agrees_with_permutation_oracle",
         ),
     ),
+    # A frame that lists the non-basis columns by position, not by value,
+    # pairs columns of different values, so the maps that the row-order
+    # search reports are not automorphisms and the basis loop skips bases
+    # it must search.
+    Mutant(
+        "canonical-frame-unsorted",
+        "src/binmat/iso.py",
+        "return [basis[p] for p in order] + [nonbasis[j] for j in by_value]",
+        "return [basis[p] for p in order] + [nonbasis[j] for j in range(nd)]",
+        ("tests/test_iso.py::TestAutomorphismPruning::test_reported_maps_are_automorphisms",),
+    ),
+    # Letting sets of rank r - 1 through hands a dependent set to the
+    # row-order search, which has no coordinates for it.
+    Mutant(
+        "canonical-visits-rank-r-minus-1",
+        "src/binmat/iso.py",
+        "m.rank_of_mask(mask) < r:",
+        "m.rank_of_mask(mask) < r - 1:",
+        ("tests/test_iso.py::TestAutomorphismPruning::test_only_bases_reach_the_row_order_search",),
+    ),
     # The minor filter.  Contracting one element more than r(m) - r(target)
     # reaches the target's rank only through a dependent contraction set,
     # so minors go missing.
