@@ -4,9 +4,12 @@ decomposer verification engine.
 `in_class` is one `has_any_minor` search.  It visits only the splits
 that contract r(M) - r(N) elements for a target N (any other split
 contracts a loop or deletes a coloop of the rest, and moving that
-element across keeps the minor), filters each on its rank and cocycle
-weight enumerator, read off the parent's `cocycle_index` after one count
-per removed set (`_KeptWeights`), and builds only the minors that pass.
+element across keeps the minor), and filters each on its cocycle weight
+enumerator, read off the parent's `cocycle_index` after one count per
+removed set (`_KeptWeights`): one AND rejects a split whose minor keeps
+a cocycle lighter than N's cogirth, a removed set is skipped when such a
+cocycle misses it, and then the rank and the weights from the cogirth up
+are compared.  Only the minors that pass are built.
 Every other membership question goes through an `ExcludedClass`, which
 runs `in_class` once per isomorphism class of the matroids it is asked
 about.  One object serves the splitter test, both decomposer
@@ -93,10 +96,13 @@ class _KeptWeights(dict):
     is the minor's count at weight w times the kernel, its count at 0.
     ``exactly[j]`` holds the cocycles that meet R in j positions, counted
     once per removed set, and ``kept[w]`` ORs ``of_weight[w + j] &
-    exactly[j]`` over j.
+    exactly[j]`` over j.  ``light(windows)`` ORs ``exactly[j] &
+    windows[j]`` the same way: with ``windows[j]`` the cocycles of weight
+    j + 1 to j + d - 1, that is the OR of ``kept[1 .. d - 1]``, in one
+    mask.
     """
 
-    __slots__ = ("_of_weight", "_exactly")
+    __slots__ = ("_of_weight", "exactly")
 
     def __init__(self, index, removed: tuple[int, ...]):
         of_weight, contains = index
@@ -109,14 +115,20 @@ class _KeptWeights(dict):
                 prev = e
             exactly = step + [prev & c]
         self._of_weight = of_weight
-        self._exactly = exactly
+        self.exactly = exactly
 
     def __missing__(self, w: int) -> int:
         kept = 0
-        for j, e in enumerate(self._exactly):
+        for j, e in enumerate(self.exactly):
             kept |= self._of_weight[w + j] & e
         self[w] = kept
         return kept
+
+    def light(self, windows) -> int:
+        light = 0
+        for e, win in zip(self.exactly, windows):
+            light |= e & win
+        return light
 
 
 def has_any_minor(m: Matroid, targets):
@@ -132,10 +144,17 @@ def has_any_minor(m: Matroid, targets):
     moving that element across keeps the minor (Oxley, *Matroid Theory*,
     3.3).  Each split is filtered on its cocycle weight enumerator, read
     off m's `cocycle_index` through `_KeptWeights`, built once per removed
-    set: first its rank r(m) - c (log2 of the cocycles that avoid the
-    contracted positions over the kernel), then its weights from 1 up,
-    stopping at the first that differs from the target's.  Weight 0 is the
-    kernel, and the last follows from the total.  Equal sizes and cocycle
+    set.  A minor isomorphic to N has no nonzero cocycle lighter than N's
+    cogirth d (its least weight w >= 1 with a cocycle, or size + 1 when
+    it has none), so one AND with the removed set's light mask (the
+    cocycles that keep 1 to d - 1 positions outside it) rejects a split
+    whose avoided cocycles hold one of those.  A removed set whose light
+    mask meets the cocycles that miss it has no split for N, since those
+    avoid every contraction set in it.  A split that passes is filtered
+    on its rank r(m) - c (log2 of the cocycles that avoid the contracted
+    positions over the kernel), then on its weights from d up, stopping
+    at the first that differs from the target's.  Weight 0 is the kernel,
+    and the last follows from the total.  Equal sizes and cocycle
     enumerators mean equal cycle enumerators (see `iso`).  Only a split
     matching a target's `weight_profile` is built (`remove`) for a
     first-match isomorphism search onto the target's fixed presentation.
@@ -152,20 +171,36 @@ def has_any_minor(m: Matroid, targets):
     for gap, wanted in sorted(by_gap.items()):
         of_weight, contains = index = cocycle_index(m)
         every = sum(of_weight)  # the weight classes partition the cocycles
-        counts = sorted(wanted.items())
+        counts = []  # (c, [(profile, its cogirth d, its light windows, targets)])
+        for c, of_count in sorted(wanted.items()):
+            profiles = []
+            for profile, hits in of_count.items():
+                d = next((w for w in range(1, len(profile)) if profile[w]), len(profile))
+                windows = [sum(of_weight[j + 1 : j + d]) for j in range(gap + 1)]  # weights 1 to d - 1 outside R
+                profiles.append((profile, d, windows, hits))
+            counts.append((c, profiles))
         for removed in combinations(order, gap):
             kept = _KeptWeights(index, removed)
-            inside = kept[0]
-            for c, of_count in counts:
+            for c, profiles in counts:
+                live = []  # (light mask, profile, d, targets) of the profiles a split of R can match
+                for profile, d, windows, hits in profiles:
+                    light = kept.light(windows)
+                    if not light & kept.exactly[0]:  # no light cocycle avoids every C in R
+                        live.append((light, profile, d, hits))
+                if not live:
+                    continue
                 for cons in combinations(removed, c):
                     avoid = every
                     for p in cons:
                         avoid &= ~contains[p]
-                    kernel = (inside & avoid).bit_count()
+                    passing = [x for x in live if not x[0] & avoid]
+                    if not passing:
+                        continue
+                    kernel = (kept[0] & avoid).bit_count()
                     if avoid.bit_count() // kernel != 1 << (m.rank - c):
                         continue
-                    for profile, hits in of_count.items():
-                        for w in range(1, len(profile) - 1):
+                    for _, profile, d, hits in passing:
+                        for w in range(d, len(profile) - 1):
                             if (kept[w] & avoid).bit_count() != profile[w] * kernel:
                                 break
                         else:

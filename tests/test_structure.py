@@ -342,6 +342,50 @@ def test_split_profile_matches_built_minors():
     assert kernels
 
 
+def test_light_mask_rejects_exactly_the_splits_with_a_light_cocycle():
+    # The same random [I_r | D] as above, and removed sets of 0 to 3
+    # positions.  For every bound d from 1 (a target with a coloop: no
+    # light weight) to the minor's size + 1 (a rank-0 target: no positive
+    # weight), a split's avoided cocycles meet the removed set's light
+    # mask iff the built minor has a nonzero cocycle lighter than d, by
+    # the oracle's masks.  When the light mask meets the cocycles that
+    # avoid R, every split of R has such a cocycle: the search skips R.
+    rng = random.Random(20141)
+    skips = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        r = rng.randint(0, n)
+        rows = tuple((1 << i) | (rng.getrandbits(n - r) << r) for i in range(r))
+        m = Matroid(BitMatrix(r, n, rows), tuple(rng.sample(range(1, 20), n)))
+        masks = oracle_cocycle_masks(m)
+        for k in range(min(3, n - 1) + 1):
+            for removed in combinations(range(n), k):
+                kept = structure._KeptWeights(cocycle_index(m), removed)
+                # Window j of bound d: the cocycles of weight j + 1 to j + d - 1.
+                windows = [[sum(1 << i for i, mk in enumerate(masks) if j < mk.bit_count() < j + d) for j in range(k + 1)]
+                           for d in range(n - k + 2)]
+                lights = [kept.light(w) for w in windows]
+                assert lights[1] == 0
+                cogirths = []  # per split: the minor's least nonzero cocycle weight, or its size + 1
+                for c in range(k + 1):
+                    for cons in combinations(removed, c):
+                        cmask = sum(1 << p for p in cons)
+                        dels = m.labels_of(sum(1 << p for p in removed) ^ cmask)
+                        minor = remove(m, dels, m.labels_of(cmask))
+                        cogirth = min((s.bit_count() for s in oracle_cocycle_masks(minor) if s), default=n - k + 1)
+                        avoid = sum(1 << i for i, mk in enumerate(masks) if not mk & cmask)
+                        for d in range(1, n - k + 2):
+                            assert (not lights[d] & avoid) == (cogirth >= d), (rows, removed, cons, d)
+                        cogirths.append(cogirth)
+                for d in range(1, n - k + 2):
+                    skipped = bool(lights[d] & kept.exactly[0])
+                    if skipped:
+                        assert max(cogirths) < d, (rows, removed, d)
+                    skips[skipped] += 1
+    # The skip both fires and holds back.
+    assert skips[True] and skips[False], skips
+
+
 def test_one_search_builds_the_index_once(monkeypatch):
     # The cocycle index of the searched matroid is built once for the
     # whole search, never per split; the only other builds are the

@@ -10,7 +10,10 @@ reads ``tests/test_dependencies.py`` counts) and ``pyproject.toml`` into a
 fresh temporary directory, applies the replacement there and runs
 pytest on the named tests.  The checkout itself is never written.  A
 mutant is killed when pytest reports a failing test.  The unmutated copy
-runs the same tests first and must pass.
+runs the same tests first and must pass.  ``tests/test_mutation_sweep.py``
+is left out of every run: it checks this file's list against the
+checkout's source, and a mutated copy lacks the mutant's snippet by
+construction.
 
 The exit status is 0 when every outcome matches its entry (killed, or
 surviving with a recorded reason), 1 when one does not, and 2 when a run
@@ -430,13 +433,24 @@ MUTANTS = [
             "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
         ),
     ),
-    # The next two only build more minors, and `isomorphism` keeps every
+    # The next three only build more minors, and `isomorphism` keeps every
     # verdict, so only the two tests that watch what is built kill them.
     Mutant(
         "minor-weight-loop-one-short",
         "src/binmat/structure.py",
-        "for w in range(1, len(profile) - 1):",
-        "for w in range(1, len(profile) - 2):",
+        "for w in range(d, len(profile) - 1):",
+        "for w in range(d, len(profile) - 2):",
+        (
+            "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
+            "tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",
+        ),
+    ),
+    # A window that stops at weight j + d - 2 leaves weight d - 1 to no test.
+    Mutant(
+        "minor-light-window-one-short",
+        "src/binmat/structure.py",
+        "sum(of_weight[j + 1 : j + d])",
+        "sum(of_weight[j + 1 : j + d - 1])",
         (
             "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
             "tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",
@@ -451,6 +465,28 @@ MUTANTS = [
             "tests/test_structure.py::test_minor_filter_builds_only_splits_with_a_targets_rank_and_profile",
             "tests/test_structure.py::test_has_any_minor_matches_a_brute_force_decider",
         ),
+    ),
+    # A light cocycle that meets R avoids only the splits that contract
+    # none of its positions in R, so skipping R on any light cocycle loses
+    # minors.
+    Mutant(
+        "minor-light-skip-any-light",
+        "src/binmat/structure.py",
+        "if not light & kept.exactly[0]:",
+        "if not light:",
+        (
+            "tests/test_structure.py::TestHasMinor::test_positive_cases_with_witness_replay",
+            "tests/test_structure.py::TestHasMinor::test_witnesses_are_pinned",
+        ),
+    ),
+    # Without the carry, a cocycle that meets R in j > 0 positions lands in
+    # ``exactly[j]`` only when they are R's first j, so counts go missing.
+    Mutant(
+        "kept-weights-count-dropped",
+        "src/binmat/structure.py",
+        "step.append((e & ~c) | (prev & c))",
+        "step.append(e & ~c)",
+        ("tests/test_structure.py::test_split_profile_matches_built_minors",),
     ),
     # A split whose deletions hold a cocycle (kernel > 1) has its counts
     # scaled by the kernel and is dropped.  Its minor is also reached in the
@@ -480,7 +516,8 @@ MUTANTS = [
 
 def run_pytest(tree: Path, tests) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd += ["--ignore=tests/test_mutation_sweep.py", *tests]
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
